@@ -27,8 +27,7 @@ val_set = [gen_regression(n=N, m=M, t=T, seed=1000 + s) for s in range(8)]
 test_set = [gen_regression(n=N, m=M, t=T, seed=2000 + s) for s in range(8)]
 
 cache = SolutionCache()
-cache.warm(train_set)
-sols = np.array([cache.x_star(inst) for inst in train_set])
+sols = np.array([e["x_star"] for e in cache.warm(train_set)])
 
 config = TrainConfig(k=K, batch_size=8, max_epochs=8, seed=0)
 ours_params, _ = train(train_set, val_set, config)

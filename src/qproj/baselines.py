@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProjectionMatrix, QpInstance, max_violation, project, recover
+from .core import ProjectionMatrix, QpInstance, is_feasible, project, recover
 from .gnn import (
     ModelParams,
     backward,
@@ -112,7 +112,7 @@ def _shared_val_loss(P, val_set, config, u_stars):
             total += 1.0
             continue
         x = recover(proj, res.y_star)
-        if max_violation(inst, x) > config.feas_tol:
+        if not is_feasible(inst, x, config.feas_tol):
             failures += 1
             total += 1.0
             continue
@@ -176,7 +176,7 @@ def _direct_val_loss(params, val_set, config, u_stars):
     for inst, u_star in zip(val_set, u_stars):
         x, _ = forward_raw(params, inst)
         x = x[:, 0]
-        if max_violation(inst, x) > config.feas_tol:
+        if not is_feasible(inst, x, config.feas_tol):
             failures += 1
             total += 1.0
             continue
@@ -206,8 +206,7 @@ def direct_train(train_set, val_set, config: TrainConfig,
     """Supervised training on precomputed optima, with the penalty weight
     selected from a fixed grid by validation loss."""
     cache = cache or SolutionCache(settings=config.solver)
-    cache.warm(train_set)
-    x_stars = [cache.x_star(inst) for inst in train_set]
+    x_stars = [np.asarray(e["x_star"]) for e in cache.warm(train_set)]
     u_stars_val = [solve_qp(inst, config.solver).objective for inst in val_set]
 
     best = (np.inf, None, None)

@@ -196,8 +196,7 @@ def cmd_baseline(args, cfg):
     if name == "pca":
         cache = SolutionCache(cache_dir=_pick(args, cfg, "cache-dir"),
                               settings=settings)
-        cache.warm(train_set, threads=args.threads)
-        sols = np.array([cache.x_star(inst) for inst in train_set])
+        sols = np.array([e["x_star"] for e in cache.warm(train_set, threads=args.threads)])
         proj = baselines.pca_projection(sols, int(_require(k, "k")))
         baselines.save_artifact(path, proj)
     elif name in ("sharedp", "direct"):

@@ -54,6 +54,12 @@ class QpInstance:
             raise ValueError(f"A has {A.shape[1]} columns, expected {n}")
         if b.shape != (m,):
             raise ValueError(f"b has length {b.shape[0]}, expected {m}")
+        for name, arr in (("Q", Q), ("c", c), ("A", A), ("b", b)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} holds NaN or infinite entries")
+        constant = float(self.constant)
+        if not np.isfinite(constant):
+            raise ValueError("constant is NaN or infinite")
 
         scale = np.abs(Q).max(initial=0.0)
         asym = np.abs(Q - Q.T).max(initial=0.0)
@@ -71,7 +77,7 @@ class QpInstance:
         object.__setattr__(self, "c", _frozen(c))
         object.__setattr__(self, "A", _frozen(A))
         object.__setattr__(self, "b", _frozen(b))
-        object.__setattr__(self, "constant", float(self.constant))
+        object.__setattr__(self, "constant", constant)
 
     @property
     def n_vars(self) -> int:

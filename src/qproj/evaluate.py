@@ -14,17 +14,17 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import astuple, dataclass, fields as dc_fields
 
 import numpy as np
 
 from .core import (
     ProjectionMatrix,
     QpInstance,
-    instance_to_dict,
-    max_violation,
+    is_feasible,
     objective,
     project,
     recover,
@@ -76,7 +76,7 @@ def write_records_csv(path, records, extra_columns=None) -> None:
 
 class SolutionCache:
     """Disk-backed cache of full-problem optima keyed by instance content
-    and solver tolerances."""
+    and every solver setting."""
 
     def __init__(self, cache_dir=None, settings: SolverSettings | None = None):
         self.cache_dir = cache_dir
@@ -86,12 +86,12 @@ class SolutionCache:
             os.makedirs(cache_dir, exist_ok=True)
 
     def key(self, inst: QpInstance) -> str:
-        doc = instance_to_dict(inst)
-        doc.pop("meta", None)
-        payload = json.dumps(doc, sort_keys=True) + json.dumps(
-            [self.settings.eps_abs, self.settings.eps_rel]
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        h = hashlib.sha256()
+        for arr in (inst.Q, inst.c, inst.A, inst.b):
+            h.update(repr(arr.shape).encode())
+            h.update(arr.tobytes())
+        h.update(repr((inst.constant, astuple(self.settings))).encode())
+        return h.hexdigest()
 
     def u_star(self, inst: QpInstance) -> float:
         return self.entry(inst)["u_star"]
@@ -100,6 +100,7 @@ class SolutionCache:
         return np.asarray(self.entry(inst)["x_star"])
 
     def entry(self, inst: QpInstance) -> dict:
+        """{"u_star", "x_star", "status"} of the full solve of inst."""
         k = self.key(inst)
         if k in self._mem:
             return self._mem[k]
@@ -115,18 +116,20 @@ class SolutionCache:
                 "status": res.status.value,
             }
             if path:
-                with open(path, "w", encoding="utf-8") as fh:
+                # a reader never sees a torn file: write aside, then rename
+                fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
                     json.dump(entry, fh)
+                os.replace(tmp, path)
         self._mem[k] = entry
         return entry
 
-    def warm(self, instances, threads: int = 1) -> None:
+    def warm(self, instances, threads: int = 1) -> list:
+        """The entries of the instances, in order, computing missing ones."""
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(self.entry, instances))
-        else:
-            for inst in instances:
-                self.entry(inst)
+                return list(pool.map(self.entry, instances))
+        return [self.entry(inst) for inst in instances]
 
 
 # ---------------------------------------------------------------------------
@@ -197,78 +200,72 @@ class FullMethod:
     k = 0
 
 
-def _median_time(fn, repeats: int):
-    """Run fn once for its value, then `repeats` times for timing; returns
-    (value, median seconds). repeats = 0 disables timing (0.0 recorded)."""
-    value = fn()
-    if repeats <= 0:
-        return value, 0.0
+def _median_time(fn, repeats: int) -> float:
+    """Median seconds of `repeats` runs of fn; 0.0 when repeats = 0."""
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return value, float(np.median(times))
+    return float(np.median(times)) if times else 0.0
 
 
 def evaluate_method(method, test_set, k: int | None = None,
                     settings: SolverSettings | None = None,
                     cache: SolutionCache | None = None,
                     timing_repeats: int = 3,
-                    feas_tol: float = 1e-6,
+                    feas_tol: float | None = None,
                     threads: int = 1) -> list:
     """One EvalRecord per test instance.
 
     test_set is a list of QpInstance (ids read from meta). Failures --
     non-Solved reduced problems or infeasible recovered points -- are data,
     scored with relative error 1. Feasibility is always recomputed from the
-    raw lifted point. Timing is pinned to sequential execution; threads only
-    parallelize the untimed u* warm-up.
+    raw lifted point, against feas_tol or, when it is None, against
+    core.feasibility_tol of the instance. The full method reports the
+    cache's reference solve, which must use the same settings. Timing is
+    pinned to sequential execution; threads only parallelize the untimed u*
+    warm-up.
     """
     settings = settings or SolverSettings()
     cache = cache or SolutionCache(settings=settings)
-    cache.warm(test_set, threads=threads)
+    if method.kind == "full" and cache.settings != settings:
+        raise ValueError("the full method needs a cache with the same solver settings")
+    entries = cache.warm(test_set, threads=threads)
     method_k = getattr(method, "k", None)
     if k is not None and method_k not in (None, 0) and method_k != k:
         raise ValueError(f"method emits K={method_k}, caller expects K={k}")
 
     records = []
-    for index, inst in enumerate(test_set):
+    for index, (inst, entry) in enumerate(zip(test_set, entries)):
         inst_id = inst.meta.get("id", f"instance-{index:04d}")
-        u_star = cache.u_star(inst)
+        u_star = entry["u_star"]
+        t_proj = t_solve = 0.0
         if method.kind == "projection":
-            proj, t_proj = _median_time(
-                lambda: method.make_projection(inst, index), timing_repeats
-            )
+            proj = method.make_projection(inst, index)
+            t_proj = _median_time(lambda: method.make_projection(inst, index),
+                                  timing_repeats)
             reduced = project(inst, proj)
-            res, t_solve = _median_time(
-                lambda: solve_qp(reduced, settings), timing_repeats
-            )
+            res = solve_qp(reduced, settings)
+            t_solve = _median_time(lambda: solve_qp(reduced, settings), timing_repeats)
             x = recover(proj, res.y_star)
-            feasible = (res.status is SolveStatus.SOLVED
-                        and max_violation(inst, x) <= feas_tol)
-            u_hat = objective(inst, x)
-            err = relative_error(u_hat, u_star, 0.0) if feasible else 1.0
+            solved = res.status is SolveStatus.SOLVED
             rec_k = proj.k
         elif method.kind == "direct":
-            x, t_proj = _median_time(lambda: method.predict(inst), timing_repeats)
-            t_solve = 0.0
-            feasible = max_violation(inst, x) <= feas_tol
-            u_hat = objective(inst, x)
-            err = relative_error(u_hat, u_star, 0.0) if feasible else 1.0
+            x = method.predict(inst)
+            t_proj = _median_time(lambda: method.predict(inst), timing_repeats)
+            solved = True
             rec_k = 0
         elif method.kind == "full":
-            res, t_solve = _median_time(lambda: solve_qp(inst, settings),
-                                        timing_repeats)
-            t_proj = 0.0
-            x = res.y_star
-            feasible = (res.status is SolveStatus.SOLVED
-                        and max_violation(inst, x) <= feas_tol)
-            u_hat = res.objective
-            err = relative_error(u_hat, u_star, 0.0) if feasible else 1.0
+            x = np.asarray(entry["x_star"])
+            t_solve = _median_time(lambda: solve_qp(inst, settings), timing_repeats)
+            solved = entry["status"] == SolveStatus.SOLVED.value
             rec_k = inst.n_vars
         else:
             raise ValueError(f"unknown method kind {method.kind!r}")
+        feasible = solved and is_feasible(inst, x, feas_tol)
+        u_hat = objective(inst, x)
+        err = relative_error(u_hat, u_star, 0.0) if feasible else 1.0
         records.append(EvalRecord(
             instance_id=inst_id,
             method=method.name,
@@ -383,7 +380,8 @@ def run_experiment(spec, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     settings = SolverSettings(**spec.get("solver", {}))
     timing_repeats = int(spec.get("timing_repeats", 3))
-    feas_tol = float(spec.get("feas_tol", 1e-6))
+    feas_tol = spec.get("feas_tol")
+    feas_tol = None if feas_tol is None else float(feas_tol)
     cache = SolutionCache(cache_dir=spec.get("cache_dir"), settings=settings)
 
     context_cols = ["sweep", "sweep_type", "setting", "train_tag", "test_tag"]

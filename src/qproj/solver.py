@@ -1,10 +1,13 @@
 """Dense operator-splitting (ADMM) solver for convex QPs.
 
 Solves  min 1/2 y'Qy + c'y  s.t.  Ay <= b  by splitting the constraint as
-Ay + s = b, s >= 0, reusing one LU factorization of the regularized KKT
-matrix across iterations. Returns both primal and dual solutions; an
-optional active-set polish step refines the iterate to near machine
-precision, which matters because downstream gradients consume the duals.
+Ay + s = b, s >= 0. Each ADMM step solves the regularized KKT system in
+its reduced (normal-equation) form, whose n x n matrix Q + sigma I + rho A'A
+is Cholesky-factored once per value of rho (OSQP, Stellato et al. 2020,
+section 5), so a step costs O(n^2 + mn) however many rows A has. Returns
+both primal and dual solutions; an optional active-set polish step refines
+the iterate to near machine precision, which matters because downstream
+gradients consume the duals.
 
 The returned result is declared Solved only when the iterate satisfies,
 in infinity norm,
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import QpInstance, objective
 
@@ -44,6 +48,7 @@ class SolveStatus(enum.Enum):
     MAX_ITER_REACHED = "MaxIterReached"
     PRIMAL_INFEASIBLE = "PrimalInfeasible"
     DUAL_INFEASIBLE = "DualInfeasible"
+    NUMERICAL_ERROR = "NumericalError"
 
 
 @dataclass
@@ -96,15 +101,21 @@ def kkt_residuals(inst: QpInstance, y, lam):
     return float(viol), float(dual_res), float(compl_res)
 
 
-def _factor_kkt(Q, A, sigma, rho):
-    n, m = Q.shape[0], A.shape[0]
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = Q + sigma * np.eye(n)
-    if m:
-        kkt[:n, n:] = A.T
-        kkt[n:, :n] = A
-        kkt[n:, n:] = -(1.0 / rho) * np.eye(m)
-    return scipy.linalg.lu_factor(kkt, check_finite=False)
+def _factor(Q, A, sigma, rho):
+    """Upper Cholesky factor of Q + sigma I + rho A'A, the matrix of the
+    step's normal equations, or None when it is not numerically positive
+    definite (LAPACK potrf info > 0)."""
+    chol, info = dpotrf(Q + sigma * np.eye(Q.shape[0]) + rho * (A.T @ A))
+    return chol if info == 0 else None
+
+
+def _step(chol, A, c, sigma, rho, xb, zb, yb):
+    """The ADMM linear step. Eliminating nu = rho (A x - zb) + yb from the
+    KKT system [Q + sigma I, A'; A, -I/rho] [x; nu] = [sigma xb - c;
+    zb - yb/rho] leaves (Q + sigma I + rho A'A) x = sigma xb - c +
+    A'(rho zb - yb), and z = zb + (nu - yb)/rho = A x. Returns (x, z)."""
+    x, _ = dpotrs(chol, sigma * xb - c + A.T @ (rho * zb - yb))
+    return x, A @ x
 
 
 def _ruiz_equilibrate(Q, c, A, b, iters=10, reg=1e-8):
@@ -238,8 +249,8 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
     """Solve an inequality-form convex QP, returning primal and dual solutions.
 
     Q is assumed PSD (validated when the QpInstance was constructed).
-    MaxIterReached / infeasibility outcomes are reported in the status,
-    never raised.
+    MaxIterReached / infeasibility / failed-factorization (NumericalError)
+    outcomes are reported in the status, never raised.
     """
     if settings is None:
         settings = SolverSettings()
@@ -252,7 +263,7 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
 
     Qs, cs, As, bs, d_sc, e_sc, gamma = _ruiz_equilibrate(Q, c, A, b)
     rho = settings.rho
-    lu = _factor_kkt(Qs, As, settings.sigma, rho)
+    chol = _factor(Qs, As, settings.sigma, rho)
 
     xb = np.zeros(n)       # scaled-space iterates
     zb = np.zeros(m)
@@ -283,12 +294,14 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
     q_scale = max(1.0, np.abs(Q).max(initial=0.0))
 
     for k in range(1, settings.max_iter + 1):
-        rhs = np.concatenate([settings.sigma * xb - cs, zb - yb / rho])
-        sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-        x_t = sol[:n]
-        if m:
-            nu = sol[n:]
-            z_t = zb + (nu - yb) / rho
+        if chol is None:
+            _, x, y, _ = best or (None, np.zeros(n), np.zeros(m), 0)
+            return finish(
+                x, y, SolveStatus.NUMERICAL_ERROR, k - 1,
+                message=f"Cholesky factorization failed at rho={rho:.3e}: "
+                        "Q + sigma I + rho A'A is not numerically positive definite",
+            )
+        x_t, z_t = _step(chol, As, cs, settings.sigma, rho, xb, zb, yb)
         xb = ALPHA * x_t + (1.0 - ALPHA) * xb
         if m:
             v = ALPHA * z_t + (1.0 - ALPHA) * zb + yb / rho
@@ -388,7 +401,7 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
             rho_new = float(np.clip(rho * np.sqrt(ratio), RHO_MIN, RHO_MAX))
             if rho_new / rho > RHO_REFACTOR_RATIO or rho / rho_new > RHO_REFACTOR_RATIO:
                 rho = rho_new
-                lu = _factor_kkt(Qs, As, settings.sigma, rho)
+                chol = _factor(Qs, As, settings.sigma, rho)
 
     _, xbest, ybest, kb = best
     if settings.polish:

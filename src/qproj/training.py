@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QpInstance, ProjectionMatrix, max_violation, project, recover
+from .core import QpInstance, ProjectionMatrix, is_feasible, project, recover
 from .gnn import ModelParams, backward, forward, init_params
 from .solver import SolveResult, SolveStatus, SolverSettings, solve_qp
 
@@ -42,7 +42,7 @@ class TrainConfig:
     layers: int = 4
     head_hidden: int = 32
     solver: SolverSettings = field(default_factory=SolverSettings)
-    feas_tol: float = 1e-6
+    feas_tol: float | None = None    # None: core.feasibility_tol per instance
     record_timings: bool = True
     cache_dir: str | None = None     # disk cache for validation optima
 
@@ -153,7 +153,7 @@ def validation_loss(params: ModelParams, val_set, config: TrainConfig,
             errors.append(1.0)
             continue
         x = recover(proj, res.y_star)
-        if max_violation(inst, x) > config.feas_tol:
+        if not is_feasible(inst, x, config.feas_tol):
             failures += 1
             errors.append(1.0)
             continue
@@ -208,7 +208,7 @@ def train(train_set, val_set, config: TrainConfig):
                         )
                     epoch_failures += 1
                     continue
-                if max_violation(inst, recover(proj, res.y_star)) > config.feas_tol:
+                if not is_feasible(inst, recover(proj, res.y_star), config.feas_tol):
                     report.infeasible_recoveries += 1
                 g_env = envelope_grad(inst, proj.P, res.y_star, res.lambda_star)
                 grad_acc += backward(tape, params, g_env).to_vector()

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from qproj import evaluate
+from qproj.core import QpInstance
 from qproj.datasets import gen_split
 from qproj.evaluate import (
     EVAL_COLUMNS,
@@ -21,6 +23,7 @@ from qproj.evaluate import (
     write_records_csv,
 )
 from qproj.gnn import init_params, save_checkpoint
+from qproj.solver import SolverSettings
 
 
 def test_relative_error_examples():
@@ -124,6 +127,68 @@ def test_solution_cache_disk_round_trip(tmp_path, small_dataset):
     u2 = fresh.u_star(test_set[0])
     assert u1 == u2
     assert len(list((tmp_path / "cache").iterdir())) == 1
+
+
+def test_full_eval_solves_each_instance_once(monkeypatch, small_dataset):
+    test_set = small_dataset.load_split("test")
+    real_solve, solves = evaluate.solve_qp, []
+
+    def counting_solve(inst, settings=None):
+        solves.append(inst)
+        return real_solve(inst, settings)
+
+    monkeypatch.setattr(evaluate, "solve_qp", counting_solve)
+    records = evaluate_method(FullMethod(), test_set, timing_repeats=0)
+    assert len(test_set) == 3
+    assert len(solves) == 3
+    assert all(rec.feasible and rec.relative_error == 0.0 for rec in records)
+
+
+def test_eval_computes_each_cache_key_once(monkeypatch, small_dataset):
+    test_set = small_dataset.load_split("test")
+    real_key, keys = SolutionCache.key, []
+
+    def counting_key(self, inst):
+        keys.append(inst)
+        return real_key(self, inst)
+
+    monkeypatch.setattr(SolutionCache, "key", counting_key)
+    evaluate_method(RandMethod(3), test_set, timing_repeats=0)
+    assert len(keys) == len(test_set)
+
+
+def test_cache_key_covers_data_and_every_setting(small_dataset):
+    inst = small_dataset.load_split("test")[0]
+    base = SolutionCache().key(inst)
+    copy = QpInstance(Q=inst.Q, c=inst.c, A=inst.A, b=inst.b,
+                      constant=inst.constant, meta={"id": "other"})
+    assert SolutionCache().key(copy) == base
+    for changed in ({"eps_abs": 1e-7}, {"eps_rel": 1e-7}, {"max_iter": 100},
+                    {"rho": 1.0}, {"sigma": 1e-5}, {"polish": False}):
+        assert SolutionCache(settings=SolverSettings(**changed)).key(inst) != base
+    shifted = QpInstance(Q=inst.Q, c=inst.c, A=inst.A, b=inst.b,
+                         constant=inst.constant + 1.0)
+    assert SolutionCache().key(shifted) != base
+    b = inst.b.copy()
+    b[0] += 1e-12
+    assert SolutionCache().key(QpInstance(Q=inst.Q, c=inst.c, A=inst.A, b=b)) != base
+
+
+def test_torn_cache_write_leaves_no_entry(monkeypatch, tmp_path, small_dataset):
+    # a crash while writing a cache file used to leave a torn file behind,
+    # and the next run failed on it with a JSONDecodeError
+    inst = small_dataset.load_split("test")[0]
+
+    def crashing_dump(obj, fh):
+        fh.write(json.dumps(obj)[:10])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evaluate.json, "dump", crashing_dump)
+    with pytest.raises(KeyboardInterrupt):
+        SolutionCache(cache_dir=tmp_path).u_star(inst)
+    monkeypatch.undo()
+    fresh = SolutionCache(cache_dir=tmp_path)
+    assert fresh.u_star(inst) == SolutionCache().u_star(inst)
 
 
 def test_summarize_recomputable():

@@ -1,0 +1,99 @@
+"""Seeded regression tests for defects: each failed before its fix."""
+
+import json
+
+import numpy as np
+import pytest
+
+from qproj import solver
+from qproj.cli import main
+from qproj.core import QpInstance, max_violation, project, recover, save_instance
+from qproj.datasets import gen_regression
+from qproj.evaluate import OursMethod, evaluate_method
+from qproj.gnn import forward, init_params
+from qproj.solver import SolveStatus, solve_qp
+
+from oracles import random_pd_instance
+
+
+def _poisoned(field, value, seed):
+    """The data of a random feasible QP with one entry of `field` replaced."""
+    inst = random_pd_instance(np.random.default_rng(seed), 3, 4)
+    data = {"Q": inst.Q.copy(), "c": inst.c.copy(), "A": inst.A.copy(),
+            "b": inst.b.copy()}
+    data[field].flat[1] = value
+    if field == "Q":
+        data["Q"][1, 0] = value     # stays symmetric
+    return data
+
+
+# NaN in Q used to hang LAPACK inside the solver; NaN in c used to return a
+# Solved result with objective NaN.
+@pytest.mark.parametrize("field", ["Q", "c", "A", "b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_rejected(field, value):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        QpInstance(**_poisoned(field, value, seed=31))
+
+
+def test_non_finite_constant_rejected():
+    inst = random_pd_instance(np.random.default_rng(32), 3, 4)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        QpInstance(Q=inst.Q, c=inst.c, A=inst.A, b=inst.b, constant=np.nan)
+
+
+def test_cli_rejects_instance_file_with_nan(tmp_path):
+    path = tmp_path / "inst.json"
+    save_instance(random_pd_instance(np.random.default_rng(33), 3, 4), path)
+    doc = json.loads(path.read_text())
+    doc["c"][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(path)]) == 2
+
+
+def _indefinite_instance():
+    """A QpInstance whose Q was made indefinite after validation, so that
+    the Cholesky factorization of the step matrix fails."""
+    inst = QpInstance(Q=np.eye(2), c=[1.0, -1.0], A=[[1.0, 1.0]], b=[1.0])
+    object.__setattr__(inst, "Q", np.diag([1.0, -1.0]))
+    return inst
+
+
+def test_failed_cholesky_is_a_status():
+    res = solve_qp(_indefinite_instance())
+    assert res.status is SolveStatus.NUMERICAL_ERROR
+    assert "Cholesky" in res.message
+    assert res.iterations == 0
+    assert np.all(np.isfinite(res.y_star))
+
+
+def test_failed_cholesky_after_rho_change_is_a_status(monkeypatch):
+    # random_pd_instance(default_rng(0), 8, 12) refactors at iteration 100
+    inst = random_pd_instance(np.random.default_rng(0), 8, 12)
+    real_factor, calls = solver._factor, []
+
+    def factor_fails_on_refactor(Q, A, sigma, rho):
+        calls.append(rho)
+        return real_factor(Q, A, sigma, rho) if len(calls) == 1 else None
+
+    monkeypatch.setattr(solver, "_factor", factor_fails_on_refactor)
+    res = solve_qp(inst)
+    assert len(calls) == 2
+    assert res.status is SolveStatus.NUMERICAL_ERROR
+    assert res.iterations == 100
+    assert "Cholesky" in res.message
+    assert np.all(np.isfinite(res.y_star))
+
+
+def test_feasibility_judged_at_instance_tolerance():
+    # Solved at a lifted violation of about 3.1e-6, inside the solver's own
+    # tolerance (about 4.6e-6) but above the absolute 1e-6 once used
+    inst = gen_regression(500, 50, seed=4)
+    params = init_params(0, k=30)
+    proj, _ = forward(params, inst, 30)
+    res = solve_qp(project(inst, proj))
+    assert res.status is SolveStatus.SOLVED
+    assert max_violation(inst, recover(proj, res.y_star)) > 1e-6
+    [rec] = evaluate_method(OursMethod(params), [inst], timing_repeats=0)
+    assert rec.feasible
+    assert rec.relative_error < 1.0

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from qproj import solver
 from qproj.core import QpInstance
 from qproj.solver import (
     SolveStatus,
     SolverSettings,
+    _factor,
+    _step,
     kkt_residuals,
     solve_full,
     solve_qp,
@@ -151,3 +155,63 @@ def test_psd_singular_hessian_supported():
     res = solve_qp(inst)
     assert res.status is SolveStatus.SOLVED
     assert res.objective == pytest.approx(-0.5, abs=1e-8)
+
+
+def _kkt_step(Q, A, c, sigma, rho, xb, zb, yb):
+    """Reference ADMM step from the full (n + m) KKT system
+    [Q + sigma I, A'; A, -I/rho] [x; nu] = [sigma xb - c; zb - yb/rho],
+    with z = zb + (nu - yb)/rho."""
+    n, m = Q.shape[0], A.shape[0]
+    kkt = np.block([[Q + sigma * np.eye(n), A.T], [A, -np.eye(m) / rho]])
+    sol = scipy.linalg.solve(kkt, np.concatenate([sigma * xb - c, zb - yb / rho]))
+    return sol[:n], zb + (sol[n:] - yb) / rho
+
+
+def _assert_close_rel(got, want, rtol=1e-9):
+    assert np.linalg.norm(got - want) <= rtol * max(np.linalg.norm(want), 1.0)
+
+
+@pytest.mark.parametrize("n, m", [(5, 12), (12, 5), (6, 0)])
+@pytest.mark.parametrize("rho", [1e-3, 0.1, 10.0, 1e3])
+def test_step_matches_kkt_system(n, m, rho):
+    rng = np.random.default_rng(100 * n + m)
+    inst = random_pd_instance(rng, n, m)
+    sigma = 1e-6
+    chol = _factor(inst.Q, inst.A, sigma, rho)
+    assert chol is not None
+    for _ in range(3):
+        xb, zb, yb = rng.normal(size=n), rng.normal(size=m), rng.normal(size=m)
+        x_t, z_t = _step(chol, inst.A, inst.c, sigma, rho, xb, zb, yb)
+        x_ref, z_ref = _kkt_step(inst.Q, inst.A, inst.c, sigma, rho, xb, zb, yb)
+        _assert_close_rel(x_t, x_ref)
+        _assert_close_rel(z_t, z_ref)
+
+
+def test_step_matches_kkt_system_across_rho_refactorization(monkeypatch):
+    # every step of a solve that changes rho mid-way is checked against the
+    # KKT system at the rho it was taken with
+    inst = random_pd_instance(np.random.default_rng(0), 8, 12)
+    factors, steps = [], []
+
+    def recording_factor(Q, A, sigma, rho):
+        factors.append((Q.copy(), rho))
+        return _factor(Q, A, sigma, rho)
+
+    def recording_step(chol, A, c, sigma, rho, xb, zb, yb):
+        x_t, z_t = _step(chol, A, c, sigma, rho, xb, zb, yb)
+        steps.append((A.copy(), c.copy(), sigma, rho, xb.copy(), zb.copy(),
+                      yb.copy(), x_t, z_t))
+        return x_t, z_t
+
+    monkeypatch.setattr(solver, "_factor", recording_factor)
+    monkeypatch.setattr(solver, "_step", recording_step)
+    res = solve_qp(inst)
+    assert res.status is SolveStatus.SOLVED
+    assert len(factors) >= 2
+    rhos = [rho for _, rho in factors]
+    assert {step[3] for step in steps} == set(rhos)
+    Qs = factors[0][0]
+    for A, c, sigma, rho, xb, zb, yb, x_t, z_t in steps:
+        x_ref, z_ref = _kkt_step(Qs, A, c, sigma, rho, xb, zb, yb)
+        _assert_close_rel(x_t, x_ref)
+        _assert_close_rel(z_t, z_ref)
