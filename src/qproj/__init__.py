@@ -25,7 +25,6 @@ from .solver import (
     SolveStatus,
     SolverSettings,
     kkt_residuals,
-    solve_full,
     solve_qp,
 )
 from .gnn import (

@@ -18,8 +18,8 @@ from .gnn import (
     orthonormalize,
 )
 from .solver import SolveStatus, solve_qp
-from .training import Adam, TrainConfig, envelope_grad, guarded_relative_error
-from .evaluate import SolutionCache
+from .training import Adam, TrainConfig, envelope_grad
+from .evaluate import SolutionCache, guarded_relative_error
 
 
 def rand_projection(n: int, k: int, seed: int) -> ProjectionMatrix:

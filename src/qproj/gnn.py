@@ -356,9 +356,12 @@ def backward(tape: ForwardTape, params: ModelParams, d_p: np.ndarray) -> ModelPa
 # ---------------------------------------------------------------------------
 # Checkpoint format: JSON with hyperparameters and flat parameter arrays.
 
+CHECKPOINT_FORMAT = "qproj-model-v1"
+
+
 def save_checkpoint(path, params: ModelParams, seed=None, extra=None) -> None:
     doc = {
-        "format": "qproj-model-v1",
+        "format": CHECKPOINT_FORMAT,
         "hidden": params.hidden,
         "layers": params.layers,
         "k": params.k,
@@ -373,12 +376,20 @@ def save_checkpoint(path, params: ModelParams, seed=None, extra=None) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint written by save_checkpoint. A file with another
+    format tag, or with NaN/infinite parameters (json accepts NaN tokens),
+    raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: format {fmt!r} is not {CHECKPOINT_FORMAT!r}")
     h, l, k, h_g = doc["hidden"], doc["layers"], doc["k"], doc["head_hidden"]
     template = init_params(0, h=h, l=l, k=k, h_g=h_g)
     fields = {}
     for f in ModelParams._FIELDS:
         a = getattr(template, f)
         fields[f] = np.asarray(doc["params"][f], dtype=np.float64).reshape(a.shape)
+        if not np.isfinite(fields[f]).all():
+            raise ValueError(f"{path}: parameter {f!r} has NaN or infinite entries")
     return ModelParams(**fields)

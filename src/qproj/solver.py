@@ -9,6 +9,15 @@ both primal and dual solutions; an optional active-set polish step refines
 the iterate to near machine precision, which matters because downstream
 gradients consume the duals.
 
+Polish is attempted when the iterate meets the tolerances, every 100
+iterations while the residuals are within POLISH_TRIGGER times them (with the
+leave-one-out "thorough" variant at most every 2,000 iterations), and once
+on the best iterate when max_iter runs out. A polish depends only on the
+active set guessed from the duals and on whether it is thorough, so each
+solve remembers the pairs whose polish missed and does not repeat them.
+
+A non-finite iterate ends the solve with status NumericalError.
+
 The returned result is declared Solved only when the iterate satisfies,
 in infinity norm,
 
@@ -22,6 +31,7 @@ with lambda >= 0 held exactly by the iteration.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,8 +285,13 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
     x_last_check = np.zeros(n)
     y_last_check = np.zeros(m)
 
+    missed = set()   # (active set bytes, thorough) pairs whose polish missed
+
     def merit(viol, dual, compl_res):
-        return max(viol / eps_pri, dual / eps_dua, compl_res / eps_compl)
+        """KKT merit, at most 1 within tolerance; a non-finite residual counts
+        as infinite (Python's max would drop a NaN operand)."""
+        ratios = (viol / eps_pri, dual / eps_dua, compl_res / eps_compl)
+        return max(ratios) if all(map(math.isfinite, ratios)) else math.inf
 
     def finish(xc, yc, status, k, message=""):
         return SolveResult(
@@ -288,6 +303,24 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
             message=message,
         )
 
+    def fail(k, message):
+        """NumericalError with the best finite iterate so far (or zeros)."""
+        _, x, y, _ = best or (None, np.zeros(n), np.zeros(m), 0)
+        return finish(x, y, SolveStatus.NUMERICAL_ERROR, k, message=message)
+
+    def polish(lam, thorough, target):
+        """The polished (y, lambda) when its merit is at most target, else
+        None. _polish depends only on the active set of lam and on
+        thorough, so a pair that missed once is not tried again."""
+        key = (np.flatnonzero(lam > 0).tobytes(), thorough)
+        if key in missed:
+            return None
+        pol = _polish(Q, c, A, b, lam, merit, thorough=thorough)
+        if pol is not None and merit(*kkt_residuals(inst, *pol)) <= target:
+            return pol
+        missed.add(key)
+        return None
+
     a_scale = max(1.0, np.abs(A).max(initial=0.0))
     b_scale = max(1.0, np.abs(b).max(initial=0.0))
     c_scale = max(1.0, np.abs(c).max(initial=0.0))
@@ -295,12 +328,8 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
 
     for k in range(1, settings.max_iter + 1):
         if chol is None:
-            _, x, y, _ = best or (None, np.zeros(n), np.zeros(m), 0)
-            return finish(
-                x, y, SolveStatus.NUMERICAL_ERROR, k - 1,
-                message=f"Cholesky factorization failed at rho={rho:.3e}: "
-                        "Q + sigma I + rho A'A is not numerically positive definite",
-            )
+            return fail(k - 1, f"Cholesky factorization failed at rho={rho:.3e}: "
+                               "Q + sigma I + rho A'A is not numerically positive definite")
         x_t, z_t = _step(chol, As, cs, settings.sigma, rho, xb, zb, yb)
         xb = ALPHA * x_t + (1.0 - ALPHA) * xb
         if m:
@@ -313,6 +342,8 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
 
         x = d_sc * xb
         y = (e_sc * yb) / gamma if m else yb
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            return fail(k, f"non-finite iterate at iteration {k}")
         Ax = A @ x if m else np.zeros(0)
         slack = Ax - b if m else np.zeros(0)
         viol = max(0.0, slack.max()) if m else 0.0
@@ -324,12 +355,9 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
             best = (cur, x.copy(), y.copy(), k)
 
         if cur <= 1.0:
-            if settings.polish:
-                pol = _polish(Q, c, A, b, y, merit)
-                if pol is not None:
-                    pv, pd, pc = kkt_residuals(inst, pol[0], pol[1])
-                    if merit(pv, pd, pc) <= cur:
-                        return finish(pol[0], pol[1], SolveStatus.SOLVED, k)
+            pol = polish(y, False, cur) if settings.polish else None
+            if pol is not None:
+                return finish(pol[0], pol[1], SolveStatus.SOLVED, k)
             return finish(x, y, SolveStatus.SOLVED, k)
 
         # early polish: ADMM is close, the active-set solve may land exactly;
@@ -344,11 +372,9 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
             thorough = k - tried_thorough_at >= 2000
             if thorough:
                 tried_thorough_at = k
-            pol = _polish(Q, c, A, b, y, merit, thorough=thorough)
+            pol = polish(y, thorough, 1.0)
             if pol is not None:
-                pv, pd, pc = kkt_residuals(inst, pol[0], pol[1])
-                if merit(pv, pd, pc) <= 1.0:
-                    return finish(pol[0], pol[1], SolveStatus.SOLVED, k)
+                return finish(pol[0], pol[1], SolveStatus.SOLVED, k)
 
         # infeasibility certificates on check-to-check directions
         if m:
@@ -404,19 +430,10 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
                 chol = _factor(Qs, As, settings.sigma, rho)
 
     _, xbest, ybest, kb = best
-    if settings.polish:
-        pol = _polish(Q, c, A, b, ybest, merit, thorough=True)
-        if pol is not None:
-            pv, pd, pc = kkt_residuals(inst, pol[0], pol[1])
-            if merit(pv, pd, pc) <= 1.0:
-                return finish(pol[0], pol[1], SolveStatus.SOLVED, settings.max_iter)
+    pol = polish(ybest, True, 1.0) if settings.polish else None
+    if pol is not None:
+        return finish(pol[0], pol[1], SolveStatus.SOLVED, settings.max_iter)
     return finish(
         xbest, ybest, SolveStatus.MAX_ITER_REACHED, settings.max_iter,
         message=f"best iterate from iteration {kb}",
     )
-
-
-def solve_full(inst: QpInstance, settings: SolverSettings | None = None):
-    """Solve the original (unprojected) QP; returns (x_star, objective)."""
-    res = solve_qp(inst, settings)
-    return res.y_star, res.objective

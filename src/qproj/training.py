@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import QpInstance, ProjectionMatrix, is_feasible, project, recover
+from .evaluate import SolutionCache, guarded_relative_error
 from .gnn import ModelParams, backward, forward, init_params
 from .solver import SolveResult, SolveStatus, SolverSettings, solve_qp
 
@@ -126,16 +127,6 @@ def penalized_total(errors, n_failures: int, n_instances: int,
     return float(sum(errors)) + (n_failures / n_instances) * penalty
 
 
-def guarded_relative_error(u_hat: float, u_star: float) -> float:
-    """Relative error against the trivial objective 0, tolerating instances
-    whose optimum coincides with the trivial solution (no error signal)."""
-    from .evaluate import relative_error  # local import to avoid a cycle
-
-    if -u_star <= 0.0:
-        return 0.0 if u_hat - u_star <= 1e-9 * (1.0 + abs(u_star)) else 1.0
-    return relative_error(u_hat, u_star, 0.0)
-
-
 def validation_loss(params: ModelParams, val_set, config: TrainConfig,
                     u_stars=None) -> float:
     """Sum of relative errors over validation instances plus
@@ -178,7 +169,6 @@ def train(train_set, val_set, config: TrainConfig):
                config.beta1, config.beta2, config.adam_eps)
     vec = params.to_vector()
 
-    from .evaluate import SolutionCache  # local import to avoid a cycle
     cache = SolutionCache(cache_dir=config.cache_dir, settings=config.solver)
     u_stars_val = [cache.u_star(inst) for inst in val_set]
 

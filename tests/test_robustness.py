@@ -8,10 +8,10 @@ import pytest
 from qproj import solver
 from qproj.cli import main
 from qproj.core import QpInstance, max_violation, project, recover, save_instance
-from qproj.datasets import gen_regression
-from qproj.evaluate import OursMethod, evaluate_method
-from qproj.gnn import forward, init_params
-from qproj.solver import SolveStatus, solve_qp
+from qproj.datasets import gen_regression, generate_instance
+from qproj.evaluate import FullMethod, OursMethod, evaluate_method
+from qproj.gnn import forward, init_params, load_checkpoint, save_checkpoint
+from qproj.solver import SolveStatus, SolverSettings, solve_qp
 
 from oracles import random_pd_instance
 
@@ -97,3 +97,58 @@ def test_feasibility_judged_at_instance_tolerance():
     [rec] = evaluate_method(OursMethod(params), [inst], timing_repeats=0)
     assert rec.feasible
     assert rec.relative_error < 1.0
+
+
+def test_non_finite_iterate_is_a_numerical_error(monkeypatch):
+    # Python's max() dropped the NaN residuals, so this returned Solved at
+    # iteration 25 with a NaN y_star and objective
+    inst = generate_instance("portfolio", {"n": 20}, 0)
+    real_step, calls = solver._step, []
+
+    def step_goes_nan(*args):
+        calls.append(None)
+        x, z = real_step(*args)
+        if len(calls) >= 20:
+            x, z = np.full_like(x, np.nan), np.full_like(z, np.nan)
+        return x, z
+
+    monkeypatch.setattr(solver, "_step", step_goes_nan)
+    res = solve_qp(inst, SolverSettings(polish=False))
+    assert res.status is SolveStatus.NUMERICAL_ERROR
+    assert res.iterations == 25
+    assert "non-finite" in res.message
+    assert np.all(np.isfinite(res.y_star))
+    assert np.isfinite(res.objective)
+
+
+def test_eval_scores_trivial_optimum_zero():
+    # x = 0 is optimal (u* = 0); relative_error raised on the zero
+    # denominator and aborted the whole eval
+    inst = QpInstance(Q=np.eye(3), c=np.ones(3), A=-np.eye(3), b=np.zeros(3))
+    [rec] = evaluate_method(FullMethod(), [inst], timing_repeats=0)
+    assert rec.u_star == 0.0
+    assert rec.feasible
+    assert rec.relative_error == 0.0
+
+
+@pytest.mark.parametrize("case", ["format", "nan"])
+def test_bad_checkpoint_rejected(tmp_path, case, capsys):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, init_params(0, h=4, l=1, k=2, h_g=4))
+    doc = json.loads(path.read_text())
+    if case == "format":
+        doc["format"] = "qproj-model-v0"
+    else:
+        doc["params"]["w0v"][0] = float("nan")   # written as a NaN token
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="format" if case == "format" else "NaN"):
+        load_checkpoint(path)
+
+    data = tmp_path / "data"
+    assert main(["--out", str(data), "gen-data", "--family", "regression",
+                 "--n", "6", "--m", "2", "--t", "12", "--train", "2",
+                 "--val", "1", "--test", "1", "--base-seed", "0"]) == 0
+    assert main(["--out", str(tmp_path / "eval"), "eval", "--manifest",
+                 str(data / "manifest.json"), "--method", "ours",
+                 "--checkpoint", str(path), "--timing-repeats", "0"]) == 2
+    capsys.readouterr()

@@ -3,14 +3,15 @@ import pytest
 import scipy.linalg
 
 from qproj import solver
-from qproj.core import QpInstance
+from qproj.core import QpInstance, project
+from qproj.datasets import gen_regression
+from qproj.gnn import forward, init_params
 from qproj.solver import (
     SolveStatus,
     SolverSettings,
     _factor,
     _step,
     kkt_residuals,
-    solve_full,
     solve_qp,
 )
 
@@ -33,14 +34,6 @@ def test_interior_minimum():
     np.testing.assert_allclose(res.y_star, [0.0, 0.0], atol=1e-9)
     assert res.lambda_star[0] == pytest.approx(0.0, abs=1e-9)
     assert res.objective == pytest.approx(0.0, abs=1e-12)
-
-
-def test_solve_full_is_alias():
-    inst = QpInstance(Q=[[2.0]], c=[-2.0], A=[[1.0]], b=[0.5])
-    x, obj = solve_full(inst)
-    res = solve_qp(inst)
-    np.testing.assert_array_equal(x, res.y_star)
-    assert obj == res.objective
 
 
 def test_oracle_equivalence_random():
@@ -215,3 +208,21 @@ def test_step_matches_kkt_system_across_rho_refactorization(monkeypatch):
         x_ref, z_ref = _kkt_step(Qs, A, c, sigma, rho, xb, zb, yb)
         _assert_close_rel(x_t, x_ref)
         _assert_close_rel(z_t, z_ref)
+
+
+def test_polish_never_repeats_a_missed_active_set(monkeypatch):
+    # a polish depends only on (active set, thorough); this paper-scale
+    # reduced solve used to repeat the same missed pair every 100 iterations
+    inst = gen_regression(500, 50, seed=0)
+    proj, _ = forward(init_params(0, k=30), inst, 30)
+    real_polish, pairs = solver._polish, []
+
+    def recording_polish(Q, c, A, b, lam, merit_fn, thorough=False):
+        pairs.append((np.flatnonzero(lam > 0).tobytes(), thorough))
+        return real_polish(Q, c, A, b, lam, merit_fn, thorough=thorough)
+
+    monkeypatch.setattr(solver, "_polish", recording_polish)
+    res = solve_qp(project(inst, proj))
+    assert res.status is SolveStatus.SOLVED
+    assert len(pairs) > 1
+    assert len(set(pairs)) == len(pairs)
