@@ -5,16 +5,26 @@ Ay + s = b, s >= 0. Each ADMM step solves the regularized KKT system in
 its reduced (normal-equation) form, whose n x n matrix Q + sigma I + rho A'A
 is Cholesky-factored once per value of rho (OSQP, Stellato et al. 2020,
 section 5), so a step costs O(n^2 + mn) however many rows A has. Returns
-both primal and dual solutions; an optional active-set polish step refines
-the iterate to near machine precision, which matters because downstream
-gradients consume the duals.
+both primal and dual solutions; an optional active-set finish refines the
+iterate to machine precision, which matters because downstream gradients
+consume the duals.
 
-Polish is attempted when the iterate meets the tolerances, every 100
-iterations while the residuals are within POLISH_TRIGGER times them (with the
-leave-one-out "thorough" variant at most every 2,000 iterations), and once
-on the best iterate when max_iter runs out. A polish depends only on the
-active set guessed from the duals and on whether it is thorough, so each
-solve remembers the pairs whose polish missed and does not repeat them.
+The finish is attempted when the iterate meets the tolerances, every 100
+iterations while the residuals are within POLISH_TRIGGER times them, and once
+on the best iterate when max_iter runs out. When Q passes a gate checked once
+per solve (LAPACK potrf succeeds and the pocon estimate of its reciprocal
+condition number is at least CROSSOVER_RCOND), the finish is a
+Goldfarb-Idnani dual active-set crossover warm-started from the rows the
+duals guess active: it adds violated rows and drops blocking ones until no
+row is violated, and gives up on an infeasible problem or at its step cap.
+Below the gate (singular Q, as in the full portfolio and control problems
+after equality elimination) the heuristic polish runs instead: equality
+solves on the guessed active set that drop negative multipliers, plus a
+leave-one-out "thorough" variant at most every 2,000 iterations. A finished
+point is kept only when its KKT merit meets the tolerances, so a status never
+comes from the finish alone. A finish depends only on the guessed active set
+(and the polish on whether it is thorough), so each solve remembers the ones
+that missed and does not repeat them.
 
 A non-finite iterate ends the solve with status NumericalError.
 
@@ -37,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .core import QpInstance, objective
 
@@ -49,6 +59,10 @@ RHO_REFACTOR_RATIO = 5.0
 POLISH_TRIGGER = 1e3        # try polishing once residuals are this close
 POLISH_DELTA = 1e-9         # regularization of the polish KKT system
 POLISH_LOO_MAX = 24         # leave-one-out rescue only for small active sets
+CROSSOVER_RCOND = 1e-10     # Q better conditioned than this crosses over
+CROSSOVER_DEP_TOL = 1e-10   # relative norm below which a row is dependent
+CROSSOVER_VIOL_TOL = 1e-12  # relative violation that counts as round-off
+CROSSOVER_MAX_STEPS = 4     # crossover steps allowed per variable and row
 CERT_TOL = 1e-8             # infeasibility certificate tolerance (scaled)
 DIVERGE_NORM = 1e14
 
@@ -255,6 +269,109 @@ def _polish(Q, c, A, b, lam, merit_fn, thorough=False):
     return best[1], best[2]
 
 
+def _crossover_factor(Q):
+    """Upper Cholesky factor of Q when Q passes the crossover gate: LAPACK
+    potrf succeeds and the pocon estimate of the reciprocal 1-norm condition
+    number is at least CROSSOVER_RCOND. Else None."""
+    chol, info = dpotrf(Q)
+    if info != 0:
+        return None
+    rcond, info = dpocon(chol, np.abs(Q).sum(axis=0).max(initial=0.0))
+    return chol if info == 0 and rcond >= CROSSOVER_RCOND else None
+
+
+def _crossover(Q, c, A, b, lam, chol=None):
+    """Goldfarb-Idnani dual active-set solve (Math. Prog. 27, 1983) of
+    min 1/2 y'Qy + c'y s.t. Ay <= b for Q positive definite, warm-started
+    from the rows active in the dual guess lam. Returns (y, lambda), exact
+    up to round-off, or None when the problem is infeasible (a step bound is
+    infinite) or the step cap is hit. `chol` is the upper Cholesky factor R
+    of Q = R'R when the caller has it.
+
+    The work runs in the metric of Q. With g = R^-T(-c) and the active rows
+    W factored as R^-T A_W' = F T (thin QR, updated one column at a time, so
+    a step costs O(n^2 + mn)), the optimum on W held as equalities is
+    y = R^-1 (g - F T u) with T u = F'g - T^-T b_W."""
+    n, m = Q.shape[0], A.shape[0]
+    if chol is None:
+        chol, info = dpotrf(Q)
+        if info != 0:
+            return None
+
+    def tri(R, v, trans=0):
+        return scipy.linalg.solve_triangular(R, v, trans=trans, check_finite=False)
+
+    def insert(F, T, v):
+        """Thin QR with v appended (qr_insert mishandles an empty factor)."""
+        if not T.size:
+            return np.linalg.qr(v[:, None])
+        return scipy.linalg.qr_insert(F, T, v, T.shape[1], which="col", check_finite=False)
+
+    def delete(F, T, j):
+        """Thin QR without column j (at |W| = n, qr_delete sees a full QR)."""
+        F, T = scipy.linalg.qr_delete(F, T, j, which="col", check_finite=False)
+        return F[:, :T.shape[1]], T[:T.shape[1]]
+
+    g = tri(chol, -c, trans=1)
+    # 1. a linearly independent prefix of the guessed rows (pivoted QR)
+    W = np.flatnonzero(lam > 0)
+    M = tri(chol, A[W].T, trans=1)
+    F, T, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
+    dep = np.abs(np.diag(T)) <= CROSSOVER_DEP_TOL * np.linalg.norm(M, axis=0)[piv[:T.shape[0]]]
+    keep = np.argmax(dep) if dep.any() else dep.size
+    W, F, T = W[piv[:keep]], F[:, :keep], T[:keep, :keep]
+    # 2. drop the most negative multiplier until the start is dual feasible
+    while True:
+        u = tri(T, F.T @ g - tri(T, b[W], trans=1))
+        if not W.size or u.min() >= 0.0:
+            break
+        drop = np.argmin(u)
+        W = np.delete(W, drop)
+        F, T = delete(F, T, drop)
+    y = tri(chol, g - F @ (T @ u))
+    # 3. add the most violated row: partial steps drop a blocking row, a
+    # full step makes the added row active
+    steps = 0
+    while m:
+        Ay = A @ y
+        p = int(np.argmax(Ay - b))
+        s_p, u_p = Ay[p] - b[p], 0.0
+        # 4. stop when no row is violated beyond round-off
+        if s_p <= CROSSOVER_VIOL_TOL * (1.0 + np.abs(b).max() + np.abs(Ay).max()):
+            break
+        v = tri(chol, A[p], trans=1)
+        while True:
+            steps += 1
+            if steps > CROSSOVER_MAX_STEPS * (n + m):
+                return None
+            coef = F.T @ v
+            r = tri(T, coef)               # rate at which the multipliers fall
+            w = v - F @ coef               # R times the primal step direction
+            w2 = w @ w
+            dependent = np.sqrt(w2) <= CROSSOVER_DEP_TOL * np.linalg.norm(v)
+            t_full = math.inf if dependent else s_p / w2
+            block = np.flatnonzero(r > 0.0)
+            ratios = u[block] / r[block]
+            t_part = ratios.min(initial=math.inf)
+            if math.isinf(t_full) and math.isinf(t_part):
+                return None
+            t = min(t_full, t_part)
+            u, u_p = u - t * r, u_p + t
+            if not dependent:
+                y = y - t * tri(chol, w)
+                s_p -= t * w2
+            if t_full <= t_part:
+                W, u = np.append(W, p), np.append(u, u_p)
+                F, T = insert(F, T, v)
+                break
+            drop = block[np.argmin(ratios)]
+            W, u = np.delete(W, drop), np.delete(u, drop)
+            F, T = delete(F, T, drop)
+    lam_out = np.zeros(m)
+    lam_out[W] = np.maximum(u, 0.0)
+    return y, lam_out
+
+
 def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveResult:
     """Solve an inequality-form convex QP, returning primal and dual solutions.
 
@@ -285,7 +402,8 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
     x_last_check = np.zeros(n)
     y_last_check = np.zeros(m)
 
-    missed = set()   # (active set bytes, thorough) pairs whose polish missed
+    missed = set()   # (active set bytes, thorough) pairs whose finish missed
+    q_chol = _crossover_factor(Q) if settings.polish else None
 
     def merit(viol, dual, compl_res):
         """KKT merit, at most 1 within tolerance; a non-finite residual counts
@@ -309,13 +427,17 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
         return finish(x, y, SolveStatus.NUMERICAL_ERROR, k, message=message)
 
     def polish(lam, thorough, target):
-        """The polished (y, lambda) when its merit is at most target, else
-        None. _polish depends only on the active set of lam and on
-        thorough, so a pair that missed once is not tried again."""
-        key = (np.flatnonzero(lam > 0).tobytes(), thorough)
+        """The crossover's (y, lambda), or _polish's when Q fails the
+        crossover gate, if its merit is at most target; else None. Either
+        depends only on the active set of lam (and _polish on thorough), so
+        a pair that missed once is not tried again."""
+        key = (np.flatnonzero(lam > 0).tobytes(), thorough and q_chol is None)
         if key in missed:
             return None
-        pol = _polish(Q, c, A, b, lam, merit, thorough=thorough)
+        if q_chol is not None:
+            pol = _crossover(Q, c, A, b, lam, chol=q_chol)
+        else:
+            pol = _polish(Q, c, A, b, lam, merit, thorough=thorough)
         if pol is not None and merit(*kkt_residuals(inst, *pol)) <= target:
             return pol
         missed.add(key)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from qproj import solver
-from qproj.core import QpInstance, project
+from qproj.core import QpInstance, objective, project
 from qproj.datasets import gen_regression
 from qproj.gnn import forward, init_params
 from qproj.solver import (
@@ -210,19 +210,150 @@ def test_step_matches_kkt_system_across_rho_refactorization(monkeypatch):
         _assert_close_rel(z_t, z_ref)
 
 
-def test_polish_never_repeats_a_missed_active_set(monkeypatch):
-    # a polish depends only on (active set, thorough); this paper-scale
-    # reduced solve used to repeat the same missed pair every 100 iterations
+def _singular_reduced_reg500():
+    """The reduced problem of gen_regression(500, 50, seed=0) under
+    init_params(0, k=30), with the direction of the smallest eigenvalue of
+    Q removed: singular, so it fails the crossover gate and polishes."""
     inst = gen_regression(500, 50, seed=0)
     proj, _ = forward(init_params(0, k=30), inst, 30)
-    real_polish, pairs = solver._polish, []
+    red = project(inst, proj)
+    w, v = np.linalg.eigh(red.Q)
+    q = red.Q - w[0] * np.outer(v[:, 0], v[:, 0])
+    return QpInstance(Q=0.5 * (q + q.T), c=red.c, A=red.A, b=red.b)
 
-    def recording_polish(Q, c, A, b, lam, merit_fn, thorough=False):
+
+def test_polish_never_repeats_a_missed_active_set(monkeypatch):
+    # a polish depends only on (active set, thorough); a solve that stalls
+    # in the trigger zone used to repeat the same missed pair every 100
+    # iterations. The polish is made to miss so that ADMM runs to tolerance.
+    inst = _singular_reduced_reg500()
+    assert solver._crossover_factor(inst.Q) is None
+    pairs = []
+
+    def missing_polish(Q, c, A, b, lam, merit_fn, thorough=False):
         pairs.append((np.flatnonzero(lam > 0).tobytes(), thorough))
-        return real_polish(Q, c, A, b, lam, merit_fn, thorough=thorough)
+        return None
 
-    monkeypatch.setattr(solver, "_polish", recording_polish)
-    res = solve_qp(project(inst, proj))
+    monkeypatch.setattr(solver, "_polish", missing_polish)
+    res = solve_qp(inst)
     assert res.status is SolveStatus.SOLVED
     assert len(pairs) > 1
     assert len(set(pairs)) == len(pairs)
+
+
+def _reduced_reg500(seed):
+    inst = gen_regression(500, 50, seed=seed)
+    proj, _ = forward(init_params(0, k=30), inst, 30)
+    return project(inst, proj)
+
+
+def test_f2_reduced_reg500_seed1_is_solved():
+    # F2: this reduced solve used to end MaxIterReached after 20,000
+    # iterations, the polish never guessing the active set
+    res = solve_qp(_reduced_reg500(1))
+    assert res.status is SolveStatus.SOLVED
+    assert res.iterations < 20000
+
+
+def test_seed_1011_full_solve_is_solved_at_its_first_finish():
+    # Q positive definite (rcond about 6e-3): the first finish attempt, at
+    # iteration 9,100, used to miss, and ADMM alone needed 18,300 iterations
+    inst = gen_regression(100, 20, t=200, seed=1011)
+    assert solver._crossover_factor(inst.Q) is not None
+    res = solve_qp(inst)
+    assert res.status is SolveStatus.SOLVED
+    assert res.iterations <= 9100
+
+
+@pytest.mark.parametrize("family, sizes, seed, iterations", [
+    ("portfolio", {"n": 100}, 1, 50),       # singular Q that passes potrf
+    ("portfolio", {"n": 100}, 2, 75),
+    ("control", {"s": 10, "v": 10, "t": 5}, 0, 125),   # potrf fails
+])
+def test_crossover_gate_keeps_the_polish_path(monkeypatch, family, sizes, seed, iterations):
+    from qproj.datasets import generate_instance
+
+    inst = generate_instance(family, sizes, seed)
+    assert solver._crossover_factor(inst.Q) is None
+    calls = []
+
+    def recording_crossover(*args, **kwargs):
+        calls.append(None)
+        return real_crossover(*args, **kwargs)
+
+    real_crossover = solver._crossover
+    monkeypatch.setattr(solver, "_crossover", recording_crossover)
+    res = solve_qp(inst)
+    assert calls == []
+    # the same bytes as with the crossover switched off altogether
+    monkeypatch.setattr(solver, "CROSSOVER_RCOND", np.inf)
+    ref = solve_qp(inst)
+    assert (res.status, res.iterations) == (SolveStatus.SOLVED, iterations)
+    assert (ref.status, ref.iterations) == (res.status, res.iterations)
+    assert res.y_star.tobytes() == ref.y_star.tobytes()
+    assert res.lambda_star.tobytes() == ref.lambda_star.tobytes()
+
+
+def test_crossover_on_infeasible_problems(monkeypatch):
+    # x <= 1 and x >= 2; and in 3-D, x1 <= -1, x1 >= 1 plus a feasible row
+    cases = [
+        QpInstance(Q=[[2.0]], c=[0.0], A=[[1.0], [-1.0]], b=[1.0, -2.0]),
+        QpInstance(Q=np.diag([1.0, 2.0, 3.0]), c=[1.0, -1.0, 0.5],
+                   A=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+                   b=[-1.0, -1.0, 4.0]),
+    ]
+    for inst in cases:
+        m = inst.n_cons
+        for guess in (np.zeros(m), np.ones(m), np.eye(m)[0]):
+            assert solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess) is None
+        res = solve_qp(inst)
+        assert res.status is SolveStatus.PRIMAL_INFEASIBLE
+        assert "certificate" in res.message
+
+
+def _degenerate_pd_instance(rng, n, m):
+    """Strictly convex QP whose optimum x_opt has a random number of active
+    rows (often more than n), some rows being positive multiples of others
+    and some active rows carrying a zero multiplier."""
+    B = rng.normal(size=(n, n))
+    Q = B @ B.T + (0.5 + rng.uniform()) * np.eye(n)
+    x_opt = rng.normal(size=n)
+    A = rng.normal(size=(m, n))
+    b = A @ x_opt
+    n_active = int(rng.integers(1, m + 1))
+    b[n_active:] += rng.uniform(0.1, 1.0, size=m - n_active)
+    for i, j in enumerate(rng.integers(0, m, size=int(rng.integers(0, m)))):
+        if i != j:
+            scale = rng.uniform(0.5, 2.0)
+            A[i], b[i] = scale * A[j], scale * b[j]
+    active = np.flatnonzero(np.abs(A @ x_opt - b) <= 1e-12 * (1.0 + np.abs(b)))
+    u = np.zeros(m)
+    u[active] = rng.uniform(size=active.size) * (rng.uniform(size=active.size) < 0.8)
+    return QpInstance(Q=Q, c=-Q @ x_opt - A.T @ u, A=A, b=b)
+
+
+def test_crossover_matches_brute_force_oracle():
+    # 200 seeded instances, half of them degenerate, each from a random
+    # guess of the active set (empty, partial, wrong or too large)
+    many_active = 0
+    for trial in range(200):
+        rng = np.random.default_rng(trial)
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 13))
+        if trial % 2:
+            inst = _degenerate_pd_instance(rng, n, m)
+        else:
+            inst = random_pd_instance(rng, n, m)
+        guess = rng.uniform(size=m) * (rng.uniform(size=m) < rng.uniform())
+        out = solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess)
+        assert out is not None, trial
+        y, lam = out
+        # a tight feasibility tolerance: the oracle's default accepts a
+        # point 2e-8 infeasible whose objective lies 8e-9 below the optimum
+        ref, _ = brute_force_min(inst.Q, inst.c, inst.A, inst.b, feas_tol=1e-11)
+        assert objective(inst, y) == pytest.approx(ref, abs=1e-9 * (1.0 + abs(ref))), trial
+        scale = 1.0 + np.abs(inst.b).max() + np.abs(inst.c).max()
+        viol, dual, compl_res = kkt_residuals(inst, y, lam)
+        assert max(viol, dual, compl_res) <= 1e-12 * scale, trial
+        assert lam.min() >= 0.0
+        many_active += np.sum(np.abs(inst.A @ y - inst.b) <= 1e-9 * scale) > n
+    assert many_active >= 20
