@@ -30,9 +30,7 @@ from .solver import (
 from .gnn import (
     ForwardTape,
     ModelParams,
-    QpGraph,
     backward,
-    build_graph,
     forward,
     forward_raw,
     init_params,
@@ -50,7 +48,6 @@ from .training import (
 from .baselines import (
     DirectModel,
     SharedProjection,
-    direct_predict,
     direct_train,
     pca_projection,
     rand_projection,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProjectionMatrix, QpInstance, is_feasible, project, recover
+from .core import ProjectionMatrix, QpInstance, project
 from .gnn import (
     ModelParams,
     backward,
@@ -18,8 +18,14 @@ from .gnn import (
     orthonormalize,
 )
 from .solver import SolveStatus, solve_qp
-from .training import Adam, TrainConfig, envelope_grad
-from .evaluate import SolutionCache, guarded_relative_error
+from .training import (
+    TrainConfig,
+    adam_fit,
+    envelope_grad,
+    penalized_total,
+    projected_score,
+)
+from .evaluate import SolutionCache, score
 
 
 def rand_projection(n: int, k: int, seed: int) -> ProjectionMatrix:
@@ -75,11 +81,17 @@ def adapt_projection(P, n_test: int) -> ProjectionMatrix:
     )
     if n_test < k:
         raise ValueError(f"cannot adapt K={k} columns to N={n_test} rows")
-    q, _, deficient = orthonormalize(P[:n_test])
+    return ProjectionMatrix(P=_orthonormal_columns(P[:n_test]))
+
+
+def _orthonormal_columns(M) -> np.ndarray:
+    """Q factor of the thin QR of M; a rank-deficient M is completed with
+    identity columns."""
+    q, _, deficient = orthonormalize(M)
     if deficient:
-        basis, _ = np.linalg.qr(np.hstack([P[:n_test], np.eye(n_test)]))
-        q = basis[:, :k]
-    return ProjectionMatrix(P=q)
+        basis, _ = np.linalg.qr(np.hstack([M, np.eye(M.shape[0])]))
+        q = basis[:, :M.shape[1]]
+    return q
 
 
 @dataclass
@@ -88,9 +100,6 @@ class SharedProjection:
 
     P: np.ndarray
     n_train: int
-
-    def projection_for(self, n: int) -> ProjectionMatrix:
-        return adapt_projection(self.P, n)
 
 
 @dataclass
@@ -102,24 +111,6 @@ class DirectModel:
     lambda_pen: float
 
 
-def _shared_val_loss(P, val_set, config, u_stars):
-    total, failures = 0.0, 0
-    for inst, u_star in zip(val_set, u_stars):
-        proj = adapt_projection(P, inst.n_vars)
-        res = solve_qp(project(inst, proj), config.solver)
-        if res.status is not SolveStatus.SOLVED:
-            failures += 1
-            total += 1.0
-            continue
-        x = recover(proj, res.y_star)
-        if not is_feasible(inst, x, config.feas_tol):
-            failures += 1
-            total += 1.0
-            continue
-        total += guarded_relative_error(res.objective, u_star)
-    return total + failures / len(val_set) * config.validation_penalty
-
-
 def sharedp_train(train_set, val_set, k: int, config: TrainConfig) -> SharedProjection:
     """Optimize one shared orthonormal matrix with the same Adam + envelope
     gradient loop used for the generator; re-orthonormalize by QR after each
@@ -128,61 +119,39 @@ def sharedp_train(train_set, val_set, k: int, config: TrainConfig) -> SharedProj
     if len(ns) != 1:
         raise ValueError(f"shared projection needs a single N, got {sorted(ns)}")
     n = ns.pop()
-    rng = np.random.Generator(np.random.Philox(config.seed))
+    cache = SolutionCache(settings=config.solver)
+    u_stars_val = [cache.u_star(inst) for inst in val_set]
+
+    def batch_grad(vec, batch):
+        P = vec.reshape(n, k)
+        grad = np.zeros((n, k))
+        for idx in batch:
+            inst = train_set[int(idx)]
+            res = solve_qp(project(inst, ProjectionMatrix(P=P)), config.solver)
+            if res.status is not SolveStatus.SOLVED:
+                continue
+            grad += envelope_grad(inst, P, res.y_star, res.lambda_star)
+        return grad.ravel()
+
+    def reorthonormalize(vec):
+        return _orthonormal_columns(vec.reshape(n, k)).ravel()
+
+    def val_loss(vec):
+        P = vec.reshape(n, k)
+        return penalized_total([
+            projected_score(inst, adapt_projection(P, inst.n_vars), u_star, config.solver)
+            for inst, u_star in zip(val_set, u_stars_val)])
+
     # start from a coordinate selection: on families with sign-constrained
     # variables a dense random subspace pins the reduced optimum at zero,
     # where the envelope gradient vanishes and learning cannot start
-    P = rand_projection(n, k, config.seed).P.copy()
-
-    opt = Adam(n * k, config.learning_rate, config.beta1, config.beta2,
-               config.adam_eps)
-    u_stars_val = [solve_qp(inst, config.solver).objective for inst in val_set]
-    best = (np.inf, P.copy())
-
-    for _ in range(config.max_epochs):
-        order = rng.permutation(len(train_set))
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grad = np.zeros((n, k))
-            for idx in batch:
-                inst = train_set[int(idx)]
-                proj = ProjectionMatrix(P=P)
-                res = solve_qp(project(inst, proj), config.solver)
-                if res.status is not SolveStatus.SOLVED:
-                    continue
-                grad += envelope_grad(inst, P, res.y_star, res.lambda_star)
-            vec = opt.step(P.ravel(), grad.ravel() / len(batch))
-            P, _, deficient = orthonormalize(vec.reshape(n, k))
-            if deficient:
-                basis, _ = np.linalg.qr(np.hstack([vec.reshape(n, k), np.eye(n)]))
-                P = basis[:, :k]
-        val = _shared_val_loss(P, val_set, config, u_stars_val)
-        if val < best[0]:
-            best = (val, P.copy())
-
-    return SharedProjection(P=best[1], n_train=n)
+    P0 = rand_projection(n, k, config.seed).P
+    best, _, _ = adam_fit(P0.ravel(), len(train_set), config, batch_grad, val_loss,
+                          reorthonormalize)
+    return SharedProjection(P=best.reshape(n, k), n_train=n)
 
 
 DIRECT_PENALTY_GRID = (1e-1, 1.0, 10.0, 1e2)
-
-
-def direct_predict(model: DirectModel, inst: QpInstance) -> np.ndarray:
-    x, _ = forward_raw(model.params, inst)
-    return x[:, 0]
-
-
-def _direct_val_loss(params, val_set, config, u_stars):
-    total, failures = 0.0, 0
-    for inst, u_star in zip(val_set, u_stars):
-        x, _ = forward_raw(params, inst)
-        x = x[:, 0]
-        if not is_feasible(inst, x, config.feas_tol):
-            failures += 1
-            total += 1.0
-            continue
-        u_hat = 0.5 * x @ (inst.Q @ x) + inst.c @ x + inst.constant
-        total += guarded_relative_error(u_hat, u_star)
-    return total + failures / len(val_set) * config.validation_penalty
 
 
 def direct_loss_grad(inst: QpInstance, x, x_star, lambda_pen: float):
@@ -207,40 +176,39 @@ def direct_train(train_set, val_set, config: TrainConfig,
     selected from a fixed grid by validation loss."""
     cache = cache or SolutionCache(settings=config.solver)
     x_stars = [np.asarray(e["x_star"]) for e in cache.warm(train_set)]
-    u_stars_val = [solve_qp(inst, config.solver).objective for inst in val_set]
+    u_stars_val = [cache.u_star(inst) for inst in val_set]
+    template = init_params(config.seed, h=config.hidden, l=config.layers,
+                           k=1, h_g=config.head_hidden)
+
+    def val_loss(vec):
+        params = template.from_vector(vec)
+        scores = []
+        for inst, u_star in zip(val_set, u_stars_val):
+            x = forward_raw(params, inst)[0][:, 0]
+            u_hat = 0.5 * x @ (inst.Q @ x) + inst.c @ x + inst.constant
+            scores.append(score(inst, x, u_hat, u_star))
+        return penalized_total(scores)
 
     best = (np.inf, None, None)
     for lambda_pen in DIRECT_PENALTY_GRID:
-        rng = np.random.Generator(np.random.Philox(config.seed))
-        params = init_params(config.seed, h=config.hidden, l=config.layers,
-                             k=1, h_g=config.head_hidden)
-        opt = Adam(params.n_params, config.learning_rate,
-                   config.beta1, config.beta2, config.adam_eps)
-        vec = params.to_vector()
-        best_val_here = (np.inf, vec.copy())
-        for _ in range(config.max_epochs):
-            order = rng.permutation(len(train_set))
-            for start in range(0, len(order), config.batch_size):
-                batch = order[start : start + config.batch_size]
-                grad_acc = np.zeros_like(vec)
-                params = params.from_vector(vec)
-                for idx in batch:
-                    inst = train_set[int(idx)]
-                    x_col, tape = forward_raw(params, inst)
-                    _, gx = direct_loss_grad(inst, x_col[:, 0], x_stars[int(idx)],
-                                             lambda_pen)
-                    grad_acc += backward(tape, params, gx[:, None]).to_vector()
-                vec = opt.step(vec, grad_acc / len(batch))
-            params = params.from_vector(vec)
-            val = _direct_val_loss(params, val_set, config, u_stars_val)
-            if val < best_val_here[0]:
-                best_val_here = (val, vec.copy())
-        if best_val_here[0] < best[0]:
-            best = (best_val_here[0], best_val_here[1], lambda_pen)
+        def batch_grad(vec, batch):
+            params = template.from_vector(vec)
+            grad_acc = np.zeros_like(vec)
+            for idx in batch:
+                inst = train_set[int(idx)]
+                x_col, tape = forward_raw(params, inst)
+                _, gx = direct_loss_grad(inst, x_col[:, 0], x_stars[int(idx)],
+                                         lambda_pen)
+                grad_acc += backward(tape, params, gx[:, None]).to_vector()
+            return grad_acc
 
-    params = init_params(config.seed, h=config.hidden, l=config.layers,
-                         k=1, h_g=config.head_hidden).from_vector(best[1])
-    return DirectModel(params=params, lambda_pen=best[2])
+        vec, epoch, losses = adam_fit(template.to_vector(), len(train_set), config,
+                                      batch_grad, val_loss)
+        val = losses[epoch] if epoch >= 0 else np.inf
+        if val < best[0]:
+            best = (val, vec, lambda_pen)
+
+    return DirectModel(params=template.from_vector(best[1]), lambda_pen=best[2])
 
 
 # ---------------------------------------------------------------------------

@@ -100,29 +100,17 @@ def cmd_train(args, cfg):
 
 
 def _build_method(args, cfg, name, k):
-    from . import baselines
-    from .evaluate import (
-        DirectMethod,
-        FixedProjectionMethod,
-        FullMethod,
-        OursMethod,
-        RandMethod,
-    )
-    from .gnn import load_checkpoint
+    from .evaluate import load_method
 
-    if name == "full":
-        return FullMethod()
+    path = None
     if name == "rand":
-        return RandMethod(int(_require(k, "k")),
-                          base_seed=int(args.seed if args.seed is not None else 0))
-    if name == "ours":
+        k = int(_require(k, "k"))
+    elif name == "ours":
         path = _require(_pick(args, cfg, "checkpoint"), "checkpoint")
-        return OursMethod(load_checkpoint(path))
-    artifact = baselines.load_artifact(
-        _require(_pick(args, cfg, "artifact"), "artifact"))
-    if name == "direct":
-        return DirectMethod(artifact)
-    return FixedProjectionMethod(artifact.P, name)
+    elif name != "full":
+        path = _require(_pick(args, cfg, "artifact"), "artifact")
+    return load_method(name, path, k,
+                       rand_seed=int(args.seed if args.seed is not None else 0))
 
 
 def cmd_eval(args, cfg):

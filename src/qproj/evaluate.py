@@ -4,7 +4,8 @@ Solution quality is the relative error (u_hat - u*) / (u0 - u*) with u0 = 0
 the trivial feasible objective; methods that fail to produce a feasible
 solution score exactly 1, and where the trivial point is optimal (u* >= 0)
 a solution scores 0 if it matches u* and 1 otherwise. Evaluation, training
-and the baselines all score through guarded_relative_error. Timing covers
+and the baselines all score through `score`. The reference u* must come
+from a Solved full solve; any other status is an error. Timing covers
 projection generation plus the reduced solve (median of repeated runs); the
 u* oracle is computed once, cached, and never timed.
 """
@@ -20,6 +21,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields as dc_fields
+from functools import partial
 
 import numpy as np
 
@@ -52,6 +54,15 @@ def guarded_relative_error(u_hat: float, u_star: float) -> float:
     if -u_star <= 0.0:
         return 0.0 if u_hat - u_star <= 1e-9 * (1.0 + abs(u_star)) else 1.0
     return relative_error(u_hat, u_star, 0.0)
+
+
+def score(inst: QpInstance, x, u_hat: float, u_star: float, solved: bool = True,
+          feas_tol: float | None = None) -> tuple[float, bool]:
+    """(relative error, feasible) of a method's point x, whose objective the
+    caller passes as u_hat: a point that is not solved or not feasible
+    (against feas_tol, or core.feasibility_tol when None) scores 1."""
+    feasible = solved and is_feasible(inst, x, feas_tol)
+    return (guarded_relative_error(u_hat, u_star) if feasible else 1.0), feasible
 
 
 @dataclass
@@ -111,15 +122,16 @@ class SolutionCache:
         return np.asarray(self.entry(inst)["x_star"])
 
     def entry(self, inst: QpInstance) -> dict:
-        """{"u_star", "x_star", "status"} of the full solve of inst."""
+        """{"u_star", "x_star", "status"} of the full solve of inst. A solve
+        that is not Solved gives no reference: ValueError names the instance
+        and the status."""
         k = self.key(inst)
-        if k in self._mem:
-            return self._mem[k]
+        entry = self._mem.get(k)
         path = os.path.join(self.cache_dir, k + ".json") if self.cache_dir else None
-        if path and os.path.exists(path):
+        if entry is None and path and os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
-        else:
+        elif entry is None:
             res = solve_qp(inst, self.settings)
             entry = {
                 "u_star": res.objective,
@@ -133,6 +145,10 @@ class SolutionCache:
                     json.dump(entry, fh)
                 os.replace(tmp, path)
         self._mem[k] = entry
+        if entry["status"] != SolveStatus.SOLVED.value:
+            raise ValueError(
+                f"reference solve of instance {inst.meta.get('id', '(no id)')} "
+                f"ended {entry['status']}, not Solved")
         return entry
 
     def warm(self, instances, threads: int = 1) -> list:
@@ -233,10 +249,10 @@ def evaluate_method(method, test_set, k: int | None = None,
     non-Solved reduced problems or infeasible recovered points -- are data,
     scored with relative error 1. Feasibility is always recomputed from the
     raw lifted point, against feas_tol or, when it is None, against
-    core.feasibility_tol of the instance. The full method reports the
-    cache's reference solve, which must use the same settings. Timing is
-    pinned to sequential execution; threads only parallelize the untimed u*
-    warm-up.
+    core.feasibility_tol of the instance. A reference that is not Solved
+    raises ValueError. The full method reports the cache's reference solve,
+    which must use the same settings. Timing is pinned to sequential
+    execution; threads only parallelize the untimed u* warm-up.
     """
     settings = settings or SolverSettings()
     cache = cache or SolutionCache(settings=settings)
@@ -252,6 +268,7 @@ def evaluate_method(method, test_set, k: int | None = None,
         inst_id = inst.meta.get("id", f"instance-{index:04d}")
         u_star = entry["u_star"]
         t_proj = t_solve = 0.0
+        solved = True
         if method.kind == "projection":
             proj = method.make_projection(inst, index)
             t_proj = _median_time(lambda: method.make_projection(inst, index),
@@ -265,18 +282,15 @@ def evaluate_method(method, test_set, k: int | None = None,
         elif method.kind == "direct":
             x = method.predict(inst)
             t_proj = _median_time(lambda: method.predict(inst), timing_repeats)
-            solved = True
             rec_k = 0
         elif method.kind == "full":
             x = np.asarray(entry["x_star"])
             t_solve = _median_time(lambda: solve_qp(inst, settings), timing_repeats)
-            solved = entry["status"] == SolveStatus.SOLVED.value
             rec_k = inst.n_vars
         else:
             raise ValueError(f"unknown method kind {method.kind!r}")
-        feasible = solved and is_feasible(inst, x, feas_tol)
         u_hat = objective(inst, x)
-        err = guarded_relative_error(u_hat, u_star) if feasible else 1.0
+        err, feasible = score(inst, x, u_hat, u_star, solved, feas_tol)
         records.append(EvalRecord(
             instance_id=inst_id,
             method=method.name,
@@ -352,7 +366,9 @@ def summarize(rows, group_cols, value_col="relative_error"):
 # "pca"/"sharedp" -> projection artifacts (see baselines.save_artifact).
 # Missing checkpoints are reported per cell and the run continues.
 
-def _load_method(name, spec_entry, k, rand_seed=0):
+def load_method(name, spec_entry, k, rand_seed=0):
+    """The method `name`; spec_entry is the path of its model checkpoint
+    (ours) or projection artifact (pca, sharedp, direct), or None."""
     from . import baselines
     from .gnn import load_checkpoint
 
@@ -379,12 +395,60 @@ def _checkpoint_for(checkpoints, method, setting=None):
     return entry
 
 
+def _sweep_cells(spec):
+    """The cells of the spec's sweeps, in run order. A cell is (load, skip
+    label, targets): load() builds the method once, which is then evaluated
+    on each (context, test set) of targets; if its checkpoint is missing the
+    cell is skipped with one line that starts with the label."""
+    from .datasets import DatasetManifest
+
+    def test_split(path):
+        manifest = DatasetManifest.load(path)
+        return manifest.family, manifest.load_split("test")
+
+    for si, sweep in enumerate(spec.get("sweeps", [])):
+        stype = sweep["type"]
+        sname = sweep.get("name", f"{stype}-{si}")
+        methods = sweep.get("methods", [])
+        ckpts = sweep.get("checkpoints")
+        # (method, checkpoint, K, label, [(setting, train tag, test tag, test set)])
+        if stype == "cross_dataset":
+            splits = {fam: test_split(p)[1] for fam, p in sweep["manifests"].items()}
+            cells = [(mname, _checkpoint_for(ckpts, train), int(sweep["k"]), f"train={train}",
+                      [(f"{train}->{test}", train, test, split)
+                       for test, split in splits.items()])
+                     for train in splits for mname in methods or ["ours"]]
+        else:
+            # one test split per setting: (setting, label, checkpoint key, K, split)
+            if stype == "k_sweep":
+                split = test_split(sweep["manifest"])
+                points = [(k, f"k={k}", k, int(k), split) for k in sweep["k_values"]]
+            elif stype == "d_sweep":
+                split = test_split(sweep["manifest"])
+                d_values = sorted({d for entry in (ckpts or {}).values()
+                                   if isinstance(entry, dict) for d in entry}, key=int)
+                points = [(f"d={d}", f"d={d}", d, int(sweep["k"]), split) for d in d_values]
+            elif stype == "generalization_sweep":
+                axis = sweep.get("axis", "n")
+                points = [(f"{axis}={v}", f"{axis}={v}", None, int(sweep["k"]), test_split(p))
+                          for v, p in sweep["manifests"].items()]
+            else:
+                raise ValueError(f"unknown sweep type {stype!r}")
+            cells = [(mname, _checkpoint_for(ckpts, mname, key), k, f"method={mname} {label}",
+                      [(setting, fam, fam, split)])
+                     for setting, label, key, k, (fam, split) in points for mname in methods]
+        rand_seed = int(sweep.get("rand_seed", 0))
+        for mname, ckpt, k, label, targets in cells:
+            yield (partial(load_method, mname, ckpt, k, rand_seed), f"{sname}: {label}",
+                   [({"sweep": sname, "sweep_type": stype, "setting": setting,
+                      "train_tag": train_tag, "test_tag": test_tag}, split)
+                    for setting, train_tag, test_tag, split in targets])
+
+
 def run_experiment(spec, out_dir) -> dict:
     """Run the sweeps of an experiment spec; emits records.csv (long format),
     summary.csv, and diagnostics.txt under out_dir. Returns paths and the
     in-memory rows."""
-    from .datasets import DatasetManifest
-
     if isinstance(spec, (str, os.PathLike)):
         with open(spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
@@ -398,85 +462,16 @@ def run_experiment(spec, out_dir) -> dict:
     context_cols = ["sweep", "sweep_type", "setting", "train_tag", "test_tag"]
     rows = []
     skipped = []
-
-    def eval_into(ctx, method, test_set):
-        recs = evaluate_method(method, test_set, settings=settings, cache=cache,
-                               timing_repeats=timing_repeats, feas_tol=feas_tol)
-        rows.extend((ctx, rec) for rec in recs)
-
-    for si, sweep in enumerate(spec.get("sweeps", [])):
-        stype = sweep["type"]
-        sname = sweep.get("name", f"{stype}-{si}")
-        methods = sweep.get("methods", [])
-        rand_seed = int(sweep.get("rand_seed", 0))
-        if stype == "k_sweep":
-            manifest = DatasetManifest.load(sweep["manifest"])
-            test_set = manifest.load_split("test")
-            for k in sweep["k_values"]:
-                for mname in methods:
-                    ckpt = _checkpoint_for(sweep.get("checkpoints"), mname, k)
-                    try:
-                        method = _load_method(mname, ckpt, int(k), rand_seed)
-                    except (FileNotFoundError, OSError) as exc:
-                        skipped.append(f"{sname}: method={mname} k={k}: {exc}")
-                        continue
-                    ctx = {"sweep": sname, "sweep_type": stype, "setting": k,
-                           "train_tag": manifest.family, "test_tag": manifest.family}
-                    eval_into(ctx, method, test_set)
-        elif stype == "generalization_sweep":
-            axis = sweep.get("axis", "n")
-            for setting, mpath in sweep["manifests"].items():
-                manifest = DatasetManifest.load(mpath)
-                test_set = manifest.load_split("test")
-                for mname in methods:
-                    ckpt = _checkpoint_for(sweep.get("checkpoints"), mname)
-                    try:
-                        method = _load_method(mname, ckpt, int(sweep["k"]), rand_seed)
-                    except (FileNotFoundError, OSError) as exc:
-                        skipped.append(f"{sname}: method={mname} {axis}={setting}: {exc}")
-                        continue
-                    ctx = {"sweep": sname, "sweep_type": stype,
-                           "setting": f"{axis}={setting}",
-                           "train_tag": manifest.family, "test_tag": manifest.family}
-                    eval_into(ctx, method, test_set)
-        elif stype == "d_sweep":
-            manifest = DatasetManifest.load(sweep["manifest"])
-            test_set = manifest.load_split("test")
-            d_values = sorted(
-                {d for entry in (sweep.get("checkpoints") or {}).values()
-                 if isinstance(entry, dict) for d in entry},
-                key=lambda s: int(s),
-            )
-            for d_count in d_values:
-                for mname in methods:
-                    ckpt = _checkpoint_for(sweep.get("checkpoints"), mname, d_count)
-                    try:
-                        method = _load_method(mname, ckpt, int(sweep["k"]), rand_seed)
-                    except (FileNotFoundError, OSError) as exc:
-                        skipped.append(f"{sname}: method={mname} d={d_count}: {exc}")
-                        continue
-                    ctx = {"sweep": sname, "sweep_type": stype,
-                           "setting": f"d={d_count}",
-                           "train_tag": manifest.family, "test_tag": manifest.family}
-                    eval_into(ctx, method, test_set)
-        elif stype == "cross_dataset":
-            manifests = {fam: DatasetManifest.load(p)
-                         for fam, p in sweep["manifests"].items()}
-            for train_fam in manifests:
-                ckpt = _checkpoint_for(sweep.get("checkpoints"), train_fam)
-                for mname in methods or ["ours"]:
-                    try:
-                        method = _load_method(mname, ckpt, int(sweep["k"]), rand_seed)
-                    except (FileNotFoundError, OSError) as exc:
-                        skipped.append(f"{sname}: train={train_fam}: {exc}")
-                        continue
-                    for test_fam, manifest in manifests.items():
-                        ctx = {"sweep": sname, "sweep_type": stype,
-                               "setting": f"{train_fam}->{test_fam}",
-                               "train_tag": train_fam, "test_tag": test_fam}
-                        eval_into(ctx, method, manifest.load_split("test"))
-        else:
-            raise ValueError(f"unknown sweep type {stype!r}")
+    for load, label, targets in _sweep_cells(spec):
+        try:
+            method = load()
+        except (FileNotFoundError, OSError) as exc:
+            skipped.append(f"{label}: {exc}")
+            continue
+        for ctx, test_set in targets:
+            recs = evaluate_method(method, test_set, settings=settings, cache=cache,
+                                   timing_repeats=timing_repeats, feas_tol=feas_tol)
+            rows.extend((ctx, rec) for rec in recs)
 
     records_path = os.path.join(out_dir, "records.csv")
     write_records_csv(records_path, rows, extra_columns=context_cols)

@@ -121,37 +121,6 @@ def init_params(seed: int, h: int = 32, l: int = 4, k: int = 10, h_g: int = 32) 
 
 
 @dataclass
-class QpGraph:
-    """Explicit adjacency view of a QP instance. Neighbor lists are sorted
-    ascending by node index; an entry is an edge iff it is exactly nonzero."""
-
-    var_var: list            # per variable: [(n', Q[n', n]), ...]
-    var_con: list            # per variable: [(m, A[m, n]), ...]
-    con_var: list            # per constraint: [(n, A[m, n]), ...]
-    c: np.ndarray
-    b: np.ndarray
-
-
-def build_graph(inst: QpInstance) -> QpGraph:
-    Q, A = inst.Q, inst.A
-    n, m = inst.n_vars, inst.n_cons
-    var_var = [
-        [(int(j), float(Q[j, i])) for j in np.flatnonzero(Q[:, i] != 0.0)]
-        for i in range(n)
-    ]
-    var_con = [
-        [(int(r), float(A[r, i])) for r in np.flatnonzero(A[:, i] != 0.0)]
-        for i in range(n)
-    ]
-    con_var = [
-        [(int(j), float(A[r, j])) for j in np.flatnonzero(A[r] != 0.0)]
-        for r in range(m)
-    ]
-    return QpGraph(var_var=var_var, var_con=var_con, con_var=con_var,
-                   c=inst.c.copy(), b=inst.b.copy())
-
-
-@dataclass
 class ForwardTape:
     """Replayable record of one forward pass; backward() never recomputes."""
 

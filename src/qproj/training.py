@@ -20,9 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import QpInstance, ProjectionMatrix, is_feasible, project, recover
-from .evaluate import SolutionCache, guarded_relative_error
+from .evaluate import SolutionCache, score
 from .gnn import ModelParams, backward, forward, init_params
-from .solver import SolveResult, SolveStatus, SolverSettings, solve_qp
+from .solver import SolveStatus, SolverSettings, solve_qp
+
+
+VALIDATION_PENALTY = 1e6     # added to a validation loss per unit failure rate
 
 
 @dataclass
@@ -31,21 +34,12 @@ class TrainConfig:
     batch_size: int = 8
     learning_rate: float = 1e-3
     max_epochs: int = 500
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    validation_penalty: float = 1e6
-    # skip policy: failed inner solves contribute zero gradient and a
-    # failure count; set False to raise instead
-    skip_failed: bool = True
     hidden: int = 32
     layers: int = 4
     head_hidden: int = 32
     solver: SolverSettings = field(default_factory=SolverSettings)
-    feas_tol: float | None = None    # None: core.feasibility_tol per instance
     record_timings: bool = True
-    cache_dir: str | None = None     # disk cache for validation optima
 
     def __post_init__(self):
         if min(self.k, self.batch_size, self.max_epochs, self.hidden,
@@ -115,106 +109,103 @@ def surrogate_loss(inst: QpInstance, P, y_star, lambda_star) -> float:
     return float(np.sum(envelope_grad(inst, Pm, y_star, lambda_star) * Pm))
 
 
-def solve_projected(inst: QpInstance, proj: ProjectionMatrix,
-                    settings: SolverSettings) -> SolveResult:
-    return solve_qp(project(inst, proj), settings)
+def penalized_total(scores, penalty: float = VALIDATION_PENALTY) -> float:
+    """Sum of the relative errors of (relative error, feasible) pairs, one
+    per validation instance (failures already scored 1), plus
+    failure_rate * penalty."""
+    errors = [err for err, _ in scores]
+    failures = sum(not feasible for _, feasible in scores)
+    return float(sum(errors)) + (failures / len(errors)) * penalty
 
 
-def penalized_total(errors, n_failures: int, n_instances: int,
-                    penalty: float) -> float:
-    """Sum of per-instance relative errors (failures already scored 1)
-    plus failure_rate * penalty."""
-    return float(sum(errors)) + (n_failures / n_instances) * penalty
+def projected_score(inst: QpInstance, proj: ProjectionMatrix, u_star: float,
+                    settings: SolverSettings) -> tuple[float, bool]:
+    """evaluate.score of the lifted reduced optimum, at the reduced
+    objective value."""
+    res = solve_qp(project(inst, proj), settings)
+    return score(inst, recover(proj, res.y_star), res.objective, u_star,
+                 res.status is SolveStatus.SOLVED)
 
 
 def validation_loss(params: ModelParams, val_set, config: TrainConfig,
-                    u_stars=None) -> float:
+                    u_stars) -> float:
     """Sum of relative errors over validation instances plus
-    failure_rate * penalty. Failures (inner solve not Solved, or infeasible
-    lifted point) count a relative error of one."""
-    if u_stars is None:
-        u_stars = [solve_qp(inst, config.solver).objective for inst in val_set]
-    errors = []
-    failures = 0
-    for inst, u_star in zip(val_set, u_stars):
-        proj, _ = forward(params, inst, config.k)
-        res = solve_projected(inst, proj, config.solver)
-        if res.status is not SolveStatus.SOLVED:
-            failures += 1
-            errors.append(1.0)
-            continue
-        x = recover(proj, res.y_star)
-        if not is_feasible(inst, x, config.feas_tol):
-            failures += 1
-            errors.append(1.0)
-            continue
-        errors.append(guarded_relative_error(res.objective, u_star))
-    return penalized_total(errors, failures, len(val_set),
-                           config.validation_penalty)
+    failure_rate * VALIDATION_PENALTY. Failures (inner solve not Solved, or
+    infeasible lifted point) count a relative error of one. u_stars are the
+    Solved full optima of val_set."""
+    return penalized_total([
+        projected_score(inst, forward(params, inst, config.k)[0], u_star, config.solver)
+        for inst, u_star in zip(val_set, u_stars)])
+
+
+def adam_fit(vec, n_items: int, config: TrainConfig, batch_grad, val_loss,
+             post_step=None):
+    """The outer loop of every learned method. Per epoch, one seeded
+    permutation of the n_items training instances; per minibatch, an Adam
+    step on batch_grad(vec, batch) / len(batch), where batch_grad sums the
+    instances' gradients, then vec = post_step(vec) if given; after the
+    epoch, val_loss(vec). Returns the vector of the first epoch with the
+    lowest validation loss, that epoch, and the loss of each epoch."""
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    opt = Adam(vec.size, config.learning_rate)
+    best_val, best_vec, best_epoch, losses = np.inf, vec.copy(), -1, []
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(n_items)
+        for start in range(0, n_items, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            vec = opt.step(vec, batch_grad(vec, batch) / len(batch))
+            if post_step is not None:
+                vec = post_step(vec)
+        losses.append(val_loss(vec))
+        if losses[-1] < best_val:
+            best_val, best_vec, best_epoch = losses[-1], vec.copy(), epoch
+    return best_vec, best_epoch, losses
 
 
 def train(train_set, val_set, config: TrainConfig):
     """Algorithm: per epoch, shuffle; per instance, forward -> project ->
     solve -> envelope gradient -> taped backward; Adam on the batch-averaged
-    gradient; keep the parameters from the best validation epoch."""
+    gradient; keep the parameters from the best validation epoch. Failed
+    inner solves contribute zero gradient and count as failures."""
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
     if config.batch_size > len(train_set):
         raise ValueError("batch_size exceeds dataset size")
 
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    params = init_params(config.seed, h=config.hidden, l=config.layers,
-                         k=config.k, h_g=config.head_hidden)
-    opt = Adam(params.n_params, config.learning_rate,
-               config.beta1, config.beta2, config.adam_eps)
-    vec = params.to_vector()
-
-    cache = SolutionCache(cache_dir=config.cache_dir, settings=config.solver)
+    template = init_params(config.seed, h=config.hidden, l=config.layers,
+                           k=config.k, h_g=config.head_hidden)
+    cache = SolutionCache(settings=config.solver)
     u_stars_val = [cache.u_star(inst) for inst in val_set]
-
     report = TrainReport()
-    best_val = np.inf
-    best_vec = vec.copy()
+    tally = {"u": 0.0, "solved": 0, "failures": 0, "t0": time.perf_counter()}
 
-    for epoch in range(config.max_epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(len(train_set))
-        epoch_u = 0.0
-        epoch_solved = 0
-        epoch_failures = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grad_acc = np.zeros_like(vec)
-            params = params.from_vector(vec)
-            for idx in batch:
-                inst = train_set[int(idx)]
-                proj, tape = forward(params, inst, config.k)
-                res = solve_projected(inst, proj, config.solver)
-                if res.status is not SolveStatus.SOLVED:
-                    if not config.skip_failed:
-                        raise RuntimeError(
-                            f"inner solve failed with {res.status.value} "
-                            f"and skip_failed is off"
-                        )
-                    epoch_failures += 1
-                    continue
-                if not is_feasible(inst, recover(proj, res.y_star), config.feas_tol):
-                    report.infeasible_recoveries += 1
-                g_env = envelope_grad(inst, proj.P, res.y_star, res.lambda_star)
-                grad_acc += backward(tape, params, g_env).to_vector()
-                epoch_u += res.objective
-                epoch_solved += 1
-            vec = opt.step(vec, grad_acc / len(batch))
+    def batch_grad(vec, batch):
+        params = template.from_vector(vec)
+        grad_acc = np.zeros_like(vec)
+        for idx in batch:
+            inst = train_set[int(idx)]
+            proj, tape = forward(params, inst, config.k)
+            res = solve_qp(project(inst, proj), config.solver)
+            if res.status is not SolveStatus.SOLVED:
+                tally["failures"] += 1
+                continue
+            if not is_feasible(inst, recover(proj, res.y_star)):
+                report.infeasible_recoveries += 1
+            g_env = envelope_grad(inst, proj.P, res.y_star, res.lambda_star)
+            grad_acc += backward(tape, params, g_env).to_vector()
+            tally["u"] += res.objective
+            tally["solved"] += 1
+        return grad_acc
 
-        params = params.from_vector(vec)
-        val = validation_loss(params, val_set, config, u_stars=u_stars_val)
-        report.train_loss.append(epoch_u / max(epoch_solved, 1))
-        report.val_loss.append(val)
-        report.failures.append(epoch_failures)
-        report.seconds.append(time.perf_counter() - t0 if config.record_timings else 0.0)
-        if val < best_val:
-            best_val = val
-            best_vec = vec.copy()
-            report.best_epoch = epoch
+    def end_epoch(vec):
+        val = validation_loss(template.from_vector(vec), val_set, config, u_stars_val)
+        report.train_loss.append(tally["u"] / max(tally["solved"], 1))
+        report.failures.append(tally["failures"])
+        now = time.perf_counter()
+        report.seconds.append(now - tally["t0"] if config.record_timings else 0.0)
+        tally.update(u=0.0, solved=0, failures=0, t0=now)
+        return val
 
-    return params.from_vector(best_vec), report
+    best_vec, report.best_epoch, report.val_loss = adam_fit(
+        template.to_vector(), len(train_set), config, batch_grad, end_epoch)
+    return template.from_vector(best_vec), report

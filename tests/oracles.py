@@ -13,10 +13,11 @@ from qproj.core import QpInstance
 from qproj.solver import SolverSettings, solve_qp
 
 
-def brute_force_min(Q, c, A, b, feas_tol=1e-8):
+def brute_force_min(Q, c, A, b, feas_tol=1e-11):
     """Minimum objective over all equality-KKT candidates that are primal
-    feasible. For convex QPs the feasible minimum over all subsets is the
-    optimum (the true active set contributes it)."""
+    feasible to feas_tol * (1 + ||b||_inf). For convex QPs the feasible
+    minimum over all subsets is the optimum (the true active set contributes
+    it); a looser tolerance lets a slightly infeasible vertex undercut it."""
     Q = np.asarray(Q, float)
     c = np.asarray(c, float).ravel()
     A = np.asarray(A, float).reshape(-1, Q.shape[0])

@@ -6,7 +6,6 @@ from qproj.baselines import (
     SharedProjection,
     adapt_projection,
     direct_loss_grad,
-    direct_predict,
     direct_train,
     load_artifact,
     pca_projection,
@@ -15,6 +14,7 @@ from qproj.baselines import (
     sharedp_train,
 )
 from qproj.core import QpInstance, project
+from qproj.evaluate import DirectMethod
 from qproj.gnn import init_params
 from qproj.solver import solve_qp
 from qproj.training import TrainConfig
@@ -111,7 +111,7 @@ def test_sharedp_train_improves_over_random():
     rand_p = rand_projection(6, 2, seed=0)
     better = 0
     for inst in val_set:
-        u_shared = solve_qp(project(inst, shared.projection_for(6))).objective
+        u_shared = solve_qp(project(inst, adapt_projection(shared.P, 6))).objective
         u_rand = solve_qp(project(inst, rand_p)).objective
         if u_shared <= u_rand + 1e-9:
             better += 1
@@ -126,8 +126,7 @@ def test_sharedp_rejects_mixed_sizes():
 
 
 def test_sharedp_zero_padding_rule():
-    shared = SharedProjection(P=np.eye(4)[:, :2], n_train=4)
-    pm = shared.projection_for(7)
+    pm = adapt_projection(np.eye(4)[:, :2], 7)
     assert pm.P.shape == (7, 2)
     np.testing.assert_array_equal(pm.P[4:], 0.0)
 
@@ -166,7 +165,7 @@ def test_direct_train_and_predict():
                       head_hidden=4, seed=0)
     model = direct_train(train_set, val_set, cfg)
     assert model.lambda_pen in (0.1, 1.0, 10.0, 100.0)
-    x = direct_predict(model, val_set[0])
+    x = DirectMethod(model).predict(val_set[0])
     assert x.shape == (6,)
 
 

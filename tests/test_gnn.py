@@ -4,7 +4,6 @@ import pytest
 from qproj.core import QpInstance
 from qproj.gnn import (
     backward,
-    build_graph,
     forward,
     forward_raw,
     init_params,
@@ -17,31 +16,6 @@ from qproj.gnn import (
 def _unconstrained(q, c):
     q = np.asarray(q, float)
     return QpInstance(Q=q, c=c, A=np.zeros((0, q.shape[0])), b=[])
-
-
-def test_build_graph_identity_hessian_self_edges_only():
-    inst = QpInstance(Q=np.eye(2), c=[0.5, -0.5], A=np.zeros((1, 2)), b=[1.0])
-    g = build_graph(inst)
-    assert g.var_var == [[(0, 1.0)], [(1, 1.0)]]
-    assert g.var_con == [[], []]
-    assert g.con_var == [[]]
-
-
-def test_build_graph_dense_hessian():
-    q = np.full((3, 3), 0.5) + np.eye(3)
-    inst = _unconstrained(q, np.zeros(3))
-    g = build_graph(inst)
-    assert all(len(nbrs) == 3 for nbrs in g.var_var)
-
-
-def test_build_graph_constraint_edges():
-    inst = QpInstance(Q=np.eye(2), c=[0, 0], A=[[1.0, 0.0], [0.0, 2.0]],
-                      b=[1.0, 1.0])
-    g = build_graph(inst)
-    assert g.con_var[0] == [(0, 1.0)]
-    assert g.con_var[1] == [(1, 2.0)]
-    assert g.var_con[0] == [(0, 1.0)]
-    assert g.var_con[1] == [(1, 2.0)]
 
 
 def test_param_count_formula():

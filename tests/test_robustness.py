@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from qproj import solver
+from qproj.baselines import direct_train, sharedp_train
 from qproj.cli import main
 from qproj.core import QpInstance, max_violation, project, recover, save_instance
 from qproj.datasets import gen_regression, generate_instance
-from qproj.evaluate import FullMethod, OursMethod, evaluate_method
+from qproj.evaluate import FullMethod, OursMethod, RandMethod, evaluate_method
 from qproj.gnn import forward, init_params, load_checkpoint, save_checkpoint
 from qproj.solver import SolveStatus, SolverSettings, solve_qp
+from qproj.training import TrainConfig, train
 
 from oracles import random_pd_instance
 
@@ -156,3 +158,34 @@ def test_bad_checkpoint_rejected(tmp_path, case, capsys):
                  str(data / "manifest.json"), "--method", "ours",
                  "--checkpoint", str(path), "--timing-repeats", "0"]) == 2
     capsys.readouterr()
+
+
+def test_reference_optimum_must_be_solved(tmp_path, capsys):
+    # a full solve cut at max_iter=10 ends MaxIterReached at u = -0.9438
+    # (the optimum is -0.8930); eval took it as u* and scored rand 0.855
+    # against it
+    inst = generate_instance("control", {"s": 5, "v": 5, "t": 3}, 0)
+    settings = SolverSettings(max_iter=10)
+    assert solve_qp(inst, settings).status is SolveStatus.MAX_ITER_REACHED
+    with pytest.raises(ValueError, match="MaxIterReached, not Solved"):
+        evaluate_method(RandMethod(5), [inst], settings=settings, timing_repeats=0)
+    # training read the validation u* from the same unchecked solve
+    config = TrainConfig(k=2, batch_size=1, max_epochs=1, hidden=4, layers=1,
+                         head_hidden=4, solver=settings)
+    for fit in (lambda: train([inst], [inst], config),
+                lambda: sharedp_train([inst], [inst], 2, config),
+                lambda: direct_train([inst], [inst], config)):
+        with pytest.raises(ValueError, match="MaxIterReached, not Solved"):
+            fit()
+
+    # the CLI reports it as a configuration error; instance 0 is the train split
+    data = tmp_path / "data"
+    assert main(["--out", str(data), "gen-data", "--family", "control", "--s", "5",
+                 "--v", "5", "--t", "3", "--train", "1", "--val", "1",
+                 "--test", "1", "--base-seed", "0"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"solver": {"max_iter": 10}}))
+    assert main(["--config", str(config), "--out", str(tmp_path / "eval"), "eval",
+                 "--manifest", str(data / "manifest.json"), "--split", "train",
+                 "--method", "rand", "--k", "5", "--timing-repeats", "0"]) == 2
+    assert "control-train-0000 ended MaxIterReached" in capsys.readouterr().err

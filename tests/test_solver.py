@@ -347,9 +347,10 @@ def test_crossover_matches_brute_force_oracle():
         out = solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess)
         assert out is not None, trial
         y, lam = out
-        # a tight feasibility tolerance: the oracle's default accepts a
-        # point 2e-8 infeasible whose objective lies 8e-9 below the optimum
-        ref, _ = brute_force_min(inst.Q, inst.c, inst.A, inst.b, feas_tol=1e-11)
+        # the oracle's tight feasibility tolerance matters here: at 1e-8 it
+        # accepted a point 2e-8 infeasible whose objective lies 8e-9 below
+        # the optimum
+        ref, _ = brute_force_min(inst.Q, inst.c, inst.A, inst.b)
         assert objective(inst, y) == pytest.approx(ref, abs=1e-9 * (1.0 + abs(ref))), trial
         scale = 1.0 + np.abs(inst.b).max() + np.abs(inst.c).max()
         viol, dual, compl_res = kkt_residuals(inst, y, lam)

@@ -127,10 +127,10 @@ def test_surrogate_gradient_realizes_chain_rule():
 
 def test_penalized_total_formula():
     # spec arithmetic: 40 instances, one failure scored 1, others exact
-    assert penalized_total([1.0] + [0.0] * 39, 1, 40, 1e6) == pytest.approx(25001.0)
+    assert penalized_total([(1.0, False)] + [(0.0, True)] * 39) == pytest.approx(25001.0)
     # all errors 0.5, no failures
-    assert penalized_total([0.5] * 40, 0, 40, 1e6) == pytest.approx(20.0)
-    assert penalized_total([0.0] * 10, 0, 10, 1e6) == 0.0
+    assert penalized_total([(0.5, True)] * 40) == pytest.approx(20.0)
+    assert penalized_total([(0.0, True)] * 10, 1e6) == 0.0
 
 
 def test_validation_loss_counts_failures():
@@ -186,26 +186,6 @@ def test_train_decreases_objective_and_is_deterministic():
     # learning signal: final epochs beat the first
     assert min(report_a.train_loss[1:]) < report_a.train_loss[0] + 1e-12
     assert report_a.infeasible_recoveries == 0
-
-
-def test_train_skip_policy_off_raises():
-    # one instance whose projected problem is unbounded below
-    bad = QpInstance(Q=[[1.0, 0.0], [0.0, 0.0]], c=[0.0, -1.0],
-                     A=[[1.0, 0.0]], b=[1.0])
-    cfg = TrainConfig(k=2, batch_size=1, max_epochs=1, hidden=4, layers=1,
-                      head_hidden=4, skip_failed=False)
-    with pytest.raises(RuntimeError, match="skip_failed"):
-        train([bad], [bad], cfg)
-
-
-def test_train_validation_cache_on_disk(tmp_path):
-    train_set = _tiny_family(5, 3, n=6)
-    cfg = TrainConfig(k=2, batch_size=3, max_epochs=1, hidden=4, layers=1,
-                      head_hidden=4, cache_dir=str(tmp_path / "cache"),
-                      record_timings=False)
-    train(train_set, train_set, cfg)
-    entries = list((tmp_path / "cache").iterdir())
-    assert len(entries) == 3          # one cached optimum per val instance
 
 
 def test_train_config_validation():
