@@ -69,10 +69,12 @@ class TrainReport:
 
 
 class Adam:
-    """Plain Adam on a flat parameter vector."""
+    """Plain Adam on a flat parameter vector, with the usual constants."""
 
-    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size, lr):
+        self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
