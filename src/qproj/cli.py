@@ -125,6 +125,7 @@ def cmd_eval(args, cfg):
     records = evaluate_method(
         method,
         manifest.load_split(_pick(args, cfg, "split", "test")),
+        k=None if k is None else int(k),
         settings=settings,
         cache=SolutionCache(cache_dir=_pick(args, cfg, "cache-dir"),
                             settings=settings),

@@ -258,10 +258,10 @@ def evaluate_method(method, test_set, k: int | None = None,
     cache = cache or SolutionCache(settings=settings)
     if method.kind == "full" and cache.settings != settings:
         raise ValueError("the full method needs a cache with the same solver settings")
-    entries = cache.warm(test_set, threads=threads)
     method_k = getattr(method, "k", None)
     if k is not None and method_k not in (None, 0) and method_k != k:
         raise ValueError(f"method emits K={method_k}, caller expects K={k}")
+    entries = cache.warm(test_set, threads=threads)
 
     records = []
     for index, (inst, entry) in enumerate(zip(test_set, entries)):
@@ -388,9 +388,14 @@ def load_method(name, spec_entry, k, rand_seed=0):
     raise ValueError(f"unknown method {name!r}")
 
 
-def _checkpoint_for(checkpoints, method, setting=None):
+def _checkpoint_for(checkpoints, sweep, method, setting=None):
+    """The checkpoint path of method (or train family) at setting; a
+    per-setting map where the sweep has no setting is a ValueError."""
     entry = (checkpoints or {}).get(method)
-    if isinstance(entry, dict) and setting is not None:
+    if isinstance(entry, dict):
+        if setting is None:
+            raise ValueError(f"sweep {sweep!r}: the checkpoint of {method!r} must be "
+                             "one path, not a per-setting map")
         entry = entry.get(str(setting))
     return entry
 
@@ -414,7 +419,8 @@ def _sweep_cells(spec):
         # (method, checkpoint, K, label, [(setting, train tag, test tag, test set)])
         if stype == "cross_dataset":
             splits = {fam: test_split(p)[1] for fam, p in sweep["manifests"].items()}
-            cells = [(mname, _checkpoint_for(ckpts, train), int(sweep["k"]), f"train={train}",
+            cells = [(mname, _checkpoint_for(ckpts, sname, train), int(sweep["k"]),
+                      f"train={train}",
                       [(f"{train}->{test}", train, test, split)
                        for test, split in splits.items()])
                      for train in splits for mname in methods or ["ours"]]
@@ -434,7 +440,8 @@ def _sweep_cells(spec):
                           for v, p in sweep["manifests"].items()]
             else:
                 raise ValueError(f"unknown sweep type {stype!r}")
-            cells = [(mname, _checkpoint_for(ckpts, mname, key), k, f"method={mname} {label}",
+            cells = [(mname, _checkpoint_for(ckpts, sname, mname, key), k,
+                      f"method={mname} {label}",
                       [(setting, fam, fam, split)])
                      for setting, label, key, k, (fam, split) in points for mname in methods]
         rand_seed = int(sweep.get("rand_seed", 0))

@@ -15,16 +15,19 @@ on the best iterate when max_iter runs out. When Q passes a gate checked once
 per solve (LAPACK potrf succeeds and the pocon estimate of its reciprocal
 condition number is at least CROSSOVER_RCOND), the finish is a
 Goldfarb-Idnani dual active-set crossover warm-started from the rows the
-duals guess active: it adds violated rows and drops blocking ones until no
-row is violated, and gives up on an infeasible problem or at its step cap.
-Below the gate (singular Q, as in the full portfolio and control problems
-after equality elimination) the heuristic polish runs instead: equality
-solves on the guessed active set that drop negative multipliers, plus a
-leave-one-out "thorough" variant at most every 2,000 iterations. A finished
-point is kept only when its KKT merit meets the tolerances, so a status never
-comes from the finish alone. A finish depends only on the guessed active set
-(and the polish on whether it is thorough), so each solve remembers the ones
-that missed and does not repeat them.
+duals guess active: it drops every row with a negative multiplier and
+refactors, round by round, then adds violated rows and drops blocking ones
+until no row is violated, and gives up on an infeasible problem or at its
+step cap. It is exact from any guess, so from iteration 100 on it is also
+tried every 100 iterations whatever the residuals. Below the gate (singular
+Q, as in the full portfolio and control problems after equality
+elimination) the heuristic polish runs instead: equality solves on the
+guessed active set that drop negative multipliers, plus a leave-one-out
+"thorough" variant at most every 2,000 iterations. A finished point is kept
+only when its KKT merit meets the tolerances, so a status never comes from
+the finish alone. A finish depends only on the guessed active set (and the
+polish on whether it is thorough), so each solve remembers the ones that
+missed and does not repeat them.
 
 A non-finite iterate ends the solve with status NumericalError.
 
@@ -318,16 +321,18 @@ def _crossover(Q, c, A, b, lam, chol=None):
     M = tri(chol, A[W].T, trans=1)
     F, T, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
     dep = np.abs(np.diag(T)) <= CROSSOVER_DEP_TOL * np.linalg.norm(M, axis=0)[piv[:T.shape[0]]]
+    del M
     keep = np.argmax(dep) if dep.any() else dep.size
     W, F, T = W[piv[:keep]], F[:, :keep], T[:keep, :keep]
-    # 2. drop the most negative multiplier until the start is dual feasible
+    # 2. drop every negative multiplier and refactor, until the start is dual
+    # feasible: any independent set with u >= 0 is a valid start, and one QR
+    # per round is cheaper than one update per dropped row
     while True:
         u = tri(T, F.T @ g - tri(T, b[W], trans=1))
         if not W.size or u.min() >= 0.0:
             break
-        drop = np.argmin(u)
-        W = np.delete(W, drop)
-        F, T = delete(F, T, drop)
+        W = W[u >= 0.0]
+        F, T = scipy.linalg.qr(tri(chol, A[W].T, trans=1), mode="economic", overwrite_a=True)
     y = tri(chol, g - F @ (T @ u))
     # 3. add the most violated row: partial steps drop a blocking row, a
     # full step makes the added row active
@@ -482,13 +487,15 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
                 return finish(pol[0], pol[1], SolveStatus.SOLVED, k)
             return finish(x, y, SolveStatus.SOLVED, k)
 
-        # early polish: ADMM is close, the active-set solve may land exactly;
-        # long stalls in the trigger zone earn a thorough (leave-one-out) try
+        # early finish, at most every 100 iterations: once the residuals are
+        # close, and for the crossover, which is exact from any guess, also
+        # from iteration 100 on whatever the residuals; long stalls in the
+        # trigger zone earn a thorough (leave-one-out) polish
         if (
             settings.polish
-            and viol <= POLISH_TRIGGER * eps_pri
-            and dual <= POLISH_TRIGGER * eps_dua
             and k - tried_polish_at >= 100
+            and ((q_chol is not None and k >= 100)
+                 or (viol <= POLISH_TRIGGER * eps_pri and dual <= POLISH_TRIGGER * eps_dua))
         ):
             tried_polish_at = k
             thorough = k - tried_thorough_at >= 2000

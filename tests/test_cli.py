@@ -109,6 +109,51 @@ def test_exit_code_2_on_config_error(capsys):
     capsys.readouterr()
 
 
+def test_eval_rejects_a_k_the_checkpoint_does_not_emit(tmp_path, capsys, monkeypatch):
+    # --k used to be ignored: a K=2 model evaluated with --k 5 wrote k=2 rows
+    from qproj import evaluate
+    from qproj.gnn import init_params, save_checkpoint
+
+    data_dir = tmp_path / "d"
+    run_cli(["--out", str(data_dir), "gen-data", "--family", "regression",
+             "--n", "6", "--m", "2", "--t", "12", "--train", "2", "--val", "1",
+             "--test", "2", "--base-seed", "3"])
+    ckpt = tmp_path / "ours_k2.json"
+    save_checkpoint(ckpt, init_params(0, h=4, l=1, k=2, h_g=4), seed=0)
+
+    def no_reference_solves(*args, **kwargs):
+        raise AssertionError("reference solves before the K check")
+
+    monkeypatch.setattr(evaluate.SolutionCache, "warm", no_reference_solves)
+    out = tmp_path / "ev"
+    rc = run_cli(["--out", str(out), "eval", "--manifest", str(data_dir / "manifest.json"),
+                  "--method", "ours", "--checkpoint", str(ckpt), "--k", "5",
+                  "--timing-repeats", "0"])
+    assert rc == 2
+    assert "emits K=2" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()
+
+
+def test_experiment_with_a_checkpoint_map_exits_2(tmp_path, capsys):
+    # a per-setting map in a generalization sweep ended in a TypeError traceback
+    from qproj.gnn import init_params, save_checkpoint
+
+    data_dir = tmp_path / "d"
+    run_cli(["--out", str(data_dir), "gen-data", "--family", "regression",
+             "--n", "6", "--m", "2", "--t", "12", "--train", "2", "--val", "1",
+             "--test", "2", "--base-seed", "3"])
+    ckpt = tmp_path / "m.json"
+    save_checkpoint(ckpt, init_params(0, h=4, l=1, k=2, h_g=4), seed=0)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"timing_repeats": 0, "sweeps": [
+        {"type": "generalization_sweep", "name": "gen",
+         "manifests": {"6": str(data_dir / "manifest.json")},
+         "methods": ["ours"], "k": 2, "checkpoints": {"ours": {"6": str(ckpt)}}}]}))
+    rc = run_cli(["--out", str(tmp_path / "exp"), "experiment", "--spec", str(spec)])
+    assert rc == 2
+    assert "sweep 'gen'" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_io_error(tmp_path, capsys):
     rc = run_cli(["solve", "--instance", str(tmp_path / "missing.json")])
     assert rc == 3

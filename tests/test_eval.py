@@ -242,6 +242,23 @@ def test_evaluate_method_k_consistency(small_dataset):
         evaluate_method(RandMethod(3), test_set, k=5, timing_repeats=0)
 
 
+@pytest.mark.parametrize("stype, key", [("generalization_sweep", "ours"),
+                                         ("cross_dataset", "regression")])
+def test_run_experiment_rejects_a_checkpoint_map_without_settings(tmp_path, small_dataset,
+                                                                  stype, key):
+    # these sweeps take one checkpoint per method (or train family); a
+    # per-setting map reached load_checkpoint and raised TypeError
+    ckpt = tmp_path / "ours.json"
+    save_checkpoint(ckpt, init_params(0, h=4, l=1, k=2, h_g=4), seed=0)
+    manifest = small_dataset.root + "/manifest.json"
+    manifests = {"8": manifest} if stype == "generalization_sweep" else {key: manifest}
+    spec = {"timing_repeats": 0, "sweeps": [
+        {"type": stype, "name": "gen", "manifests": manifests, "methods": ["ours"],
+         "k": 2, "checkpoints": {key: {"8": str(ckpt)}}}]}
+    with pytest.raises(ValueError, match=f"sweep 'gen': the checkpoint of '{key}'"):
+        run_experiment(spec, tmp_path / "exp")
+
+
 def test_run_experiment_d_sweep(tmp_path, small_dataset):
     ckpts = {}
     for d in (2, 4):

@@ -70,7 +70,8 @@ def test_failed_cholesky_is_a_status():
 
 
 def test_failed_cholesky_after_rho_change_is_a_status(monkeypatch):
-    # random_pd_instance(default_rng(0), 8, 12) refactors at iteration 100
+    # random_pd_instance(default_rng(0), 8, 12) refactors at iteration 100;
+    # with the finish on, the crossover would land it there first
     inst = random_pd_instance(np.random.default_rng(0), 8, 12)
     real_factor, calls = solver._factor, []
 
@@ -79,7 +80,7 @@ def test_failed_cholesky_after_rho_change_is_a_status(monkeypatch):
         return real_factor(Q, A, sigma, rho) if len(calls) == 1 else None
 
     monkeypatch.setattr(solver, "_factor", factor_fails_on_refactor)
-    res = solve_qp(inst)
+    res = solve_qp(inst, SolverSettings(polish=False))
     assert len(calls) == 2
     assert res.status is SolveStatus.NUMERICAL_ERROR
     assert res.iterations == 100

@@ -182,7 +182,8 @@ def test_step_matches_kkt_system(n, m, rho):
 
 def test_step_matches_kkt_system_across_rho_refactorization(monkeypatch):
     # every step of a solve that changes rho mid-way is checked against the
-    # KKT system at the rho it was taken with
+    # KKT system at the rho it was taken with; the finish is off, or the
+    # crossover would end the solve at iteration 100, before the refactor
     inst = random_pd_instance(np.random.default_rng(0), 8, 12)
     factors, steps = [], []
 
@@ -198,7 +199,7 @@ def test_step_matches_kkt_system_across_rho_refactorization(monkeypatch):
 
     monkeypatch.setattr(solver, "_factor", recording_factor)
     monkeypatch.setattr(solver, "_step", recording_step)
-    res = solve_qp(inst)
+    res = solve_qp(inst, SolverSettings(polish=False))
     assert res.status is SolveStatus.SOLVED
     assert len(factors) >= 2
     rhos = [rho for _, rho in factors]
@@ -257,12 +258,59 @@ def test_f2_reduced_reg500_seed1_is_solved():
 
 def test_seed_1011_full_solve_is_solved_at_its_first_finish():
     # Q positive definite (rcond about 6e-3): the first finish attempt, at
-    # iteration 9,100, used to miss, and ADMM alone needed 18,300 iterations
+    # iteration 9,100, used to miss, and ADMM alone needed 18,300 iterations;
+    # the crossover is now first tried at iteration 100, and lands
     inst = gen_regression(100, 20, t=200, seed=1011)
     assert solver._crossover_factor(inst.Q) is not None
     res = solve_qp(inst)
     assert res.status is SolveStatus.SOLVED
-    assert res.iterations <= 9100
+    assert res.iterations <= 100
+
+
+@pytest.mark.parametrize("seed, u_star", [
+    (0, -84.79491298012431),
+    (1, -45.034209327846334),
+    (2, -75.7789213626402),
+])
+def test_full_reg500_crosses_over_at_iteration_100(seed, u_star):
+    # the residuals reached the finish trigger only at iteration 550-1,075;
+    # the crossover from the iteration-100 duals already lands. The optima
+    # are those of the ADMM-then-crossover solve that waited for the trigger.
+    from qproj.datasets import generate_instance
+
+    res = solve_qp(generate_instance("regression", {"n": 500, "m": 50}, seed))
+    assert (res.status, res.iterations) == (SolveStatus.SOLVED, 100)
+    assert res.objective == pytest.approx(u_star, rel=1e-12, abs=0.0)
+
+
+def test_crossover_start_refactors_once_per_round(monkeypatch):
+    # from the iteration-100 duals of full reg500 seed 0 (374 guessed rows),
+    # dropping one negative multiplier at a time took 118 qr_delete calls;
+    # dropping all of them per round and refactoring leaves 18 inserts and
+    # 1 delete for step 3
+    from qproj.datasets import generate_instance
+
+    inst = generate_instance("regression", {"n": 500, "m": 50}, 0)
+    guess = solve_qp(inst, SolverSettings(max_iter=100, polish=False)).lambda_star
+    updates = []
+
+    def spy(name):
+        real = getattr(scipy.linalg, name)
+
+        def counted(*args, **kwargs):
+            updates.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("qr_delete", "qr_insert"):
+        monkeypatch.setattr(scipy.linalg, name, spy(name))
+    y, lam = solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess)
+    assert len(updates) <= 30
+    # the point of the one-row-at-a-time start
+    assert objective(inst, y) == pytest.approx(-84.7949129801243, rel=1e-12, abs=0.0)
+    assert np.linalg.norm(y) == pytest.approx(0.5756672761455097, rel=1e-12, abs=0.0)
+    assert lam.sum() == pytest.approx(3945.9496333470674, rel=1e-12, abs=0.0)
+    assert np.count_nonzero(lam) == 256
 
 
 @pytest.mark.parametrize("family, sizes, seed, iterations", [
