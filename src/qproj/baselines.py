@@ -231,7 +231,7 @@ def save_artifact(path, obj) -> None:
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, allow_nan=False)
+        fh.write(json.dumps(doc, allow_nan=False))
 
 
 def load_artifact(path):

@@ -327,8 +327,9 @@ def instance_from_dict(d: dict) -> QpInstance:
 
 
 def save_instance(inst: QpInstance, path) -> None:
+    # json.dumps encodes in C; json.dump always runs the pure-Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, allow_nan=False)
+        fh.write(json.dumps(instance_to_dict(inst), allow_nan=False))
 
 
 def load_instance(path) -> QpInstance:

@@ -210,10 +210,6 @@ class DatasetManifest:
         return [load_instance(os.path.join(self.root, f["path"]))
                 for f in self.split_files(split)]
 
-    def validate(self) -> None:
-        for f in self.files:
-            load_instance(os.path.join(self.root, f["path"]))
-
     def save(self, path) -> None:
         doc = {
             "family": self.family,
@@ -261,11 +257,10 @@ def gen_split(family: str, sizes: dict, counts: dict, base_seed: int,
         for _ in range(counts[split]):
             seed = base_seed + d
             inst = generate_instance(family, sizes, seed)
-            meta = dict(inst.meta)
-            meta.update({"id": f"{family}-{split}-{d:04d}", "split": split,
-                         "index": d})
-            inst = QpInstance(Q=inst.Q, c=inst.c, A=inst.A, b=inst.b,
-                              constant=inst.constant, meta=meta)
+            # the instance is fresh and unshared: tag it rather than build it
+            # (and check its Q) a second time
+            inst.meta.update({"id": f"{family}-{split}-{d:04d}", "split": split,
+                              "index": d})
             fname = f"{family}_{split}_{d:04d}.json"
             save_instance(inst, os.path.join(out_dir, fname))
             manifest.files.append({"path": fname, "split": split,

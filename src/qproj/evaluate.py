@@ -21,7 +21,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields as dc_fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -142,7 +142,7 @@ class SolutionCache:
                 # a reader never sees a torn file: write aside, then rename
                 fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(entry, fh)
+                    fh.write(json.dumps(entry))
                 os.replace(tmp, path)
         self._mem[k] = entry
         if entry["status"] != SolveStatus.SOLVED.value:
@@ -404,13 +404,17 @@ def _sweep_cells(spec):
     """The cells of the spec's sweeps, in run order. A cell is (load, skip
     label, targets): load() builds the method once, which is then evaluated
     on each (context, test set) of targets; if its checkpoint is missing the
-    cell is skipped with one line that starts with the label."""
+    cell is skipped with one line that starts with the label. The list is
+    built whole, so a misconfigured sweep raises ValueError before any cell
+    runs; sweeps that name the same manifest share its test set."""
     from .datasets import DatasetManifest
 
+    @cache
     def test_split(path):
         manifest = DatasetManifest.load(path)
         return manifest.family, manifest.load_split("test")
 
+    out = []
     for si, sweep in enumerate(spec.get("sweeps", [])):
         stype = sweep["type"]
         sname = sweep.get("name", f"{stype}-{si}")
@@ -430,9 +434,14 @@ def _sweep_cells(spec):
                 split = test_split(sweep["manifest"])
                 points = [(k, f"k={k}", k, int(k), split) for k in sweep["k_values"]]
             elif stype == "d_sweep":
+                plain = sorted(mname for mname, entry in (ckpts or {}).items()
+                               if not isinstance(entry, dict))
+                if plain:
+                    raise ValueError(f"sweep {sname!r}: a d_sweep takes the checkpoints of "
+                                     f"{plain} as per-setting maps, not one path")
                 split = test_split(sweep["manifest"])
-                d_values = sorted({d for entry in (ckpts or {}).values()
-                                   if isinstance(entry, dict) for d in entry}, key=int)
+                d_values = sorted({d for entry in (ckpts or {}).values() for d in entry},
+                                  key=int)
                 points = [(f"d={d}", f"d={d}", d, int(sweep["k"]), split) for d in d_values]
             elif stype == "generalization_sweep":
                 axis = sweep.get("axis", "n")
@@ -445,11 +454,12 @@ def _sweep_cells(spec):
                       [(setting, fam, fam, split)])
                      for setting, label, key, k, (fam, split) in points for mname in methods]
         rand_seed = int(sweep.get("rand_seed", 0))
-        for mname, ckpt, k, label, targets in cells:
-            yield (partial(load_method, mname, ckpt, k, rand_seed), f"{sname}: {label}",
-                   [({"sweep": sname, "sweep_type": stype, "setting": setting,
-                      "train_tag": train_tag, "test_tag": test_tag}, split)
-                    for setting, train_tag, test_tag, split in targets])
+        out += [(partial(load_method, mname, ckpt, k, rand_seed), f"{sname}: {label}",
+                 [({"sweep": sname, "sweep_type": stype, "setting": setting,
+                    "train_tag": train_tag, "test_tag": test_tag}, split)
+                  for setting, train_tag, test_tag, split in targets])
+                for mname, ckpt, k, label, targets in cells]
+    return out
 
 
 def run_experiment(spec, out_dir) -> dict:
@@ -459,6 +469,7 @@ def run_experiment(spec, out_dir) -> dict:
     if isinstance(spec, (str, os.PathLike)):
         with open(spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
+    cells = _sweep_cells(spec)
     os.makedirs(out_dir, exist_ok=True)
     settings = SolverSettings(**spec.get("solver", {}))
     timing_repeats = int(spec.get("timing_repeats", 3))
@@ -469,7 +480,7 @@ def run_experiment(spec, out_dir) -> dict:
     context_cols = ["sweep", "sweep_type", "setting", "train_tag", "test_tag"]
     rows = []
     skipped = []
-    for load, label, targets in _sweep_cells(spec):
+    for load, label, targets in cells:
         try:
             method = load()
         except (FileNotFoundError, OSError) as exc:

@@ -341,7 +341,7 @@ def save_checkpoint(path, params: ModelParams, seed=None, extra=None) -> None:
     if extra:
         doc["extra"] = extra
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, allow_nan=False)
+        fh.write(json.dumps(doc, allow_nan=False))
 
 
 def load_checkpoint(path) -> ModelParams:

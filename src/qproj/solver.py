@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs, dtrtrs
 
 from .core import QpInstance, objective
 
@@ -148,34 +148,45 @@ def _step(chol, A, c, sigma, rho, xb, zb, yb):
 def _ruiz_equilibrate(Q, c, A, b, iters=10, reg=1e-8):
     """Symmetric diagonal scaling of the KKT data plus cost normalization.
     Returns scaled copies and the scaling vectors (d, e, gamma); iterates run
-    in the scaled space while residual checks use the original data."""
+    in the scaled space while residual checks use the original data.
+
+    The copies are scaled in place, |Q| and |A| are refilled into one buffer
+    each, and the column maxima of |Q| taken for the cost normalization,
+    times its factor g, are the next iteration's: rounding is monotone, so
+    max |g x| = g max |x| exactly."""
     n, m = Q.shape[0], A.shape[0]
     d = np.ones(n)
     e = np.ones(m)
     gamma = 1.0
     Qs, cs, As, bs = Q.copy(), c.copy(), A.copy(), b.copy()
+    abs_q, abs_a = np.abs(Qs), np.empty_like(As)
+    col_q = abs_q.max(axis=0, initial=0.0)
     for _ in range(iters):
-        col_x = np.abs(Qs).max(axis=0, initial=0.0)
         if m:
-            col_x = np.maximum(col_x, np.abs(As).max(axis=0, initial=0.0))
-            col_z = np.abs(As).max(axis=1, initial=0.0)
+            np.abs(As, out=abs_a)
+            col_x = np.maximum(col_q, abs_a.max(axis=0, initial=0.0))
+            col_z = abs_a.max(axis=1, initial=0.0)
             dz = 1.0 / np.sqrt(np.where(col_z > reg, col_z, 1.0))
         else:
-            dz = e
+            col_x = col_q
         dx = 1.0 / np.sqrt(np.where(col_x > reg, col_x, 1.0))
-        Qs = dx[:, None] * Qs * dx[None, :]
-        cs = dx * cs
+        Qs *= dx[:, None]
+        Qs *= dx
+        cs *= dx
         if m:
-            As = dz[:, None] * As * dx[None, :]
-            bs = dz * bs
-            e = e * dz
-        d = d * dx
+            As *= dz[:, None]
+            As *= dx
+            bs *= dz
+            e *= dz
+        d *= dx
         # cost normalization
-        q_scale = max(float(np.abs(Qs).max(axis=0, initial=0.0).mean()) if n else 0.0,
+        col_q = np.abs(Qs, out=abs_q).max(axis=0, initial=0.0)
+        q_scale = max(float(col_q.mean()) if n else 0.0,
                       float(np.abs(cs).max(initial=0.0)))
         g = 1.0 / q_scale if q_scale > reg else 1.0
         Qs *= g
         cs *= g
+        col_q *= g
         gamma *= g
     return Qs, cs, As, bs, d, e, gamma
 
@@ -272,6 +283,26 @@ def _polish(Q, c, A, b, lam, merit_fn, thorough=False):
     return best[1], best[2]
 
 
+def _tri(R, v, trans=0):
+    """R^-1 v, or R^-T v when trans is 1, for upper-triangular R: LAPACK
+    trtrs called as scipy.linalg.solve_triangular calls it (a C-ordered R is
+    passed as the lower-triangular R' with trans flipped), so the answer is
+    bitwise the same, without that function's per-call wrapper cost. A
+    singular R raises LinAlgError; empty operands return at once, since
+    trtrs rejects the zero leading dimension of a 0 x 0 R."""
+    if not v.size:
+        return np.empty_like(v, dtype=np.float64)
+    if R.flags.f_contiguous:
+        x, info = dtrtrs(R, v, lower=0, trans=trans)
+    else:
+        x, info = dtrtrs(R.T, v, lower=1, trans=1 - trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of trtrs")
+    return x
+
+
 def _crossover_factor(Q):
     """Upper Cholesky factor of Q when Q passes the crossover gate: LAPACK
     potrf succeeds and the pocon estimate of the reciprocal 1-norm condition
@@ -301,9 +332,6 @@ def _crossover(Q, c, A, b, lam, chol=None):
         if info != 0:
             return None
 
-    def tri(R, v, trans=0):
-        return scipy.linalg.solve_triangular(R, v, trans=trans, check_finite=False)
-
     def insert(F, T, v):
         """Thin QR with v appended (qr_insert mishandles an empty factor)."""
         if not T.size:
@@ -315,10 +343,10 @@ def _crossover(Q, c, A, b, lam, chol=None):
         F, T = scipy.linalg.qr_delete(F, T, j, which="col", check_finite=False)
         return F[:, :T.shape[1]], T[:T.shape[1]]
 
-    g = tri(chol, -c, trans=1)
+    g = _tri(chol, -c, trans=1)
     # 1. a linearly independent prefix of the guessed rows (pivoted QR)
     W = np.flatnonzero(lam > 0)
-    M = tri(chol, A[W].T, trans=1)
+    M = _tri(chol, A[W].T, trans=1)
     F, T, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
     dep = np.abs(np.diag(T)) <= CROSSOVER_DEP_TOL * np.linalg.norm(M, axis=0)[piv[:T.shape[0]]]
     del M
@@ -328,12 +356,12 @@ def _crossover(Q, c, A, b, lam, chol=None):
     # feasible: any independent set with u >= 0 is a valid start, and one QR
     # per round is cheaper than one update per dropped row
     while True:
-        u = tri(T, F.T @ g - tri(T, b[W], trans=1))
+        u = _tri(T, F.T @ g - _tri(T, b[W], trans=1))
         if not W.size or u.min() >= 0.0:
             break
         W = W[u >= 0.0]
-        F, T = scipy.linalg.qr(tri(chol, A[W].T, trans=1), mode="economic", overwrite_a=True)
-    y = tri(chol, g - F @ (T @ u))
+        F, T = scipy.linalg.qr(_tri(chol, A[W].T, trans=1), mode="economic", overwrite_a=True)
+    y = _tri(chol, g - F @ (T @ u))
     # 3. add the most violated row: partial steps drop a blocking row, a
     # full step makes the added row active
     steps = 0
@@ -344,13 +372,13 @@ def _crossover(Q, c, A, b, lam, chol=None):
         # 4. stop when no row is violated beyond round-off
         if s_p <= CROSSOVER_VIOL_TOL * (1.0 + np.abs(b).max() + np.abs(Ay).max()):
             break
-        v = tri(chol, A[p], trans=1)
+        v = _tri(chol, A[p], trans=1)
         while True:
             steps += 1
             if steps > CROSSOVER_MAX_STEPS * (n + m):
                 return None
             coef = F.T @ v
-            r = tri(T, coef)               # rate at which the multipliers fall
+            r = _tri(T, coef)              # rate at which the multipliers fall
             w = v - F @ coef               # R times the primal step direction
             w2 = w @ w
             dependent = np.sqrt(w2) <= CROSSOVER_DEP_TOL * np.linalg.norm(v)
@@ -363,7 +391,7 @@ def _crossover(Q, c, A, b, lam, chol=None):
             t = min(t_full, t_part)
             u, u_p = u - t * r, u_p + t
             if not dependent:
-                y = y - t * tri(chol, w)
+                y = y - t * _tri(chol, w)
                 s_p -= t * w2
             if t_full <= t_part:
                 W, u = np.append(W, p), np.append(u, u_p)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QpInstance, ProjectionMatrix, is_feasible, project, recover
+from .core import QpInstance, ProjectionMatrix, project, recover
 from .evaluate import SolutionCache, score
 from .gnn import ModelParams, backward, forward, init_params
 from .solver import SolveStatus, SolverSettings, solve_qp
@@ -56,7 +56,6 @@ class TrainReport:
     failures: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
     best_epoch: int = -1
-    infeasible_recoveries: int = 0   # solved inner problems whose lifted point violated
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -191,8 +190,6 @@ def train(train_set, val_set, config: TrainConfig):
             if res.status is not SolveStatus.SOLVED:
                 tally["failures"] += 1
                 continue
-            if not is_feasible(inst, recover(proj, res.y_star)):
-                report.infeasible_recoveries += 1
             g_env = envelope_grad(inst, proj.P, res.y_star, res.lambda_star)
             grad_acc += backward(tape, params, g_env).to_vector()
             tally["u"] += res.objective

@@ -134,8 +134,10 @@ def test_eval_rejects_a_k_the_checkpoint_does_not_emit(tmp_path, capsys, monkeyp
     assert not (out / "records.csv").exists()
 
 
-def test_experiment_with_a_checkpoint_map_exits_2(tmp_path, capsys):
-    # a per-setting map in a generalization sweep ended in a TypeError traceback
+def _run_one_sweep(tmp_path, sweep):
+    """qproj experiment on one sweep named gen, of method ours at K=2; the
+    strings <manifest> and <ckpt> in the sweep name a regression N=6
+    manifest and an untrained checkpoint."""
     from qproj.gnn import init_params, save_checkpoint
 
     data_dir = tmp_path / "d"
@@ -145,13 +147,29 @@ def test_experiment_with_a_checkpoint_map_exits_2(tmp_path, capsys):
     ckpt = tmp_path / "m.json"
     save_checkpoint(ckpt, init_params(0, h=4, l=1, k=2, h_g=4), seed=0)
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"timing_repeats": 0, "sweeps": [
-        {"type": "generalization_sweep", "name": "gen",
-         "manifests": {"6": str(data_dir / "manifest.json")},
-         "methods": ["ours"], "k": 2, "checkpoints": {"ours": {"6": str(ckpt)}}}]}))
-    rc = run_cli(["--out", str(tmp_path / "exp"), "experiment", "--spec", str(spec)])
+    text = json.dumps({"timing_repeats": 0, "sweeps": [
+        dict(sweep, name="gen", methods=["ours"], k=2)]})
+    spec.write_text(text.replace("<manifest>", str(data_dir / "manifest.json"))
+                    .replace("<ckpt>", str(ckpt)))
+    return run_cli(["--out", str(tmp_path / "exp"), "experiment", "--spec", str(spec)])
+
+
+def test_experiment_with_a_checkpoint_map_exits_2(tmp_path, capsys):
+    # a per-setting map in a generalization sweep ended in a TypeError traceback
+    rc = _run_one_sweep(tmp_path, {"type": "generalization_sweep",
+                                   "manifests": {"6": "<manifest>"},
+                                   "checkpoints": {"ours": {"6": "<ckpt>"}}})
     assert rc == 2
     assert "sweep 'gen'" in capsys.readouterr().err
+
+
+def test_experiment_d_sweep_with_a_plain_checkpoint_exits_2(tmp_path, capsys):
+    # a plain path in a d_sweep gave no setting, so nothing was evaluated
+    rc = _run_one_sweep(tmp_path, {"type": "d_sweep", "manifest": "<manifest>",
+                                   "checkpoints": {"ours": "<ckpt>"}})
+    assert rc == 2
+    assert "sweep 'gen'" in capsys.readouterr().err
+    assert not (tmp_path / "exp" / "records.csv").exists()
 
 
 def test_exit_code_3_on_io_error(tmp_path, capsys):

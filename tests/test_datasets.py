@@ -120,7 +120,6 @@ def test_gen_split_writes_manifest_and_files(tmp_path):
                     {"train": 3, "val": 2, "test": 2}, base_seed=10,
                     out_dir=tmp_path)
     assert len(man.files) == 7
-    man.validate()
     loaded = DatasetManifest.load(tmp_path / "manifest.json")
     assert loaded.family == "regression"
     assert loaded.counts == {"train": 3, "val": 2, "test": 2}

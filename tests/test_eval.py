@@ -1,5 +1,4 @@
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -174,16 +173,39 @@ def test_cache_key_covers_data_and_every_setting(small_dataset):
     assert SolutionCache().key(QpInstance(Q=inst.Q, c=inst.c, A=inst.A, b=b)) != base
 
 
-def test_torn_cache_write_leaves_no_entry(monkeypatch, tmp_path, small_dataset):
-    # a crash while writing a cache file used to leave a torn file behind,
-    # and the next run failed on it with a JSONDecodeError
-    inst = small_dataset.load_split("test")[0]
+class _TornFile:
+    """A text file that takes the first 10 characters of a write, then
+    crashes, as a process killed mid-write leaves it."""
 
-    def crashing_dump(obj, fh):
-        fh.write(json.dumps(obj)[:10])
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[:10])
+        self._fh.flush()
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(evaluate.json, "dump", crashing_dump)
+
+def test_torn_cache_write_leaves_no_entry(monkeypatch, tmp_path, small_dataset):
+    # a crash while writing a cache file used to leave a torn file behind,
+    # and the next run failed on it with a JSONDecodeError; the crash is
+    # injected into every file evaluate opens for writing, however it opens it
+    inst = small_dataset.load_split("test")[0]
+    real_fdopen = evaluate.os.fdopen
+
+    def torn_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _TornFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(evaluate, "open", torn_open, raising=False)
+    monkeypatch.setattr(evaluate.os, "fdopen",
+                        lambda *args, **kwargs: _TornFile(real_fdopen(*args, **kwargs)))
     with pytest.raises(KeyboardInterrupt):
         SolutionCache(cache_dir=tmp_path).u_star(inst)
     monkeypatch.undo()
@@ -276,6 +298,38 @@ def test_run_experiment_d_sweep(tmp_path, small_dataset):
     assert settings == {"d=2", "d=4"}
     # 3 test instances x 2 settings x 2 methods
     assert len(rows) == 12
+
+
+def test_run_experiment_rejects_a_d_sweep_with_a_plain_checkpoint(tmp_path, small_dataset):
+    # a d_sweep takes its settings from per-setting maps; a plain path gave
+    # no setting, so the sweep evaluated nothing, not even rand, and said so nowhere
+    ckpt = tmp_path / "ours.json"
+    save_checkpoint(ckpt, init_params(0, h=4, l=1, k=2, h_g=4), seed=0)
+    spec = {"timing_repeats": 0, "sweeps": [
+        {"type": "d_sweep", "name": "ds", "manifest": small_dataset.root + "/manifest.json",
+         "methods": ["ours", "rand"], "k": 2, "checkpoints": {"ours": str(ckpt)}}]}
+    with pytest.raises(ValueError, match=r"sweep 'ds': .*\['ours'\] as per-setting maps"):
+        run_experiment(spec, tmp_path / "exp")
+
+
+def test_run_experiment_checks_every_sweep_before_evaluating(monkeypatch, tmp_path,
+                                                             small_dataset):
+    # a bad later sweep used to raise only after the earlier sweeps had been
+    # evaluated (and reference-solved), with no output written
+    calls = []
+    monkeypatch.setattr(evaluate, "evaluate_method",
+                        lambda *args, **kwargs: calls.append(args) or [])
+    manifest = small_dataset.root + "/manifest.json"
+    spec = {"timing_repeats": 0, "sweeps": [
+        {"type": "k_sweep", "name": "ks", "manifest": manifest,
+         "methods": ["rand"], "k_values": [2]},
+        {"type": "generalization_sweep", "name": "gen", "manifests": {"8": manifest},
+         "methods": ["ours"], "k": 2, "checkpoints": {"ours": {"8": "m.json"}}}]}
+    out = tmp_path / "exp"
+    with pytest.raises(ValueError, match="sweep 'gen'"):
+        run_experiment(spec, out)
+    assert calls == []
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_run_experiment_cross_dataset(tmp_path):

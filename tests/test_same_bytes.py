@@ -1,0 +1,150 @@
+"""The fast paths give the same bytes as the plain ones they replace.
+
+The JSON writers encode with json.dumps (the C encoder); each file must
+equal what json.dump (the pure-Python encoder) writes for the same document
+with the same options. The in-place Ruiz scaling must equal its plain form
+(tests/oracles.py) bitwise, and the crossover's direct LAPACK trtrs call must
+equal scipy.linalg.solve_triangular bitwise. Everything is compared in
+process, so the tests hold on any machine."""
+
+import io
+import json
+import os
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from qproj.baselines import DirectModel, pca_projection, save_artifact
+from qproj.core import instance_to_dict
+from qproj.datasets import gen_split, generate_instance
+from qproj.evaluate import SolutionCache
+from qproj.gnn import init_params, load_checkpoint, save_checkpoint
+from qproj.solver import _ruiz_equilibrate, _tri, solve_qp
+
+from oracles import ruiz_equilibrate_reference
+
+
+def python_encoded(doc, **options) -> bytes:
+    """The bytes json.dump writes for doc: always the pure-Python encoder."""
+    buf = io.StringIO()
+    json.dump(doc, buf, **options)
+    return buf.getvalue().encode("utf-8")
+
+
+def file_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def reencoded(path, **options) -> bytes:
+    """The file's document, read back and written by json.dump. JSON floats
+    round-trip exactly, so this is what json.dump wrote for the original."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return python_encoded(json.load(fh), **options)
+
+
+@pytest.mark.parametrize("family,sizes", [
+    ("regression", {"n": 8, "m": 2, "t": 16}),
+    ("portfolio", {"n": 6}),
+    ("control", {"s": 2, "v": 2, "t": 3}),
+])
+def test_gen_split_files_match_the_python_encoder(tmp_path, family, sizes):
+    man = gen_split(family, sizes, {"train": 2, "val": 1, "test": 1}, 7, tmp_path)
+    for f in man.files:
+        inst = generate_instance(family, sizes, f["seed"])
+        doc = instance_to_dict(inst)
+        doc["meta"].update({"id": f"{family}-{f['split']}-{f['index']:04d}",
+                            "split": f["split"], "index": f["index"]})
+        assert file_bytes(tmp_path / f["path"]) == python_encoded(doc, allow_nan=False), f["path"]
+    assert file_bytes(tmp_path / "manifest.json") == reencoded(
+        tmp_path / "manifest.json", indent=1, allow_nan=False)
+
+
+def test_checkpoint_matches_the_python_encoder(tmp_path):
+    params = init_params(3, h=4, l=2, k=3, h_g=5)
+    path = tmp_path / "model.json"
+    save_checkpoint(path, params, seed=3, extra={"note": "x", "epochs": 2})
+    assert file_bytes(path) == reencoded(path, allow_nan=False)
+    assert load_checkpoint(path).to_vector().tobytes() == params.to_vector().tobytes()
+
+
+def test_artifacts_match_the_python_encoder(tmp_path):
+    rng = np.random.default_rng(0)
+    pca = pca_projection(rng.normal(size=(6, 4)), 2)
+    direct = DirectModel(params=init_params(1, h=4, l=1, k=1, h_g=4), lambda_pen=0.5)
+    for name, obj in [("pca", pca), ("direct", direct)]:
+        path = tmp_path / f"{name}.json"
+        save_artifact(path, obj)
+        assert file_bytes(path) == reencoded(path, allow_nan=False), name
+    with open(tmp_path / "pca.json", "r", encoding="utf-8") as fh:
+        assert np.array(json.load(fh)["P"]).tobytes() == pca.P.tobytes()
+
+
+def test_cache_entry_matches_the_python_encoder(tmp_path):
+    inst = generate_instance("regression", {"n": 8, "m": 2, "t": 16}, 4)
+    cache = SolutionCache(cache_dir=tmp_path)
+    cache.u_star(inst)
+    (name,) = os.listdir(tmp_path)
+    assert name == cache.key(inst) + ".json"
+    assert file_bytes(tmp_path / name) == reencoded(tmp_path / name)
+    res = solve_qp(inst, cache.settings)
+    assert SolutionCache(cache_dir=tmp_path).x_star(inst).tobytes() == res.y_star.tobytes()
+
+
+@pytest.mark.parametrize("family,sizes,seed", [
+    ("regression", {"n": 20, "m": 4}, 0),
+    ("portfolio", {"n": 15}, 1),
+    ("control", {"s": 3, "v": 3, "t": 3}, 2),
+])
+@pytest.mark.parametrize("with_rows", [True, False])
+def test_ruiz_equilibrate_matches_the_plain_form(family, sizes, seed, with_rows):
+    inst = generate_instance(family, sizes, seed)
+    A, b = (inst.A, inst.b) if with_rows else (np.zeros((0, inst.n_vars)), np.zeros(0))
+    got = _ruiz_equilibrate(inst.Q, inst.c, A, b)
+    want = ruiz_equilibrate_reference(inst.Q, inst.c, A, b)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def _triangles():
+    """Upper-triangular R: C-ordered, F-ordered, and a slice of a larger
+    factor (neither), as the crossover meets them."""
+    rng = np.random.default_rng(5)
+    R = np.triu(rng.normal(size=(7, 7))) + 3.0 * np.eye(7)
+    big = np.triu(rng.normal(size=(9, 9))) + 3.0 * np.eye(9)
+    return {"C": R, "F": np.asfortranarray(R), "sliced": big[1:8, 1:8]}
+
+
+@pytest.mark.parametrize("order", ["C", "F", "sliced"])
+@pytest.mark.parametrize("trans", [0, 1])
+def test_tri_matches_solve_triangular(order, trans):
+    R = _triangles()[order]
+    rng = np.random.default_rng(6)
+    vs = [rng.normal(size=7), rng.normal(size=(7, 3)),
+          np.asfortranarray(rng.normal(size=(7, 3))), rng.normal(size=(3, 7)).T]
+    for v in vs:
+        v_before = v.copy()
+        got = _tri(R, v, trans=trans)
+        want = scipy.linalg.solve_triangular(R, v, trans=trans, check_finite=False)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(v, v_before)
+
+
+def test_tri_empty_operands_and_singular_factor():
+    for R, v in [(np.zeros((0, 0)), np.zeros(0)),
+                 (np.zeros((0, 0)), np.zeros((0, 2))),
+                 (np.eye(3), np.zeros((3, 0)))]:
+        for trans in (0, 1):
+            got = _tri(R, v, trans=trans)
+            want = scipy.linalg.solve_triangular(R, v, trans=trans, check_finite=False)
+            assert got.shape == want.shape and got.dtype == want.dtype
+    R = np.triu(np.ones((3, 3)))
+    R[1, 1] = 0.0
+    for trans in (0, 1):
+        with pytest.raises(np.linalg.LinAlgError):
+            _tri(R, np.ones(3), trans=trans)
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.solve_triangular(R, np.ones(3), trans=trans)
