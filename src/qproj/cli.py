@@ -43,8 +43,23 @@ def _require(value, name):
 
 
 def _solver_settings(cfg):
+    """SolverSettings from the config's "solver" mapping. An unknown key or a
+    value of the wrong type raises ValueError naming the key: the settings
+    class itself would raise TypeError."""
     from .solver import SolverSettings
-    return SolverSettings(**cfg.get("solver", {}))
+
+    section = cfg.get("solver", {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config key 'solver' must be an object, got {section!r}")
+    defaults = vars(SolverSettings())
+    for key, value in section.items():
+        if key not in defaults:
+            raise ValueError(f"unknown solver setting {key!r}")
+        kind = type(defaults[key])
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+            raise ValueError(f"solver setting {key!r} must be a {kind.__name__}, got {value!r}")
+    return SolverSettings(**section)
 
 
 def cmd_gen_data(args, cfg):
@@ -144,7 +159,8 @@ def cmd_solve(args, cfg):
     from .solver import solve_qp
 
     inst = load_instance(_require(_pick(args, cfg, "instance"), "instance"))
-    res = solve_qp(inst, _solver_settings(cfg))
+    settings = _solver_settings(cfg)
+    res = solve_qp(inst, settings)
     doc = {
         "status": res.status.value,
         "objective": res.objective,
@@ -152,8 +168,7 @@ def cmd_solve(args, cfg):
         "y_star": res.y_star.tolist(),
         "lambda_star": res.lambda_star.tolist(),
         "message": res.message,
-        "solver": {"eps_abs": _solver_settings(cfg).eps_abs,
-                   "eps_rel": _solver_settings(cfg).eps_rel},
+        "solver": {"eps_abs": settings.eps_abs, "eps_rel": settings.eps_rel},
     }
     out = json.dumps(doc)
     if args.out != ".":

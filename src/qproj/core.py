@@ -45,6 +45,8 @@ class QpInstance:
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError(f"Q must be square, got shape {Q.shape}")
         n = Q.shape[0]
+        if n == 0:
+            raise ValueError("Q is empty: an instance needs at least one variable")
         if A.ndim != 2:
             A = A.reshape(-1, n) if A.size else np.zeros((0, n))
         m = A.shape[0]
@@ -67,8 +69,8 @@ class QpInstance:
             raise ValueError(f"Q is not symmetric: |Q - Q'| = {asym:.3e}")
         Q = 0.5 * (Q + Q.T)
 
-        eigs = np.linalg.eigvalsh(Q) if n else np.zeros(0)
-        if n and eigs[0] < -PSD_RTOL * max(np.abs(eigs).max(), 1e-300):
+        eigs = np.linalg.eigvalsh(Q)
+        if eigs[0] < -PSD_RTOL * max(np.abs(eigs).max(), 1e-300):
             raise ValueError(
                 f"Q is not positive semidefinite (min eigenvalue {eigs[0]:.3e})"
             )

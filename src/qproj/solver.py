@@ -5,29 +5,24 @@ Ay + s = b, s >= 0. Each ADMM step solves the regularized KKT system in
 its reduced (normal-equation) form, whose n x n matrix Q + sigma I + rho A'A
 is Cholesky-factored once per value of rho (OSQP, Stellato et al. 2020,
 section 5), so a step costs O(n^2 + mn) however many rows A has. Returns
-both primal and dual solutions; an optional active-set finish refines the
-iterate to machine precision, which matters because downstream gradients
-consume the duals.
+both primal and dual solutions; an optional finish refines the iterate to
+machine precision, which matters because downstream gradients consume the
+duals.
 
-The finish is attempted when the iterate meets the tolerances, every 100
-iterations while the residuals are within POLISH_TRIGGER times them, and once
-on the best iterate when max_iter runs out. When Q passes a gate checked once
-per solve (LAPACK potrf succeeds and the pocon estimate of its reciprocal
-condition number is at least CROSSOVER_RCOND), the finish is a
-Goldfarb-Idnani dual active-set crossover warm-started from the rows the
-duals guess active: it drops every row with a negative multiplier and
-refactors, round by round, then adds violated rows and drops blocking ones
-until no row is violated, and gives up on an infeasible problem or at its
-step cap. It is exact from any guess, so from iteration 100 on it is also
-tried every 100 iterations whatever the residuals. Below the gate (singular
-Q, as in the full portfolio and control problems after equality
-elimination) the heuristic polish runs instead: equality solves on the
-guessed active set that drop negative multipliers, plus a leave-one-out
-"thorough" variant at most every 2,000 iterations. A finished point is kept
-only when its KKT merit meets the tolerances, so a status never comes from
-the finish alone. A finish depends only on the guessed active set (and the
-polish on whether it is thorough), so each solve remembers the ones that
-missed and does not repeat them.
+The finish is a Goldfarb-Idnani dual active-set crossover warm-started from
+the rows the duals guess active. It needs Q to pass a gate checked once per
+solve: LAPACK potrf succeeds and the pocon estimate of its reciprocal
+condition number is at least CROSSOVER_RCOND. Singular Q (the full portfolio
+and control problems after equality elimination, LPs) fails it; there the
+crossover runs on Q + delta I with linear term c - delta y from the current
+iterate y, delta = CROSSOVER_PROX * max(||Q||_1, 1), for up to
+CROSSOVER_PROX_ROUNDS rounds of the proximal point method (Rockafellar 1976).
+The finish is tried when the iterate meets the tolerances, every 100
+iterations while the residuals are within CROSSOVER_TRIGGER times them or
+from iteration 100 on, and once on the best iterate when max_iter runs out.
+A finished point is kept only when its KKT merit meets the tolerances, so a
+status never comes from the finish alone, and an active set whose finish
+missed is not tried again in the same solve.
 
 A non-finite iterate ends the solve with status NumericalError.
 
@@ -49,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs, dtrtrs
 
 from .core import QpInstance, objective
@@ -59,13 +53,13 @@ CHECK_INTERVAL = 25         # termination test cadence
 RHO_INTERVAL = 100          # adaptive rho cadence
 RHO_MIN, RHO_MAX = 1e-6, 1e6
 RHO_REFACTOR_RATIO = 5.0
-POLISH_TRIGGER = 1e3        # try polishing once residuals are this close
-POLISH_DELTA = 1e-9         # regularization of the polish KKT system
-POLISH_LOO_MAX = 24         # leave-one-out rescue only for small active sets
+CROSSOVER_TRIGGER = 1e3     # cross over once residuals are this close
 CROSSOVER_RCOND = 1e-10     # Q better conditioned than this crosses over
 CROSSOVER_DEP_TOL = 1e-10   # relative norm below which a row is dependent
 CROSSOVER_VIOL_TOL = 1e-12  # relative violation that counts as round-off
 CROSSOVER_MAX_STEPS = 4     # crossover steps allowed per variable and row
+CROSSOVER_PROX = 1e-6       # proximal weight for Q below the gate, per ||Q||_1
+CROSSOVER_PROX_ROUNDS = 4   # proximal rounds per finish
 CERT_TOL = 1e-8             # infeasibility certificate tolerance (scaled)
 DIVERGE_NORM = 1e14
 
@@ -189,98 +183,6 @@ def _ruiz_equilibrate(Q, c, A, b, iters=10, reg=1e-8):
         col_q *= g
         gamma *= g
     return Qs, cs, As, bs, d, e, gamma
-
-
-def _active_set_solve(Q, c, A_act, b_act):
-    """Minimize the objective subject to the active rows as equalities,
-    via the null-space method: robust to (nearly) dependent active rows,
-    and conditioned by Q on the null space rather than by the KKT matrix."""
-    n = Q.shape[0]
-    if A_act.shape[0] == 0:
-        x = np.linalg.lstsq(Q + POLISH_DELTA * np.eye(n), -c, rcond=None)[0]
-        # one refinement step against the unregularized system
-        x += np.linalg.lstsq(Q + POLISH_DELTA * np.eye(n), -c - Q @ x,
-                             rcond=None)[0]
-        return x
-    x_p = np.linalg.lstsq(A_act, b_act, rcond=1e-12)[0]
-    z_basis = scipy.linalg.null_space(A_act, rcond=1e-12)
-    if z_basis.shape[1] == 0:
-        return x_p
-    h = z_basis.T @ Q @ z_basis + POLISH_DELTA * np.eye(z_basis.shape[1])
-    g = z_basis.T @ (c + Q @ x_p)
-    w = np.linalg.solve(h, -g)
-    w += np.linalg.solve(h, -g - (h - POLISH_DELTA * np.eye(h.shape[0])) @ w)
-    return x_p + z_basis @ w
-
-
-def _polish(Q, c, A, b, lam, merit_fn, thorough=False):
-    """Active-set polish: equality solve on the constraints guessed active
-    from the duals, with dual recovery by least squares (or NNLS when the
-    plain recovery goes negative, which happens under degeneracy). Rounds
-    drop constraints with negative multipliers; every candidate competes on
-    full KKT merit and the best is returned, or None. `thorough` additionally
-    tries leave-one-out subsets (degenerate active sets), which is reserved
-    for stalls and final attempts because of its cost."""
-    m = A.shape[0]
-    active0 = np.flatnonzero(lam > 0)
-    active = active0
-    best = None
-
-    def consider(y, lam_full):
-        nonlocal best
-        if not np.all(np.isfinite(y)) or not np.all(np.isfinite(lam_full)):
-            return
-        slack = A @ y - b if m else np.zeros(0)
-        viol = max(0.0, slack.max()) if m else 0.0
-        dual = np.abs(Q @ y + c + (A.T @ lam_full if m else 0.0)).max(initial=0.0)
-        compl_res = np.abs(lam_full * slack).max() if m else 0.0
-        score = merit_fn(viol, dual, compl_res)
-        if best is None or score < best[0]:
-            best = (score, y, lam_full)
-
-    def try_subset(subset):
-        A_act, b_act = A[subset], b[subset]
-        try:
-            y = _active_set_solve(Q, c, A_act, b_act)
-        except np.linalg.LinAlgError:
-            return None
-        lam_full = np.zeros(m)
-        if subset.size == 0:
-            consider(y, lam_full)
-            return np.zeros(0)
-        grad = -(Q @ y + c)
-        lam_act = np.linalg.lstsq(A_act.T, grad, rcond=None)[0]
-        lam_full[subset] = np.maximum(lam_act, 0.0)
-        consider(y, lam_full)
-        if (lam_act < -1e-12).any():
-            # degenerate duals: nonnegative recovery at the same primal point
-            lam_nn, _ = scipy.optimize.nnls(A_act.T, grad)
-            lam_full_nn = np.zeros(m)
-            lam_full_nn[subset] = lam_nn
-            consider(y, lam_full_nn)
-        return lam_act
-
-    for _ in range(4):
-        lam_act = try_subset(active)
-        if lam_act is None:
-            break
-        neg = lam_act < -1e-12
-        if not neg.any():
-            break
-        active = active[~neg]
-
-    # nearly dependent active gradients can defeat the rounds above; for
-    # small active sets, leave-one-out search finds the true subset
-    if (thorough and (best is None or best[0] > 1.0)
-            and 2 <= active0.size <= POLISH_LOO_MAX):
-        for drop in range(active0.size):
-            try_subset(np.delete(active0, drop))
-            if best is not None and best[0] <= 1.0:
-                break
-
-    if best is None:
-        return None
-    return best[1], best[2]
 
 
 def _tri(R, v, trans=0):
@@ -430,13 +332,21 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
     yb = np.zeros(m)
 
     best = None   # (merit, x, y, iteration)
-    tried_polish_at = -10**9
-    tried_thorough_at = 0
+    tried_crossover_at = -10**9
     x_last_check = np.zeros(n)
     y_last_check = np.zeros(m)
 
-    missed = set()   # (active set bytes, thorough) pairs whose finish missed
-    q_chol = _crossover_factor(Q) if settings.polish else None
+    missed = set()   # guessed active sets whose finish missed
+    q_prox, delta, q_chol = Q, 0.0, None
+    if settings.polish:
+        q_chol = _crossover_factor(Q)
+        if q_chol is None:
+            # Q + delta I passes the gate for any Q that QpInstance accepts,
+            # since PSD_RTOL is far below CROSSOVER_PROX; the floor of 1
+            # covers Q = 0
+            delta = CROSSOVER_PROX * max(np.abs(Q).sum(axis=0).max(initial=0.0), 1.0)
+            q_prox = Q + delta * np.eye(n)
+            q_chol = _crossover_factor(q_prox)
 
     def merit(viol, dual, compl_res):
         """KKT merit, at most 1 within tolerance; a non-finite residual counts
@@ -459,20 +369,22 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
         _, x, y, _ = best or (None, np.zeros(n), np.zeros(m), 0)
         return finish(x, y, SolveStatus.NUMERICAL_ERROR, k, message=message)
 
-    def polish(lam, thorough, target):
-        """The crossover's (y, lambda), or _polish's when Q fails the
-        crossover gate, if its merit is at most target; else None. Either
-        depends only on the active set of lam (and _polish on thorough), so
-        a pair that missed once is not tried again."""
-        key = (np.flatnonzero(lam > 0).tobytes(), thorough and q_chol is None)
-        if key in missed:
+    def crossover(x, lam, target):
+        """The crossover's (y, lambda) from the iterate (x, lam) if its merit
+        is at most target, else None: one call when Q passes the gate, else
+        up to CROSSOVER_PROX_ROUNDS proximal rounds, each from the last. An
+        active set of lam that missed once is not tried again."""
+        key = np.flatnonzero(lam > 0).tobytes()
+        if q_chol is None or key in missed:
             return None
-        if q_chol is not None:
-            pol = _crossover(Q, c, A, b, lam, chol=q_chol)
-        else:
-            pol = _polish(Q, c, A, b, lam, merit, thorough=thorough)
-        if pol is not None and merit(*kkt_residuals(inst, *pol)) <= target:
-            return pol
+        pol = (x, lam)
+        for _ in range(CROSSOVER_PROX_ROUNDS if delta else 1):
+            c_prox = c - delta * pol[0] if delta else c
+            pol = _crossover(q_prox, c_prox, A, b, pol[1], chol=q_chol)
+            if pol is None:
+                break
+            if merit(*kkt_residuals(inst, *pol)) <= target:
+                return pol
         missed.add(key)
         return None
 
@@ -510,26 +422,21 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
             best = (cur, x.copy(), y.copy(), k)
 
         if cur <= 1.0:
-            pol = polish(y, False, cur) if settings.polish else None
+            pol = crossover(x, y, cur)
             if pol is not None:
                 return finish(pol[0], pol[1], SolveStatus.SOLVED, k)
             return finish(x, y, SolveStatus.SOLVED, k)
 
         # early finish, at most every 100 iterations: once the residuals are
-        # close, and for the crossover, which is exact from any guess, also
-        # from iteration 100 on whatever the residuals; long stalls in the
-        # trigger zone earn a thorough (leave-one-out) polish
+        # close, and from iteration 100 on whatever the residuals
         if (
-            settings.polish
-            and k - tried_polish_at >= 100
-            and ((q_chol is not None and k >= 100)
-                 or (viol <= POLISH_TRIGGER * eps_pri and dual <= POLISH_TRIGGER * eps_dua))
+            q_chol is not None
+            and k - tried_crossover_at >= 100
+            and (k >= 100
+                 or (viol <= CROSSOVER_TRIGGER * eps_pri and dual <= CROSSOVER_TRIGGER * eps_dua))
         ):
-            tried_polish_at = k
-            thorough = k - tried_thorough_at >= 2000
-            if thorough:
-                tried_thorough_at = k
-            pol = polish(y, thorough, 1.0)
+            tried_crossover_at = k
+            pol = crossover(x, y, 1.0)
             if pol is not None:
                 return finish(pol[0], pol[1], SolveStatus.SOLVED, k)
 
@@ -587,7 +494,7 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
                 chol = _factor(Qs, As, settings.sigma, rho)
 
     _, xbest, ybest, kb = best
-    pol = polish(ybest, True, 1.0) if settings.polish else None
+    pol = crossover(xbest, ybest, 1.0)
     if pol is not None:
         return finish(pol[0], pol[1], SolveStatus.SOLVED, settings.max_iter)
     return finish(

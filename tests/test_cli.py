@@ -200,3 +200,14 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gen-data" in proc.stdout
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize served only the NNLS of the old polish finish, and
+    # importing it cost about 20 MB of peak memory in every command
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import qproj.cli, qproj.solver, sys; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -162,11 +162,11 @@ def test_bad_checkpoint_rejected(tmp_path, case, capsys):
 
 
 def test_reference_optimum_must_be_solved(tmp_path, capsys):
-    # a full solve cut at max_iter=10 ends MaxIterReached at u = -0.9438
-    # (the optimum is -0.8930); eval took it as u* and scored rand 0.855
-    # against it
+    # a full solve cut at max_iter=10 without the crossover finish ends
+    # MaxIterReached at u = -0.9438 (the optimum is -0.8930); eval took it
+    # as u* and scored rand 0.855 against it
     inst = generate_instance("control", {"s": 5, "v": 5, "t": 3}, 0)
-    settings = SolverSettings(max_iter=10)
+    settings = SolverSettings(max_iter=10, polish=False)
     assert solve_qp(inst, settings).status is SolveStatus.MAX_ITER_REACHED
     with pytest.raises(ValueError, match="MaxIterReached, not Solved"):
         evaluate_method(RandMethod(5), [inst], settings=settings, timing_repeats=0)
@@ -185,8 +185,33 @@ def test_reference_optimum_must_be_solved(tmp_path, capsys):
                  "--v", "5", "--t", "3", "--train", "1", "--val", "1",
                  "--test", "1", "--base-seed", "0"]) == 0
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"solver": {"max_iter": 10}}))
+    config.write_text(json.dumps({"solver": {"max_iter": 10, "polish": False}}))
     assert main(["--config", str(config), "--out", str(tmp_path / "eval"), "eval",
                  "--manifest", str(data / "manifest.json"), "--split", "train",
                  "--method", "rand", "--k", "5", "--timing-repeats", "0"]) == 2
     assert "control-train-0000 ended MaxIterReached" in capsys.readouterr().err
+
+
+def test_empty_instance_rejected(tmp_path, capsys):
+    # n = m = 0 passed validation and crashed LAPACK inside the solver
+    with pytest.raises(ValueError, match="at least one variable"):
+        QpInstance(Q=np.zeros((0, 0)), c=[], A=np.zeros((0, 0)), b=[])
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"n": 0, "m": 0, "Q": [], "c": [], "A": [], "b": []}))
+    assert main(["solve", "--instance", str(path)]) == 2
+    assert "at least one variable" in capsys.readouterr().err
+
+
+# each used to escape SolverSettings(**section) as a TypeError (exit code 1)
+@pytest.mark.parametrize("section, key", [
+    ({"bogus": 1}, "'bogus'"),
+    ([1], "'solver'"),
+    ({"max_iter": "10"}, "'max_iter'"),
+])
+def test_bad_solver_config_rejected(tmp_path, capsys, section, key):
+    path = tmp_path / "inst.json"
+    save_instance(random_pd_instance(np.random.default_rng(34), 3, 4), path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"solver": section}))
+    assert main(["--config", str(config), "solve", "--instance", str(path)]) == 2
+    assert key in capsys.readouterr().err

@@ -214,7 +214,7 @@ def test_step_matches_kkt_system_across_rho_refactorization(monkeypatch):
 def _singular_reduced_reg500():
     """The reduced problem of gen_regression(500, 50, seed=0) under
     init_params(0, k=30), with the direction of the smallest eigenvalue of
-    Q removed: singular, so it fails the crossover gate and polishes."""
+    Q removed: singular, so it fails the crossover gate."""
     inst = gen_regression(500, 50, seed=0)
     proj, _ = forward(init_params(0, k=30), inst, 30)
     red = project(inst, proj)
@@ -223,23 +223,24 @@ def _singular_reduced_reg500():
     return QpInstance(Q=0.5 * (q + q.T), c=red.c, A=red.A, b=red.b)
 
 
-def test_polish_never_repeats_a_missed_active_set(monkeypatch):
-    # a polish depends only on (active set, thorough); a solve that stalls
-    # in the trigger zone used to repeat the same missed pair every 100
-    # iterations. The polish is made to miss so that ADMM runs to tolerance.
+def test_crossover_never_repeats_a_missed_active_set(monkeypatch):
+    # a finish is memoized by the guessed active set; a solve that stalls in
+    # the trigger zone used to repeat the same missed guess every 100
+    # iterations. The crossover is made to miss so that ADMM runs to
+    # tolerance.
     inst = _singular_reduced_reg500()
     assert solver._crossover_factor(inst.Q) is None
-    pairs = []
+    guesses = []
 
-    def missing_polish(Q, c, A, b, lam, merit_fn, thorough=False):
-        pairs.append((np.flatnonzero(lam > 0).tobytes(), thorough))
+    def missing_crossover(Q, c, A, b, lam, chol=None):
+        guesses.append(np.flatnonzero(lam > 0).tobytes())
         return None
 
-    monkeypatch.setattr(solver, "_polish", missing_polish)
+    monkeypatch.setattr(solver, "_crossover", missing_crossover)
     res = solve_qp(inst)
     assert res.status is SolveStatus.SOLVED
-    assert len(pairs) > 1
-    assert len(set(pairs)) == len(pairs)
+    assert len(guesses) > 1
+    assert len(set(guesses)) == len(guesses)
 
 
 def _reduced_reg500(seed):
@@ -313,33 +314,76 @@ def test_crossover_start_refactors_once_per_round(monkeypatch):
     assert np.count_nonzero(lam) == 256
 
 
-@pytest.mark.parametrize("family, sizes, seed, iterations", [
-    ("portfolio", {"n": 100}, 1, 50),       # singular Q that passes potrf
-    ("portfolio", {"n": 100}, 2, 75),
-    ("control", {"s": 10, "v": 10, "t": 5}, 0, 125),   # potrf fails
-])
-def test_crossover_gate_keeps_the_polish_path(monkeypatch, family, sizes, seed, iterations):
+@pytest.mark.parametrize("family, sizes, seed, iterations, u_star", [
+    ("portfolio", {"n": 100}, 1, 50, -0.45875358656486454),   # passes potrf
+    ("portfolio", {"n": 100}, 2, 75, -0.4419941774607872),
+    ("control", {"s": 10, "v": 10, "t": 5}, 0, 100, -1.3284868947028494),  # potrf fails
+], ids=["portfolio-1", "portfolio-2", "control-0"])
+def test_singular_full_solves_cross_over(monkeypatch, family, sizes, seed, iterations, u_star):
+    # singular Q fails the gate, so the crossover runs on Q + delta I in
+    # proximal rounds; the optima are those of the heuristic polish that
+    # finished these solves before, control seed 0 at iteration 125
     from qproj.datasets import generate_instance
 
     inst = generate_instance(family, sizes, seed)
     assert solver._crossover_factor(inst.Q) is None
-    calls = []
+    outputs = []
 
     def recording_crossover(*args, **kwargs):
-        calls.append(None)
-        return real_crossover(*args, **kwargs)
+        outputs.append(real_crossover(*args, **kwargs))
+        return outputs[-1]
 
     real_crossover = solver._crossover
     monkeypatch.setattr(solver, "_crossover", recording_crossover)
     res = solve_qp(inst)
-    assert calls == []
-    # the same bytes as with the crossover switched off altogether
-    monkeypatch.setattr(solver, "CROSSOVER_RCOND", np.inf)
-    ref = solve_qp(inst)
-    assert (res.status, res.iterations) == (SolveStatus.SOLVED, iterations)
-    assert (ref.status, ref.iterations) == (res.status, res.iterations)
-    assert res.y_star.tobytes() == ref.y_star.tobytes()
-    assert res.lambda_star.tobytes() == ref.lambda_star.tobytes()
+    assert res.status is SolveStatus.SOLVED
+    assert res.iterations <= iterations
+    assert res.y_star.tobytes() == outputs[-1][0].tobytes()
+    assert res.objective == pytest.approx(u_star, rel=1e-12, abs=0.0)
+
+
+def _singular_box_instance(rng, n, rank, m_extra):
+    """A QP with Q of the given rank (0: an LP), a box |y_i| <= u_i and
+    m_extra random rows that keep a random point of the box feasible."""
+    B = rng.normal(size=(n, rank))
+    A_rand = rng.normal(size=(m_extra, n))
+    u = rng.uniform(0.5, 2.0, size=n)
+    x0 = rng.uniform(-0.5, 0.5, size=n) * u
+    A = np.vstack([np.eye(n), -np.eye(n), A_rand])
+    b = np.concatenate([u, u, A_rand @ x0 + rng.uniform(0.0, 1.0, size=m_extra)])
+    return QpInstance(Q=B @ B.T, c=rng.normal(size=n) * 2.0, A=A, b=b)
+
+
+def test_singular_qps_and_lps_match_brute_force_oracle():
+    # rank 0 (LPs) to n - 1: Q fails the crossover gate, and the proximal
+    # crossover finishes every solve by iteration 100; the heuristic polish
+    # it replaced needed up to 1,125 iterations
+    for trial in range(60):
+        rng = np.random.default_rng(trial)
+        n = int(rng.integers(2, 6))
+        inst = _singular_box_instance(rng, n, trial % n, int(rng.integers(0, 4)))
+        assert solver._crossover_factor(inst.Q) is None, trial
+        res = solve_qp(inst)
+        assert res.status is SolveStatus.SOLVED, trial
+        assert res.iterations <= 100, trial
+        ref, _ = brute_force_min(inst.Q, inst.c, inst.A, inst.b)
+        assert res.objective == pytest.approx(ref, rel=1e-7, abs=1e-12), trial
+
+
+def test_singular_unbounded_and_infeasible_problems_end_by_certificate():
+    # the proximal subproblems are bounded and feasible-or-not like the
+    # original; neither may turn into a Solved
+    unbounded = QpInstance(Q=np.diag([1.0, 0.0, 0.0]), c=[1.0, -1.0, 0.5],
+                           A=[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]],
+                           b=[1.0, 1.0, 3.0])
+    lp = QpInstance(Q=np.zeros((2, 2)), c=[1.0, 0.0],
+                    A=[[1.0, 1.0], [-1.0, -1.0], [0.0, 1.0]], b=[1.0, -2.0, 5.0])
+    for inst, status in ((unbounded, SolveStatus.DUAL_INFEASIBLE),
+                         (lp, SolveStatus.PRIMAL_INFEASIBLE)):
+        assert solver._crossover_factor(inst.Q) is None
+        res = solve_qp(inst)
+        assert res.status is status
+        assert "certificate" in res.message
 
 
 def test_crossover_on_infeasible_problems(monkeypatch):
