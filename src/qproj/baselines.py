@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProjectionMatrix, QpInstance, project
+from .core import ProjectionMatrix, QpInstance
 from .gnn import (
     ModelParams,
     backward,
@@ -17,13 +17,14 @@ from .gnn import (
     init_params,
     orthonormalize,
 )
-from .solver import SolveStatus, solve_qp
+from .solver import SolveStatus
 from .training import (
     TrainConfig,
     adam_fit,
     envelope_grad,
     penalized_total,
     projected_score,
+    warm_solver,
 )
 from .evaluate import SolutionCache, score
 
@@ -121,13 +122,14 @@ def sharedp_train(train_set, val_set, k: int, config: TrainConfig) -> SharedProj
     n = ns.pop()
     cache = SolutionCache(settings=config.solver)
     u_stars_val = [cache.u_star(inst) for inst in val_set]
+    solve = warm_solver(config.solver)
 
     def batch_grad(vec, batch):
         P = vec.reshape(n, k)
         grad = np.zeros((n, k))
         for idx in batch:
             inst = train_set[int(idx)]
-            res = solve_qp(project(inst, ProjectionMatrix(P=P)), config.solver)
+            res = solve(("train", int(idx)), inst, ProjectionMatrix(P=P))
             if res.status is not SolveStatus.SOLVED:
                 continue
             grad += envelope_grad(inst, P, res.y_star, res.lambda_star)
@@ -139,8 +141,8 @@ def sharedp_train(train_set, val_set, k: int, config: TrainConfig) -> SharedProj
     def val_loss(vec):
         P = vec.reshape(n, k)
         return penalized_total([
-            projected_score(inst, adapt_projection(P, inst.n_vars), u_star, config.solver)
-            for inst, u_star in zip(val_set, u_stars_val)])
+            projected_score(inst, adapt_projection(P, inst.n_vars), u_star, solve, ("val", i))
+            for i, (inst, u_star) in enumerate(zip(val_set, u_stars_val))])
 
     # start from a coordinate selection: on families with sign-constrained
     # variables a dense random subspace pins the reduced optimum at zero,

@@ -317,7 +317,18 @@ def instance_to_dict(inst: QpInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> QpInstance:
-    n, m = int(d["n"]), int(d["m"])
+    """The instance of an instance_to_dict document. A document that is not a
+    mapping, a size that is not a non-negative integer or a meta that is not
+    a mapping raises ValueError naming the field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"an instance must be a JSON object, got {type(d).__name__}")
+    n, m = d["n"], d["m"]
+    for name, size in (("n", n), ("m", m)):
+        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+            raise ValueError(f"instance field {name!r} must be a non-negative integer, "
+                             f"got {size!r}")
+    if not isinstance(d.get("meta", {}), dict):
+        raise ValueError(f"instance field 'meta' must be a JSON object, got {d['meta']!r}")
     return QpInstance(
         Q=np.asarray(d["Q"], dtype=np.float64).reshape(n, n),
         c=np.asarray(d["c"], dtype=np.float64),

@@ -102,6 +102,9 @@ def portfolio_eq_instance(n: int, seed: int) -> tuple[EqQpInstance, np.ndarray]:
 
 
 def gen_portfolio(n: int = 500, seed: int = 0) -> QpInstance:
+    if n < 2:
+        # the budget row leaves n - 1 free variables after elimination
+        raise ValueError(f"portfolio needs n >= 2, got n={n}")
     eq, u0 = portfolio_eq_instance(n, seed)
     inst, rec = eliminate_eq_nullspace(eq, u0)
     inst = QpInstance(

@@ -414,8 +414,13 @@ def _sweep_cells(spec):
         manifest = DatasetManifest.load(path)
         return manifest.family, manifest.load_split("test")
 
+    sweeps = spec.get("sweeps", [])
+    if not isinstance(sweeps, list):
+        raise ValueError(f"experiment spec key 'sweeps' must be a list, got {sweeps!r}")
     out = []
-    for si, sweep in enumerate(spec.get("sweeps", [])):
+    for si, sweep in enumerate(sweeps):
+        if not isinstance(sweep, dict):
+            raise ValueError(f"experiment spec sweeps[{si}] must be an object, got {sweep!r}")
         stype = sweep["type"]
         sname = sweep.get("name", f"{stype}-{si}")
         methods = sweep.get("methods", [])
@@ -469,6 +474,8 @@ def run_experiment(spec, out_dir) -> dict:
     if isinstance(spec, (str, os.PathLike)):
         with open(spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"an experiment spec must be a JSON object, got {type(spec).__name__}")
     cells = _sweep_cells(spec)
     os.makedirs(out_dir, exist_ok=True)
     settings = SolverSettings(**spec.get("solver", {}))

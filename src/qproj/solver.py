@@ -24,6 +24,13 @@ A finished point is kept only when its KKT merit meets the tolerances, so a
 status never comes from the finish alone, and an active set whose finish
 missed is not tried again in the same solve.
 
+A caller that solves a sequence of nearby problems (training re-solves each
+instance every epoch under a slightly different projection) can pass the
+last duals as a guess. When Q passes the gate the finish is tried from the
+guessed active set before ADMM is even set up; a guess that meets the
+tolerances ends the solve at iteration 0, one that misses is memoized like
+any other, and ADMM then runs exactly as without a guess.
+
 A non-finite iterate ends the solve with status NumericalError.
 
 The returned result is declared Solved only when the iterate satisfies,
@@ -82,12 +89,14 @@ class SolverSettings:
     polish: bool = True
 
     def __post_init__(self):
-        if self.eps_abs <= 0 or self.eps_rel <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("eps_abs", "eps_rel", "rho", "sigma"):
+            value = getattr(self, name)
+            # a NaN fails every comparison, so test for the good case
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"solver setting {name!r} must be finite and positive, "
+                                 f"got {value!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.rho <= 0 or self.sigma <= 0:
-            raise ValueError("rho and sigma must be positive")
 
 
 @dataclass
@@ -307,35 +316,32 @@ def _crossover(Q, c, A, b, lam, chol=None):
     return y, lam_out
 
 
-def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveResult:
+def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
+             guess=None) -> SolveResult:
     """Solve an inequality-form convex QP, returning primal and dual solutions.
 
     Q is assumed PSD (validated when the QpInstance was constructed).
     MaxIterReached / infeasibility / failed-factorization (NumericalError)
     outcomes are reported in the status, never raised.
+
+    guess, m duals of a nearby problem, is tried as described in the
+    module docstring; one of another shape or with a non-finite entry
+    raises ValueError.
     """
     if settings is None:
         settings = SolverSettings()
     Q, c, A, b = inst.Q, inst.c, inst.A, inst.b
     n, m = inst.n_vars, inst.n_cons
+    if guess is not None:
+        guess = np.asarray(guess, dtype=np.float64)
+        if guess.shape != (m,) or not np.isfinite(guess).all():
+            raise ValueError(f"guess must be a finite vector of {m} duals")
 
     eps_pri = settings.eps_abs + settings.eps_rel * np.abs(b).max(initial=0.0)
     eps_dua = settings.eps_abs + settings.eps_rel * np.abs(c).max(initial=0.0)
     eps_compl = 10.0 * eps_pri
 
-    Qs, cs, As, bs, d_sc, e_sc, gamma = _ruiz_equilibrate(Q, c, A, b)
-    rho = settings.rho
-    chol = _factor(Qs, As, settings.sigma, rho)
-
-    xb = np.zeros(n)       # scaled-space iterates
-    zb = np.zeros(m)
-    yb = np.zeros(m)
-
     best = None   # (merit, x, y, iteration)
-    tried_crossover_at = -10**9
-    x_last_check = np.zeros(n)
-    y_last_check = np.zeros(m)
-
     missed = set()   # guessed active sets whose finish missed
     q_prox, delta, q_chol = Q, 0.0, None
     if settings.polish:
@@ -387,6 +393,25 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
                 return pol
         missed.add(key)
         return None
+
+    # below the gate the proximal rounds start from a primal iterate, which a
+    # guess lacks, so there the guess is ignored
+    if guess is not None and q_chol is not None and not delta:
+        pol = crossover(None, guess, 1.0)
+        if pol is not None:
+            return finish(pol[0], pol[1], SolveStatus.SOLVED, 0)
+
+    Qs, cs, As, bs, d_sc, e_sc, gamma = _ruiz_equilibrate(Q, c, A, b)
+    rho = settings.rho
+    chol = _factor(Qs, As, settings.sigma, rho)
+
+    xb = np.zeros(n)       # scaled-space iterates
+    zb = np.zeros(m)
+    yb = np.zeros(m)
+
+    tried_crossover_at = -10**9
+    x_last_check = np.zeros(n)
+    y_last_check = np.zeros(m)
 
     a_scale = max(1.0, np.abs(A).max(initial=0.0))
     b_scale = max(1.0, np.abs(b).max(initial=0.0))

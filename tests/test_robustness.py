@@ -207,6 +207,12 @@ def test_empty_instance_rejected(tmp_path, capsys):
     ({"bogus": 1}, "'bogus'"),
     ([1], "'solver'"),
     ({"max_iter": "10"}, "'max_iter'"),
+    # NaN tolerances ran 20,000 iterations to MaxIterReached, and a NaN rho
+    # ended NumericalError; both exited 0
+    ({"eps_abs": float("nan")}, "'eps_abs'"),
+    ({"eps_rel": float("nan")}, "'eps_rel'"),
+    ({"rho": float("nan")}, "'rho'"),
+    ({"sigma": float("inf")}, "'sigma'"),
 ])
 def test_bad_solver_config_rejected(tmp_path, capsys, section, key):
     path = tmp_path / "inst.json"
@@ -215,3 +221,40 @@ def test_bad_solver_config_rejected(tmp_path, capsys, section, key):
     config.write_text(json.dumps({"solver": section}))
     assert main(["--config", str(config), "solve", "--instance", str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+# each escaped instance_from_dict as a TypeError (exit code 1)
+@pytest.mark.parametrize("doc, message", [
+    ([1], "must be a JSON object"),
+    ({"n": None, "m": 0, "Q": [1.0], "c": [0.0], "A": [], "b": []}, "'n'"),
+    ({"n": 1, "m": "0", "Q": [1.0], "c": [0.0], "A": [], "b": []}, "'m'"),
+    ({"n": 1, "m": 0, "Q": [1.0], "c": [0.0], "A": [], "b": [], "meta": [1]}, "'meta'"),
+], ids=["list", "n-null", "m-string", "meta-list"])
+def test_malformed_instance_file_rejected(tmp_path, capsys, doc, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+# a spec that is a list ended in an AttributeError and a sweep that is not a
+# mapping in a TypeError (exit code 1)
+@pytest.mark.parametrize("spec, message", [
+    ([1], "must be a JSON object"),
+    ({"sweeps": ["x"]}, "sweeps[0]"),
+    ({"sweeps": 5}, "'sweeps'"),
+], ids=["list", "sweep-string", "sweeps-number"])
+def test_malformed_experiment_spec_rejected(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--out", str(tmp_path / "exp"), "experiment", "--spec", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_gen_data_below_the_smallest_portfolio_rejected(tmp_path, capsys):
+    # n = 1 leaves no variable after the budget row is eliminated; it ended
+    # in an IndexError (exit code 1)
+    assert main(["--out", str(tmp_path / "d"), "gen-data", "--family", "portfolio",
+                 "--n", "1", "--train", "1", "--val", "1", "--test", "1"]) == 2
+    assert "n >= 2" in capsys.readouterr().err

@@ -117,6 +117,15 @@ def test_settings_validation():
         SolverSettings(rho=-1.0)
 
 
+# a NaN passed the old `<= 0` tests: NaN tolerances ran all 20,000
+# iterations to MaxIterReached, a NaN rho ended in NumericalError
+@pytest.mark.parametrize("name", ["eps_abs", "eps_rel", "rho", "sigma"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_settings_reject_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"'{name}' must be finite and positive"):
+        SolverSettings(**{name: value})
+
+
 def test_infeasibility_agrees_with_lp_oracle():
     # random subspace restrictions of feasible QPs are sometimes infeasible;
     # the status must agree with an independent LP feasibility check
@@ -450,3 +459,77 @@ def test_crossover_matches_brute_force_oracle():
         assert lam.min() >= 0.0
         many_active += np.sum(np.abs(inst.A @ y - inst.b) <= 1e-9 * scale) > n
     assert many_active >= 20
+
+
+def _guess_cases():
+    """(instance, label) pairs whose Q passes the crossover gate: random
+    strictly convex QPs and a reduced portfolio problem."""
+    from qproj.datasets import generate_instance
+
+    rng = np.random.default_rng(12)
+    cases = [(random_pd_instance(rng, int(rng.integers(2, 9)), int(rng.integers(1, 15))),
+              f"random {i}") for i in range(12)]
+    inst = generate_instance("portfolio", {"n": 30}, 0)
+    proj, _ = forward(init_params(0, h=8, l=2, k=6, h_g=8), inst, 6)
+    cases.append((project(inst, proj), "reduced portfolio"))
+    return cases
+
+
+def test_a_right_guess_lands_at_iteration_0():
+    # the duals of the cold solve guess its own active set exactly
+    for inst, label in _guess_cases():
+        cold = solve_qp(inst)
+        warm = solve_qp(inst, guess=cold.lambda_star)
+        assert (warm.status, warm.iterations) == (SolveStatus.SOLVED, 0), label
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12), label
+
+
+def test_wrong_guesses_still_give_the_cold_optimum():
+    # every row, no row and random rows guessed active: the crossover is exact
+    # from any guess, and a miss falls back to the unchanged ADMM solve
+    rng = np.random.default_rng(13)
+    landed = 0
+    for inst, label in _guess_cases():
+        cold = solve_qp(inst)
+        assert cold.status is SolveStatus.SOLVED, label
+        m = inst.n_cons
+        for guess in (np.ones(m), np.zeros(m), rng.normal(size=m)):
+            res = solve_qp(inst, guess=guess)
+            assert res.status is SolveStatus.SOLVED, label
+            assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12), label
+            viol, dual, compl_res = kkt_residuals(inst, res.y_star, res.lambda_star)
+            eps = 1e-8 + 1e-8 * max(np.abs(inst.b).max(), np.abs(inst.c).max())
+            assert max(viol, dual, compl_res / 10.0) <= eps, label
+            landed += res.iterations == 0
+    assert landed > 0
+
+
+def test_a_guess_of_the_wrong_shape_or_not_finite_raises():
+    inst = random_pd_instance(np.random.default_rng(14), 4, 6)
+    for guess in (np.zeros(5), np.zeros(7), np.zeros((6, 1)), [0.0, 1.0, np.nan, 0.0, 0.0, 0.0],
+                  np.full(6, np.inf)):
+        with pytest.raises(ValueError, match="guess"):
+            solve_qp(inst, guess=guess)
+
+
+def _same_result(a, b):
+    return (a.status, a.iterations, a.message, a.objective, a.y_star.tobytes(),
+            a.lambda_star.tobytes()) == (b.status, b.iterations, b.message, b.objective,
+                                         b.y_star.tobytes(), b.lambda_star.tobytes())
+
+
+def test_a_guess_is_ignored_without_the_finish_or_below_the_gate():
+    # with polish=False there is no finish to try; below the gate (singular Q)
+    # the proximal rounds need a primal iterate, which a guess does not give
+    rng = np.random.default_rng(15)
+    inst = random_pd_instance(rng, 6, 9)
+    settings = SolverSettings(polish=False)
+    cold = solve_qp(inst, settings)
+    for guess in (cold.lambda_star, np.ones(9), rng.normal(size=9)):
+        assert _same_result(solve_qp(inst, settings, guess=guess), cold)
+    for trial in range(4):
+        inst = _singular_box_instance(rng, 4, trial, 2)
+        assert solver._crossover_factor(inst.Q) is None
+        cold = solve_qp(inst)
+        for guess in (cold.lambda_star, np.ones(inst.n_cons)):
+            assert _same_result(solve_qp(inst, guess=guess), cold), trial

@@ -208,3 +208,34 @@ def test_train_report_csv(tmp_path):
     assert lines[0] == "epoch,train_loss,val_loss,failures,seconds"
     assert len(lines) == 3
     assert all(line.split(",")[4] == "0.0" for line in lines[1:])
+
+
+@pytest.mark.parametrize("family, sizes", [
+    ("portfolio", {"n": 40}),
+    ("control", {"s": 4, "v": 4, "t": 5}),
+])
+def test_train_warm_starts_every_solve_after_the_first_epoch(monkeypatch, family, sizes):
+    # each instance's reduced solve is guessed from its duals of the last
+    # epoch; the reduced rows are A P row for row, so from epoch 2 on every
+    # guess lands and no ADMM iteration runs
+    from qproj import training
+    from qproj.datasets import generate_instance
+
+    n_train, n_val, epochs = 12, 4, 3
+    sets = [generate_instance(family, sizes, seed) for seed in range(n_train + n_val)]
+    real_solve, solves = training.solve_qp, []
+
+    def counting_solve(inst, settings=None, guess=None):
+        res = real_solve(inst, settings, guess=guess)
+        solves.append((guess is not None, res.status, res.iterations))
+        return res
+
+    monkeypatch.setattr(training, "solve_qp", counting_solve)
+    cfg = TrainConfig(k=10, batch_size=4, max_epochs=epochs, hidden=8, layers=2,
+                      head_hidden=8, record_timings=False)
+    _, report = train(sets[:n_train], sets[n_train:], cfg)
+    assert report.failures == [0] * epochs
+    first = n_train + n_val
+    assert len(solves) == epochs * first
+    assert not any(guessed for guessed, _, _ in solves[:first])
+    assert solves[first:] == [(True, SolveStatus.SOLVED, 0)] * (len(solves) - first)
