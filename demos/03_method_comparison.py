@@ -35,14 +35,14 @@ shared_cfg = TrainConfig(k=K, batch_size=8, max_epochs=25, learning_rate=2e-2,
                          seed=0)
 shared = sharedp_train(train_set, val_set, K, shared_cfg)
 direct_cfg = TrainConfig(k=1, batch_size=8, max_epochs=10, seed=0)
-direct_model = direct_train(train_set, val_set, direct_cfg, cache=cache)
+direct_params, _ = direct_train(train_set, val_set, direct_cfg, cache=cache)
 
 methods = [
     OursMethod(ours_params),
     RandMethod(K, base_seed=0),
     FixedProjectionMethod(pca_projection(sols, K).P, "pca"),
     FixedProjectionMethod(shared.P, "sharedp"),
-    DirectMethod(direct_model),
+    DirectMethod(direct_params),
     FullMethod(),
 ]
 

@@ -46,8 +46,6 @@ from .training import (
     validation_loss,
 )
 from .baselines import (
-    DirectModel,
-    SharedProjection,
     direct_train,
     pca_projection,
     rand_projection,

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProjectionMatrix, QpInstance
+from .core import ProjectionMatrix, QpInstance, float_array, int_field, objective
 from .gnn import (
     ModelParams,
     backward,
@@ -95,24 +94,7 @@ def _orthonormal_columns(M) -> np.ndarray:
     return q
 
 
-@dataclass
-class SharedProjection:
-    """One projection matrix shared across instances of a family."""
-
-    P: np.ndarray
-    n_train: int
-
-
-@dataclass
-class DirectModel:
-    """GNN backbone with a single-output head; the raw head column is the
-    predicted solution. No feasibility repair is applied."""
-
-    params: ModelParams
-    lambda_pen: float
-
-
-def sharedp_train(train_set, val_set, k: int, config: TrainConfig) -> SharedProjection:
+def sharedp_train(train_set, val_set, k: int, config: TrainConfig) -> ProjectionMatrix:
     """Optimize one shared orthonormal matrix with the same Adam + envelope
     gradient loop used for the generator; re-orthonormalize by QR after each
     step and keep the best validation epoch."""
@@ -150,7 +132,7 @@ def sharedp_train(train_set, val_set, k: int, config: TrainConfig) -> SharedProj
     P0 = rand_projection(n, k, config.seed).P
     best, _, _ = adam_fit(P0.ravel(), len(train_set), config, batch_grad, val_loss,
                           reorthonormalize)
-    return SharedProjection(P=best.reshape(n, k), n_train=n)
+    return ProjectionMatrix(P=best.reshape(n, k))
 
 
 DIRECT_PENALTY_GRID = (1e-1, 1.0, 10.0, 1e2)
@@ -173,9 +155,11 @@ def direct_loss_grad(inst: QpInstance, x, x_star, lambda_pen: float):
 
 
 def direct_train(train_set, val_set, config: TrainConfig,
-                 cache: SolutionCache | None = None) -> DirectModel:
-    """Supervised training on precomputed optima, with the penalty weight
-    selected from a fixed grid by validation loss."""
+                 cache: SolutionCache | None = None) -> tuple[ModelParams, float]:
+    """Supervised training on precomputed optima of a GNN backbone with a
+    single-output head, whose raw column is the predicted solution (no
+    feasibility repair). The penalty weight is selected from a fixed grid by
+    validation loss; returns (params, penalty weight)."""
     cache = cache or SolutionCache(settings=config.solver)
     x_stars = [np.asarray(e["x_star"]) for e in cache.warm(train_set)]
     u_stars_val = [cache.u_star(inst) for inst in val_set]
@@ -184,12 +168,9 @@ def direct_train(train_set, val_set, config: TrainConfig,
 
     def val_loss(vec):
         params = template.from_vector(vec)
-        scores = []
-        for inst, u_star in zip(val_set, u_stars_val):
-            x = forward_raw(params, inst)[0][:, 0]
-            u_hat = 0.5 * x @ (inst.Q @ x) + inst.c @ x + inst.constant
-            scores.append(score(inst, x, u_hat, u_star))
-        return penalized_total(scores)
+        xs = [forward_raw(params, inst)[0][:, 0] for inst in val_set]
+        return penalized_total([score(inst, x, objective(inst, x), u_star)
+                                for inst, x, u_star in zip(val_set, xs, u_stars_val)])
 
     best = (np.inf, None, None)
     for lambda_pen in DIRECT_PENALTY_GRID:
@@ -210,47 +191,30 @@ def direct_train(train_set, val_set, config: TrainConfig,
         if val < best[0]:
             best = (val, vec, lambda_pen)
 
-    return DirectModel(params=template.from_vector(best[1]), lambda_pen=best[2])
+    return template.from_vector(best[1]), best[2]
 
 
 # ---------------------------------------------------------------------------
-# Baseline artifacts: JSON alongside model checkpoints, with a method tag.
+# Projection files (PCA and SharedP): JSON {"method", "n_train", "k", "P"}
+# with P row-major. The direct model is stored as a model checkpoint.
 
-def save_artifact(path, obj) -> None:
-    if isinstance(obj, SharedProjection):
-        doc = {"method": "sharedp", "n_train": obj.n_train,
-               "k": obj.P.shape[1], "P": obj.P.ravel().tolist()}
-    elif isinstance(obj, ProjectionMatrix):
-        doc = {"method": "pca", "n_train": obj.n, "k": obj.k,
-               "P": obj.P.ravel().tolist()}
-    elif isinstance(obj, DirectModel):
-        from .gnn import ModelParams as MP
-        doc = {"method": "direct", "lambda_pen": obj.lambda_pen,
-               "hidden": obj.params.hidden, "layers": obj.params.layers,
-               "head_hidden": obj.params.head_hidden,
-               "params": {f: getattr(obj.params, f).ravel().tolist()
-                          for f in MP._FIELDS}}
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+PROJECTION_METHODS = ("pca", "sharedp")
+
+
+def save_projection(path, proj: ProjectionMatrix, method: str) -> None:
+    doc = {"method": method, "n_train": proj.n, "k": proj.k, "P": proj.P.ravel().tolist()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, allow_nan=False))
 
 
-def load_artifact(path):
+def load_projection(path) -> ProjectionMatrix:
+    """The projection of a save_projection file. Any other document, or a P
+    that is not an orthonormal n_train x k matrix, raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    method = doc.get("method")
-    if method in ("pca", "sharedp"):
-        P = np.asarray(doc["P"], dtype=np.float64).reshape(doc["n_train"], doc["k"])
-        if method == "pca":
-            return ProjectionMatrix(P=P)
-        return SharedProjection(P=P, n_train=doc["n_train"])
-    if method == "direct":
-        template = init_params(0, h=doc["hidden"], l=doc["layers"], k=1,
-                               h_g=doc["head_hidden"])
-        fields = {f: np.asarray(doc["params"][f], dtype=np.float64)
-                  .reshape(getattr(template, f).shape)
-                  for f in ModelParams._FIELDS}
-        return DirectModel(params=ModelParams(**fields),
-                           lambda_pen=doc["lambda_pen"])
-    raise ValueError(f"unknown artifact method {method!r}")
+    method = doc.get("method") if isinstance(doc, dict) else None
+    if method not in PROJECTION_METHODS:
+        raise ValueError(f"{path}: not a projection file: method {method!r} is not one "
+                         f"of {PROJECTION_METHODS}")
+    shape = tuple(int_field(doc, name, 1, f"{path}: projection") for name in ("n_train", "k"))
+    return ProjectionMatrix(P=float_array(doc["P"], shape, f"{path}: projection field 'P'"))

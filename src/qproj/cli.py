@@ -82,24 +82,29 @@ def cmd_gen_data(args, cfg):
     return 0
 
 
+def _train_config(args, cfg, k, epochs, **fields):
+    """The TrainConfig of the flags train and baseline share; fields sets the rest."""
+    from .training import TrainConfig
+
+    return TrainConfig(k=k, batch_size=int(_pick(args, cfg, "batch-size", 8)),
+                       learning_rate=float(_pick(args, cfg, "lr", 1e-3)),
+                       max_epochs=int(_pick(args, cfg, "epochs", epochs)),
+                       seed=int(args.seed if args.seed is not None else cfg.get("seed", 0)),
+                       **fields)
+
+
 def cmd_train(args, cfg):
     from .datasets import DatasetManifest
     from .gnn import save_checkpoint
-    from .training import TrainConfig, train
+    from .training import train
 
     manifest = DatasetManifest.load(_require(_pick(args, cfg, "manifest"), "manifest"))
-    config = TrainConfig(
-        k=int(_require(_pick(args, cfg, "k"), "k")),
-        batch_size=int(_pick(args, cfg, "batch-size", 8)),
-        learning_rate=float(_pick(args, cfg, "lr", 1e-3)),
-        max_epochs=int(_pick(args, cfg, "epochs", 500)),
-        seed=int(args.seed if args.seed is not None else cfg.get("seed", 0)),
-        hidden=int(_pick(args, cfg, "hidden", 32)),
-        layers=int(_pick(args, cfg, "layers", 4)),
-        head_hidden=int(_pick(args, cfg, "head-hidden", 32)),
-        solver=_solver_settings(cfg),
-        record_timings=bool(cfg.get("record_timings", True)),
-    )
+    config = _train_config(args, cfg, int(_require(_pick(args, cfg, "k"), "k")), 500,
+                           hidden=int(_pick(args, cfg, "hidden", 32)),
+                           layers=int(_pick(args, cfg, "layers", 4)),
+                           head_hidden=int(_pick(args, cfg, "head-hidden", 32)),
+                           solver=_solver_settings(cfg),
+                           record_timings=bool(cfg.get("record_timings", True)))
     params, report = train(manifest.load_split("train"),
                            manifest.load_split("val"), config)
     os.makedirs(args.out, exist_ok=True)
@@ -186,7 +191,7 @@ def cmd_baseline(args, cfg):
     from . import baselines
     from .datasets import DatasetManifest
     from .evaluate import SolutionCache
-    from .training import TrainConfig
+    from .gnn import save_checkpoint
 
     manifest = DatasetManifest.load(_require(_pick(args, cfg, "manifest"), "manifest"))
     name = _require(_pick(args, cfg, "method"), "method")
@@ -202,22 +207,17 @@ def cmd_baseline(args, cfg):
                               settings=settings)
         sols = np.array([e["x_star"] for e in cache.warm(train_set, threads=args.threads)])
         proj = baselines.pca_projection(sols, int(_require(k, "k")))
-        baselines.save_artifact(path, proj)
+        baselines.save_projection(path, proj, "pca")
     elif name in ("sharedp", "direct"):
-        config = TrainConfig(
-            k=int(_require(k, "k")) if name == "sharedp" else 1,
-            batch_size=int(_pick(args, cfg, "batch-size", 8)),
-            learning_rate=float(_pick(args, cfg, "lr", 1e-3)),
-            max_epochs=int(_pick(args, cfg, "epochs", 100)),
-            seed=int(args.seed if args.seed is not None else cfg.get("seed", 0)),
-            solver=settings,
-        )
+        config = _train_config(args, cfg, int(_require(k, "k")) if name == "sharedp" else 1,
+                               100, solver=settings)
         if name == "sharedp":
-            art = baselines.sharedp_train(train_set, val_set,
-                                          int(_require(k, "k")), config)
+            proj = baselines.sharedp_train(train_set, val_set, config.k, config)
+            baselines.save_projection(path, proj, "sharedp")
         else:
-            art = baselines.direct_train(train_set, val_set, config)
-        baselines.save_artifact(path, art)
+            params, lambda_pen = baselines.direct_train(train_set, val_set, config)
+            save_checkpoint(path, params, seed=config.seed,
+                            extra={"method": "direct", "lambda_pen": lambda_pen})
     else:
         raise ValueError(f"unknown baseline {name!r} (expected pca/sharedp/direct)")
     print(path)
@@ -323,7 +323,7 @@ def build_parser():
     p.add_argument("--instance")
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("baseline", help="build a baseline artifact")
+    p = sub.add_parser("baseline", help="build a baseline projection or direct model")
     p.add_argument("--method", choices=["pca", "sharedp", "direct"])
     p.add_argument("--manifest")
     p.add_argument("--k", type=int, default=None)

@@ -8,6 +8,7 @@ All matrices are dense float64. Instances are immutable after construction
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -189,6 +190,8 @@ class ProjectionMatrix:
         n, k = P.shape
         if k > n:
             raise ValueError(f"K={k} exceeds N={n}")
+        if not np.isfinite(P).all():
+            raise ValueError("P holds NaN or infinite entries")
         gram_err = np.linalg.norm(P.T @ P - np.eye(k), "fro")
         if gram_err > ORTHO_TOL:
             raise ValueError(f"columns not orthonormal: ||P'P - I||_F = {gram_err:.3e}")
@@ -316,27 +319,47 @@ def instance_to_dict(inst: QpInstance) -> dict:
     }
 
 
+def int_field(doc: dict, name: str, least: int, source: str) -> int:
+    """doc[name] as an integer of at least `least`. Any other value (a bool,
+    a float, a string) raises ValueError naming the source and the field."""
+    value = doc[name]
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{source} field {name!r} must be an integer >= {least}, "
+                         f"got {value!r}")
+    return value
+
+
+def float_array(value, shape: tuple, source: str) -> np.ndarray:
+    """A JSON list of numbers as a float64 array of the given shape; a value
+    numpy cannot convert, or one with another number of entries, raises
+    ValueError naming the source."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{source} must be a list of numbers ({exc})") from None
+    if arr.size != math.prod(shape):
+        raise ValueError(f"{source} has {arr.size} entries, expected shape {shape}")
+    return arr.reshape(shape)
+
+
 def instance_from_dict(d: dict) -> QpInstance:
     """The instance of an instance_to_dict document. A document that is not a
-    mapping, a size that is not a non-negative integer or a meta that is not
-    a mapping raises ValueError naming the field."""
+    mapping, a size that is not a non-negative integer, an array or constant
+    that is not numeric or has the wrong number of entries, or a meta that is
+    not a mapping raises ValueError naming the field."""
     if not isinstance(d, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(d).__name__}")
-    n, m = d["n"], d["m"]
-    for name, size in (("n", n), ("m", m)):
-        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
-            raise ValueError(f"instance field {name!r} must be a non-negative integer, "
-                             f"got {size!r}")
+    n, m = (int_field(d, name, 0, "instance") for name in ("n", "m"))
     if not isinstance(d.get("meta", {}), dict):
         raise ValueError(f"instance field 'meta' must be a JSON object, got {d['meta']!r}")
-    return QpInstance(
-        Q=np.asarray(d["Q"], dtype=np.float64).reshape(n, n),
-        c=np.asarray(d["c"], dtype=np.float64),
-        A=np.asarray(d["A"], dtype=np.float64).reshape(m, n),
-        b=np.asarray(d["b"], dtype=np.float64),
-        constant=float(d.get("constant", 0.0)),
-        meta=dict(d.get("meta", {})),
-    )
+    try:
+        constant = float(d.get("constant", 0.0))
+    except (TypeError, ValueError):
+        raise ValueError("instance field 'constant' must be a number, "
+                         f"got {d['constant']!r}") from None
+    arrays = {name: float_array(d[name], shape, f"instance field {name!r}")
+              for name, shape in (("Q", (n, n)), ("c", (n,)), ("A", (m, n)), ("b", (m,)))}
+    return QpInstance(**arrays, constant=constant, meta=dict(d.get("meta", {})))
 
 
 def save_instance(inst: QpInstance, path) -> None:

@@ -107,11 +107,9 @@ def gen_portfolio(n: int = 500, seed: int = 0) -> QpInstance:
         raise ValueError(f"portfolio needs n >= 2, got n={n}")
     eq, u0 = portfolio_eq_instance(n, seed)
     inst, rec = eliminate_eq_nullspace(eq, u0)
-    inst = QpInstance(
-        Q=inst.Q, c=inst.c, A=inst.A, b=inst.b, constant=inst.constant,
-        meta={"family": "portfolio", "seed": seed, "n": n,
-              "recovery_constant": rec.constant},
-    )
+    # the instance is fresh and unshared: tag it rather than build it again
+    inst.meta.update({"family": "portfolio", "seed": seed, "n": n,
+                      "recovery_constant": rec.constant})
     return _check_generated(inst, eq.A_eq.shape[0])
 
 
@@ -175,11 +173,8 @@ def control_eq_instance(s: int, v: int, t: int,
 def gen_control(s: int = 50, v: int = 50, t: int = 5, seed: int = 0) -> QpInstance:
     eq, u0 = control_eq_instance(s, v, t, seed)
     inst, rec = eliminate_eq_nullspace(eq, u0)
-    inst = QpInstance(
-        Q=inst.Q, c=inst.c, A=inst.A, b=inst.b, constant=inst.constant,
-        meta={"family": "control", "seed": seed, "s": s, "v": v, "t": t,
-              "recovery_constant": rec.constant},
-    )
+    inst.meta.update({"family": "control", "seed": seed, "s": s, "v": v, "t": t,
+                      "recovery_constant": rec.constant})
     return _check_generated(inst, eq.A_eq.shape[0])
 
 
@@ -228,8 +223,17 @@ class DatasetManifest:
 
     @staticmethod
     def load(path) -> "DatasetManifest":
+        """The manifest of a save() file. A document that is not a mapping, or
+        whose 'files' are not objects with a string 'path', raises ValueError."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: a manifest must be a JSON object, "
+                             f"got {type(doc).__name__}")
+        if not isinstance(doc["files"], list) or not all(
+                isinstance(f, dict) and isinstance(f.get("path"), str) for f in doc["files"]):
+            raise ValueError(f"{path}: manifest field 'files' must be a list of objects "
+                             "with a string 'path'")
         return DatasetManifest(
             family=doc["family"], sizes=doc["sizes"], counts=doc["counts"],
             base_seed=doc["base_seed"], root=os.path.dirname(os.path.abspath(path)),

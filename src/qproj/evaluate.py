@@ -211,13 +211,13 @@ class FixedProjectionMethod(ProjectionMethod):
 class DirectMethod:
     kind = "direct"
 
-    def __init__(self, model, name: str = "direct"):
-        self.model = model
+    def __init__(self, params: ModelParams, name: str = "direct"):
+        self.params = params
         self.name = name
         self.k = 0
 
     def predict(self, inst):
-        x, _ = forward_raw(self.model.params, inst)
+        x, _ = forward_raw(self.params, inst)
         return x[:, 0]
 
 
@@ -363,13 +363,14 @@ def summarize(rows, group_cols, value_col="relative_error"):
 # }
 #
 # Checkpoint values are paths: "ours"/"direct" -> model checkpoints,
-# "pca"/"sharedp" -> projection artifacts (see baselines.save_artifact).
+# "pca"/"sharedp" -> projection files (see baselines.save_projection).
 # Missing checkpoints are reported per cell and the run continues.
 
 def load_method(name, spec_entry, k, rand_seed=0):
     """The method `name`; spec_entry is the path of its model checkpoint
-    (ours) or projection artifact (pca, sharedp, direct), or None."""
-    from . import baselines
+    (ours, and direct with K=1) or projection file (pca, sharedp), or None.
+    A file of the wrong kind raises ValueError."""
+    from .baselines import load_projection
     from .gnn import load_checkpoint
 
     if name == "rand":
@@ -381,10 +382,12 @@ def load_method(name, spec_entry, k, rand_seed=0):
     if name == "ours":
         return OursMethod(load_checkpoint(spec_entry))
     if name == "direct":
-        return DirectMethod(baselines.load_artifact(spec_entry))
+        params = load_checkpoint(spec_entry)
+        if params.k != 1:
+            raise ValueError(f"{spec_entry}: a direct model has K=1, not K={params.k}")
+        return DirectMethod(params)
     if name in ("pca", "sharedp"):
-        art = baselines.load_artifact(spec_entry)
-        return FixedProjectionMethod(art.P, name)
+        return FixedProjectionMethod(load_projection(spec_entry).P, name)
     raise ValueError(f"unknown method {name!r}")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import ProjectionMatrix, QpInstance
+from .core import ProjectionMatrix, QpInstance, float_array, int_field
 
 LEAKY_SLOPE = 0.01
 RANK_RTOL = 1e-10          # |R_ii| below this (times ||P_raw||_F) is deficient
@@ -346,19 +346,25 @@ def save_checkpoint(path, params: ModelParams, seed=None, extra=None) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint written by save_checkpoint. A file with another
-    format tag, or with NaN/infinite parameters (json accepts NaN tokens),
-    raises ValueError."""
+    format tag, sizes that are not positive integers, parameters that are
+    not numeric arrays of their sizes, or NaN/infinite parameters (json
+    accepts NaN tokens) raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: format {fmt!r} is not {CHECKPOINT_FORMAT!r}")
-    h, l, k, h_g = doc["hidden"], doc["layers"], doc["k"], doc["head_hidden"]
+    # checked before init_params allocates L x H x H floats from them
+    h, l, k, h_g = (int_field(doc, name, 1, f"{path}: checkpoint")
+                    for name in ("hidden", "layers", "k", "head_hidden"))
+    stored = doc["params"]
+    if not isinstance(stored, dict):
+        raise ValueError(f"{path}: checkpoint field 'params' must be a JSON object")
     template = init_params(0, h=h, l=l, k=k, h_g=h_g)
     fields = {}
     for f in ModelParams._FIELDS:
-        a = getattr(template, f)
-        fields[f] = np.asarray(doc["params"][f], dtype=np.float64).reshape(a.shape)
+        fields[f] = float_array(stored[f], getattr(template, f).shape,
+                                f"{path}: parameter {f!r}")
         if not np.isfinite(fields[f]).all():
             raise ValueError(f"{path}: parameter {f!r} has NaN or infinite entries")
     return ModelParams(**fields)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import project
+from .evaluate import SolutionCache
 from .gnn import ModelParams, forward
 from .solver import SolveStatus, SolverSettings, solve_qp
 
@@ -100,19 +101,19 @@ class NormBoundReport:
 
 
 def validate_norm_bound(instances, params: ModelParams, k: int,
-                        trials: int | None = None,
                         settings: SolverSettings | None = None,
                         b_override: float | None = None) -> NormBoundReport:
     """Check ||y*||_1 <= Y_max on solved reduced problems, instantiating the
     premise constants empirically per instance: sigma_q as the smallest
     eigenvalue of the reduced Hessian, c0 as ||P'c||_1, and b as |u*| of the
-    full problem (the reduced optimum lies in [u*, 0] because 0 is feasible).
-    b_override forces a smaller b to demonstrate the bound's sensitivity."""
+    Solved full solve (SolutionCache.u_star raises for any other status; the
+    reduced optimum lies in [u*, 0] because 0 is feasible). b_override forces
+    a smaller b to demonstrate the bound's sensitivity."""
     settings = settings or SolverSettings()
+    cache = SolutionCache(settings=settings)
     rows = []
     skipped = 0
-    subset = instances if trials is None else instances[:trials]
-    for index, inst in enumerate(subset):
+    for index, inst in enumerate(instances):
         inst_id = inst.meta.get("id", f"instance-{index:04d}")
         proj, _ = forward(params, inst, k)
         reduced = project(inst, proj)
@@ -128,7 +129,7 @@ def validate_norm_bound(instances, params: ModelParams, k: int,
         if b_override is not None:
             b = float(b_override)
         else:
-            b = abs(solve_qp(inst, settings).objective)
+            b = abs(cache.u_star(inst))
         ym = y_max(AssumptionConstants(sigma_q=sigma_q, sigma_p=1.0, q0=1.0,
                                        c0=c0, b=b, n=inst.n_vars, k=k))
         l1 = float(np.abs(res.y_star).sum())

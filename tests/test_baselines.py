@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 
 from qproj.baselines import (
-    DirectModel,
-    SharedProjection,
     adapt_projection,
     direct_loss_grad,
     direct_train,
-    load_artifact,
+    load_projection,
     pca_projection,
     rand_projection,
-    save_artifact,
+    save_projection,
     sharedp_train,
 )
-from qproj.core import QpInstance, project
+from qproj.core import ProjectionMatrix, QpInstance, project
 from qproj.evaluate import DirectMethod
-from qproj.gnn import init_params
 from qproj.solver import solve_qp
 from qproj.training import TrainConfig
 
@@ -163,9 +160,10 @@ def test_direct_train_and_predict():
     val_set = _feasible_zero_family(4, 2)
     cfg = TrainConfig(k=1, batch_size=5, max_epochs=4, hidden=4, layers=1,
                       head_hidden=4, seed=0)
-    model = direct_train(train_set, val_set, cfg)
-    assert model.lambda_pen in (0.1, 1.0, 10.0, 100.0)
-    x = DirectMethod(model).predict(val_set[0])
+    params, lambda_pen = direct_train(train_set, val_set, cfg)
+    assert params.k == 1
+    assert lambda_pen in (0.1, 1.0, 10.0, 100.0)
+    x = DirectMethod(params).predict(val_set[0])
     assert x.shape == (6,)
 
 
@@ -173,22 +171,13 @@ def test_artifact_round_trips(tmp_path):
     rng = np.random.default_rng(5)
     P = np.linalg.qr(rng.normal(size=(5, 2)))[0]
 
-    shared = SharedProjection(P=P, n_train=5)
-    save_artifact(tmp_path / "sharedp.json", shared)
-    back = load_artifact(tmp_path / "sharedp.json")
-    assert isinstance(back, SharedProjection)
+    # the direct model is a model checkpoint, whose round trip
+    # test_same_bytes.py checks
+    save_projection(tmp_path / "sharedp.json", ProjectionMatrix(P=P), "sharedp")
+    back = load_projection(tmp_path / "sharedp.json")
     np.testing.assert_array_equal(back.P, P)
 
     pca = pca_projection((P @ rng.normal(size=(2, 6))).T, 2)
-    save_artifact(tmp_path / "pca.json", pca)
-    back = load_artifact(tmp_path / "pca.json")
+    save_projection(tmp_path / "pca.json", pca, "pca")
+    back = load_projection(tmp_path / "pca.json")
     np.testing.assert_array_equal(back.P, pca.P)
-
-    model = DirectModel(params=init_params(0, h=4, l=1, k=1, h_g=4),
-                        lambda_pen=10.0)
-    save_artifact(tmp_path / "direct.json", model)
-    back = load_artifact(tmp_path / "direct.json")
-    assert isinstance(back, DirectModel)
-    np.testing.assert_array_equal(back.params.to_vector(),
-                                  model.params.to_vector())
-    assert back.lambda_pen == 10.0

@@ -211,3 +211,58 @@ def test_import_leaves_scipy_optimize_out():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_baseline_sharedp_and_direct_round_trip(tmp_path, capsys):
+    # the records of `eval` on each written file equal an in-process run on
+    # the objects read back from it
+    from qproj.baselines import load_projection
+    from qproj.datasets import DatasetManifest
+    from qproj.evaluate import (DirectMethod, FixedProjectionMethod, evaluate_method,
+                                write_records_csv)
+    from qproj.gnn import init_params, load_checkpoint, save_checkpoint
+
+    data_dir = tmp_path / "d"
+    run_cli(["--out", str(data_dir), "gen-data", "--family", "regression",
+             "--n", "6", "--m", "2", "--t", "12", "--train", "3", "--val", "1",
+             "--test", "2", "--base-seed", "2"])
+    manifest = str(data_dir / "manifest.json")
+    test_set = DatasetManifest.load(manifest).load_split("test")
+    art = tmp_path / "art"
+    for name in ("pca", "sharedp", "direct"):
+        k = [] if name == "direct" else ["--k", "2"]
+        assert run_cli(["--seed", "0", "--out", str(art), "baseline", "--method", name,
+                        "--manifest", manifest, "--epochs", "2"] + k) == 0
+
+    direct = art / "direct_artifact.json"
+    extra = json.loads(direct.read_text())["extra"]
+    assert extra["method"] == "direct" and extra["lambda_pen"] in (0.1, 1.0, 10.0, 100.0)
+    for name, method in [
+            ("sharedp", FixedProjectionMethod(
+                load_projection(art / "sharedp_artifact.json").P, "sharedp")),
+            ("direct", DirectMethod(load_checkpoint(direct)))]:
+        out = tmp_path / f"ev_{name}"
+        assert run_cli(["--out", str(out), "eval", "--manifest", manifest, "--method", name,
+                        "--artifact", str(art / f"{name}_artifact.json"),
+                        "--timing-repeats", "0"]) == 0
+        write_records_csv(tmp_path / "want.csv",
+                          evaluate_method(method, test_set, timing_repeats=0))
+        assert (out / "records.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    # each of these ended in an AttributeError traceback (exit code 1); a K=2
+    # model would predict from its first column
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    ours = tmp_path / "ours_k2.json"
+    save_checkpoint(ours, init_params(0, h=4, l=1, k=2, h_g=4), seed=0)
+    capsys.readouterr()
+    for name, path, message in [("pca", direct, "method None"),
+                                ("direct", art / "pca_artifact.json", "format None"),
+                                ("pca", listed, "method None"),
+                                ("direct", listed, "format None"),
+                                ("direct", ours, "K=1, not K=2")]:
+        assert run_cli(["--out", str(tmp_path / "bad"), "eval", "--manifest", manifest,
+                        "--method", name, "--artifact", str(path),
+                        "--timing-repeats", "0"]) == 2, (name, path)
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()

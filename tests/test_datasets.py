@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from qproj.core import (
+    QpInstance,
     eliminate_eq_doubling,
     eliminate_eq_nullspace,
+    instance_to_dict,
     max_violation,
     objective,
 )
@@ -160,3 +162,16 @@ def test_trivial_objective_is_zero():
                  gen_portfolio(6, seed=2), gen_control(2, 2, 3, seed=2)]:
         assert objective(inst, np.zeros(inst.n_vars)) == 0.0
         assert max_violation(inst, np.zeros(inst.n_vars)) <= 1e-10
+
+
+@pytest.mark.parametrize("make", [lambda seed: gen_portfolio(12, seed=seed),
+                                  lambda seed: gen_control(s=3, v=3, t=4, seed=seed)],
+                         ids=["portfolio", "control"])
+def test_generated_instance_is_built_once(make):
+    # the eliminated instance is tagged in place; building it a second time
+    # gives the same document
+    for seed in range(3):
+        inst = make(seed)
+        again = QpInstance(Q=inst.Q, c=inst.c, A=inst.A, b=inst.b,
+                           constant=inst.constant, meta=inst.meta)
+        assert json.dumps(instance_to_dict(inst)) == json.dumps(instance_to_dict(again))

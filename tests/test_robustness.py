@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from qproj import solver
-from qproj.baselines import direct_train, sharedp_train
+from qproj.baselines import direct_train, save_projection, sharedp_train
 from qproj.cli import main
-from qproj.core import QpInstance, max_violation, project, recover, save_instance
+from qproj.core import (
+    ProjectionMatrix,
+    QpInstance,
+    max_violation,
+    project,
+    recover,
+    save_instance,
+)
 from qproj.datasets import gen_regression, generate_instance
 from qproj.evaluate import FullMethod, OursMethod, RandMethod, evaluate_method
 from qproj.gnn import forward, init_params, load_checkpoint, save_checkpoint
@@ -258,3 +265,70 @@ def test_gen_data_below_the_smallest_portfolio_rejected(tmp_path, capsys):
     assert main(["--out", str(tmp_path / "d"), "gen-data", "--family", "portfolio",
                  "--n", "1", "--train", "1", "--val", "1", "--test", "1"]) == 2
     assert "n >= 2" in capsys.readouterr().err
+
+
+def _regression_data(tmp_path):
+    """A regression N=6 manifest with one test instance, made through the CLI."""
+    data = tmp_path / "data"
+    assert main(["--out", str(data), "gen-data", "--family", "regression", "--n", "6",
+                 "--m", "2", "--t", "12", "--train", "2", "--val", "1", "--test", "1",
+                 "--base-seed", "0"]) == 0
+    return data / "manifest.json"
+
+
+def _malformed_file(tmp_path, kind, edit, seed):
+    """The qproj arguments that read a file of `kind` whose document is
+    edit(doc) of a valid one."""
+    if kind == "instance":
+        path = tmp_path / "inst.json"
+        save_instance(random_pd_instance(np.random.default_rng(seed), 3, 4), path)
+        args = ["solve", "--instance", str(path)]
+    else:
+        manifest = _regression_data(tmp_path)
+        path = manifest
+        args = ["--out", str(tmp_path / "eval"), "eval", "--manifest", str(manifest),
+                "--timing-repeats", "0", "--method", "full"]
+        if kind == "checkpoint":
+            path = tmp_path / "checkpoint.json"
+            save_checkpoint(path, init_params(seed, h=4, l=1, k=2, h_g=4), seed=seed)
+            args[-1:] = ["ours", "--checkpoint", str(path)]
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return args
+
+
+# each escaped cli.main as a TypeError (exit code 1 with a traceback)
+@pytest.mark.parametrize("kind, edit, message", [
+    ("instance", lambda d: {**d, "Q": {}}, "instance field 'Q'"),
+    ("instance", lambda d: {**d, "constant": [1]}, "instance field 'constant'"),
+    ("manifest", lambda d: [d], "manifest must be a JSON object"),
+    ("manifest", lambda d: {**d, "files": [1]}, "manifest field 'files'"),
+    ("checkpoint", lambda d: {**d, "hidden": "4"}, "checkpoint field 'hidden'"),
+    ("checkpoint", lambda d: {**d, "params": [1]}, "checkpoint field 'params'"),
+], ids=["instance-Q-object", "instance-constant-list", "manifest-list",
+        "manifest-files-number", "checkpoint-hidden-string", "checkpoint-params-list"])
+def test_malformed_input_file_rejected(tmp_path, capsys, kind, edit, message):
+    args = _malformed_file(tmp_path, kind, edit, seed=35)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "records.csv").exists()
+
+
+def test_non_finite_projection_rejected(tmp_path, capsys):
+    # a NaN P passed the orthonormality check (NaN > tol is False), and the
+    # CLI reported the projected instance's "Q holds NaN" instead
+    P = np.eye(4)[:, :2]
+    P[1, 0] = np.nan
+    with pytest.raises(ValueError, match="P holds NaN or infinite entries"):
+        ProjectionMatrix(P=P)
+    manifest = _regression_data(tmp_path)
+    rng = np.random.default_rng(36)
+    path = tmp_path / "pca_artifact.json"
+    save_projection(path, ProjectionMatrix(P=np.linalg.qr(rng.normal(size=(6, 2)))[0]), "pca")
+    doc = json.loads(path.read_text())
+    doc["P"][3] = float("nan")                  # written as a NaN token
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "eval"), "eval", "--manifest", str(manifest),
+                 "--method", "pca", "--artifact", str(path), "--timing-repeats", "0"]) == 2
+    assert "P holds NaN" in capsys.readouterr().err

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qproj.baselines import DirectModel, pca_projection, save_artifact
+from qproj.baselines import pca_projection, save_projection
 from qproj.core import instance_to_dict
 from qproj.datasets import gen_split, generate_instance
 from qproj.evaluate import SolutionCache
@@ -70,14 +70,15 @@ def test_checkpoint_matches_the_python_encoder(tmp_path):
 
 
 def test_artifacts_match_the_python_encoder(tmp_path):
+    # the direct baseline is a model checkpoint (the test above); PCA and
+    # SharedP share the projection file, whose keys and their order are fixed
     rng = np.random.default_rng(0)
     pca = pca_projection(rng.normal(size=(6, 4)), 2)
-    direct = DirectModel(params=init_params(1, h=4, l=1, k=1, h_g=4), lambda_pen=0.5)
-    for name, obj in [("pca", pca), ("direct", direct)]:
-        path = tmp_path / f"{name}.json"
-        save_artifact(path, obj)
-        assert file_bytes(path) == reencoded(path, allow_nan=False), name
-    with open(tmp_path / "pca.json", "r", encoding="utf-8") as fh:
+    path = tmp_path / "pca.json"
+    save_projection(path, pca, "pca")
+    doc = {"method": "pca", "n_train": 4, "k": 2, "P": pca.P.ravel().tolist()}
+    assert file_bytes(path) == python_encoded(doc, allow_nan=False)
+    with open(path, "r", encoding="utf-8") as fh:
         assert np.array(json.load(fh)["P"]).tobytes() == pca.P.tobytes()
 
 

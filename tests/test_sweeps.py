@@ -8,7 +8,8 @@ import os
 
 import numpy as np
 
-from qproj.baselines import DirectModel, SharedProjection, pca_projection, save_artifact
+from qproj.baselines import pca_projection, save_projection
+from qproj.core import ProjectionMatrix
 from qproj.datasets import gen_split
 from qproj.evaluate import run_experiment
 from qproj.gnn import init_params, save_checkpoint
@@ -36,13 +37,13 @@ def _checkpoints(root):
     rng = np.random.default_rng(3)
     for k in (2, 3):
         paths[f"pca_k{k}"] = str(root / f"pca_k{k}.json")
-        save_artifact(paths[f"pca_k{k}"], pca_projection(rng.normal(size=(5, 6)), k))
+        save_projection(paths[f"pca_k{k}"], pca_projection(rng.normal(size=(5, 6)), k), "pca")
     paths["sharedp_k2"] = str(root / "sharedp_k2.json")
-    save_artifact(paths["sharedp_k2"],
-                  SharedProjection(P=np.linalg.qr(rng.normal(size=(6, 2)))[0], n_train=6))
+    save_projection(paths["sharedp_k2"],
+                    ProjectionMatrix(P=np.linalg.qr(rng.normal(size=(6, 2)))[0]), "sharedp")
     paths["direct"] = str(root / "direct.json")
-    save_artifact(paths["direct"],
-                  DirectModel(params=init_params(4, h=4, l=1, k=1, h_g=4), lambda_pen=1.0))
+    save_checkpoint(paths["direct"], init_params(4, h=4, l=1, k=1, h_g=4), seed=4,
+                    extra={"method": "direct", "lambda_pen": 1.0})
     return paths
 
 

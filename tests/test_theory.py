@@ -5,6 +5,7 @@ import pytest
 from qproj.core import QpInstance
 from qproj.datasets import gen_regression
 from qproj.gnn import init_params
+from qproj.solver import SolveStatus, SolverSettings, solve_qp
 from qproj.theory import (
     AssumptionConstants,
     gen_bound,
@@ -118,3 +119,16 @@ def test_norm_bound_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "instance,l1_norm,y_max,margin"
     assert len(lines) == 4
+
+
+def test_validate_norm_bound_needs_a_solved_reference():
+    # b was |objective| of the full solve whatever its status: with these
+    # settings every full solve ends MaxIterReached, and 5 of the 6 rows
+    # took a b 0.01-0.53% off the true |u*|
+    instances = [gen_regression(n=30, m=5, t=60, seed=s) for s in range(6)]
+    params = init_params(0, h=4, l=1, k=2, h_g=4)
+    settings = SolverSettings(max_iter=50, polish=False)
+    assert all(solve_qp(inst, settings).status is SolveStatus.MAX_ITER_REACHED
+               for inst in instances)
+    with pytest.raises(ValueError, match="MaxIterReached, not Solved"):
+        validate_norm_bound(instances, params, 2, settings=settings)
