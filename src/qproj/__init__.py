@@ -41,7 +41,6 @@ from .training import (
     TrainConfig,
     TrainReport,
     envelope_grad,
-    surrogate_loss,
     train,
     validation_loss,
 )

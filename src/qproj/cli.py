@@ -1,10 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, solve, baseline, theory, experiment.
-Global flags: --seed, --config <json>, --out <dir>, --threads. A config file
-holds per-subcommand defaults, e.g. {"train": {"k": 10, "epochs": 50}};
-explicit flags win. Exit codes: 0 success, 2 configuration errors, 3 I/O
-errors.
+Global flags: --seed, --config <json>, --out <dir>. A config file holds
+per-subcommand defaults, e.g. {"train": {"k": 10, "epochs": 50}}; explicit
+flags win. Exit codes: 0 success, 2 configuration errors, 3 I/O errors.
 """
 
 from __future__ import annotations
@@ -27,13 +26,20 @@ def _load_config(path):
     return doc
 
 
-def _pick(args, cfg, key, default=None):
+def _pick(args, cfg, key, default=None, kind=None):
+    """The flag, else the config value, else default, converted by kind
+    (int or float) when given; a value kind rejects raises ValueError naming
+    the key."""
     val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
+    if val is None:
+        val = cfg.get(key, default)
+    if kind is None or val is None:
         return val
-    if key in cfg:
-        return cfg[key]
-    return default
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise ValueError(f"option {key!r} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {val!r}") from None
 
 
 def _require(value, name):
@@ -43,23 +49,9 @@ def _require(value, name):
 
 
 def _solver_settings(cfg):
-    """SolverSettings from the config's "solver" mapping. An unknown key or a
-    value of the wrong type raises ValueError naming the key: the settings
-    class itself would raise TypeError."""
-    from .solver import SolverSettings
+    from .solver import settings_from_json
 
-    section = cfg.get("solver", {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config key 'solver' must be an object, got {section!r}")
-    defaults = vars(SolverSettings())
-    for key, value in section.items():
-        if key not in defaults:
-            raise ValueError(f"unknown solver setting {key!r}")
-        kind = type(defaults[key])
-        allowed = (int, float) if kind is float else kind
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
-            raise ValueError(f"solver setting {key!r} must be a {kind.__name__}, got {value!r}")
-    return SolverSettings(**section)
+    return settings_from_json(cfg.get("solver", {}))
 
 
 def cmd_gen_data(args, cfg):
@@ -68,29 +60,33 @@ def cmd_gen_data(args, cfg):
     family = _require(_pick(args, cfg, "family"), "family")
     sizes = {}
     for key in ("n", "m", "t", "s", "v"):
-        val = _pick(args, cfg, key)
+        val = _pick(args, cfg, key, kind=int)
         if val is not None:
-            sizes[key] = int(val)
+            sizes[key] = val
     counts = {
-        "train": int(_pick(args, cfg, "train", 120)),
-        "val": int(_pick(args, cfg, "val", 40)),
-        "test": int(_pick(args, cfg, "test", 40)),
+        "train": _pick(args, cfg, "train", 120, int),
+        "val": _pick(args, cfg, "val", 40, int),
+        "test": _pick(args, cfg, "test", 40, int),
     }
-    base_seed = int(_pick(args, cfg, "base-seed", args.seed or 0))
+    base_seed = _pick(args, cfg, "base-seed", _seed(args, cfg), int)
     manifest = gen_split(family, sizes, counts, base_seed, args.out)
     print(os.path.join(args.out, "manifest.json"))
     return 0
+
+
+def _seed(args, cfg) -> int:
+    """The --seed flag, else the config seed, else 0."""
+    return _pick(args, cfg, "seed", 0, int)
 
 
 def _train_config(args, cfg, k, epochs, **fields):
     """The TrainConfig of the flags train and baseline share; fields sets the rest."""
     from .training import TrainConfig
 
-    return TrainConfig(k=k, batch_size=int(_pick(args, cfg, "batch-size", 8)),
-                       learning_rate=float(_pick(args, cfg, "lr", 1e-3)),
-                       max_epochs=int(_pick(args, cfg, "epochs", epochs)),
-                       seed=int(args.seed if args.seed is not None else cfg.get("seed", 0)),
-                       **fields)
+    return TrainConfig(k=k, batch_size=_pick(args, cfg, "batch-size", 8, int),
+                       learning_rate=_pick(args, cfg, "lr", 1e-3, float),
+                       max_epochs=_pick(args, cfg, "epochs", epochs, int),
+                       seed=_seed(args, cfg), **fields)
 
 
 def cmd_train(args, cfg):
@@ -99,10 +95,10 @@ def cmd_train(args, cfg):
     from .training import train
 
     manifest = DatasetManifest.load(_require(_pick(args, cfg, "manifest"), "manifest"))
-    config = _train_config(args, cfg, int(_require(_pick(args, cfg, "k"), "k")), 500,
-                           hidden=int(_pick(args, cfg, "hidden", 32)),
-                           layers=int(_pick(args, cfg, "layers", 4)),
-                           head_hidden=int(_pick(args, cfg, "head-hidden", 32)),
+    config = _train_config(args, cfg, _require(_pick(args, cfg, "k", kind=int), "k"), 500,
+                           hidden=_pick(args, cfg, "hidden", 32, int),
+                           layers=_pick(args, cfg, "layers", 4, int),
+                           head_hidden=_pick(args, cfg, "head-hidden", 32, int),
                            solver=_solver_settings(cfg),
                            record_timings=bool(cfg.get("record_timings", True)))
     params, report = train(manifest.load_split("train"),
@@ -124,13 +120,12 @@ def _build_method(args, cfg, name, k):
 
     path = None
     if name == "rand":
-        k = int(_require(k, "k"))
+        _require(k, "k")
     elif name == "ours":
         path = _require(_pick(args, cfg, "checkpoint"), "checkpoint")
     elif name != "full":
         path = _require(_pick(args, cfg, "artifact"), "artifact")
-    return load_method(name, path, k,
-                       rand_seed=int(args.seed if args.seed is not None else 0))
+    return load_method(name, path, k, rand_seed=_seed(args, cfg))
 
 
 def cmd_eval(args, cfg):
@@ -139,18 +134,17 @@ def cmd_eval(args, cfg):
 
     manifest = DatasetManifest.load(_require(_pick(args, cfg, "manifest"), "manifest"))
     name = _require(_pick(args, cfg, "method"), "method")
-    k = _pick(args, cfg, "k")
+    k = _pick(args, cfg, "k", kind=int)
     method = _build_method(args, cfg, name, k)
     settings = _solver_settings(cfg)
     records = evaluate_method(
         method,
         manifest.load_split(_pick(args, cfg, "split", "test")),
-        k=None if k is None else int(k),
+        k=k,
         settings=settings,
         cache=SolutionCache(cache_dir=_pick(args, cfg, "cache-dir"),
                             settings=settings),
-        timing_repeats=int(_pick(args, cfg, "timing-repeats", 3)),
-        threads=args.threads,
+        timing_repeats=_pick(args, cfg, "timing-repeats", 3, int),
     )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "records.csv")
@@ -197,7 +191,7 @@ def cmd_baseline(args, cfg):
     name = _require(_pick(args, cfg, "method"), "method")
     train_set = manifest.load_split("train")
     val_set = manifest.load_split("val")
-    k = _pick(args, cfg, "k")
+    k = _pick(args, cfg, "k", kind=int)
     settings = _solver_settings(cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{name}_artifact.json")
@@ -205,11 +199,11 @@ def cmd_baseline(args, cfg):
     if name == "pca":
         cache = SolutionCache(cache_dir=_pick(args, cfg, "cache-dir"),
                               settings=settings)
-        sols = np.array([e["x_star"] for e in cache.warm(train_set, threads=args.threads)])
-        proj = baselines.pca_projection(sols, int(_require(k, "k")))
+        sols = np.array([e["x_star"] for e in cache.warm(train_set)])
+        proj = baselines.pca_projection(sols, _require(k, "k"))
         baselines.save_projection(path, proj, "pca")
     elif name in ("sharedp", "direct"):
-        config = _train_config(args, cfg, int(_require(k, "k")) if name == "sharedp" else 1,
+        config = _train_config(args, cfg, _require(k, "k") if name == "sharedp" else 1,
                                100, solver=settings)
         if name == "sharedp":
             proj = baselines.sharedp_train(train_set, val_set, config.k, config)
@@ -247,24 +241,24 @@ def cmd_theory(args, cfg):
         return 0
 
     consts = AssumptionConstants(
-        sigma_q=float(_require(_pick(args, cfg, "sigma-q"), "sigma-q")),
-        sigma_p=float(_pick(args, cfg, "sigma-p", 1.0)),
-        q0=float(_require(_pick(args, cfg, "q0"), "q0")),
-        c0=float(_require(_pick(args, cfg, "c0"), "c0")),
-        b=float(_require(_pick(args, cfg, "b"), "b")),
-        n=int(_require(_pick(args, cfg, "n"), "n")),
-        k=int(_require(_pick(args, cfg, "k"), "k")),
+        sigma_q=_require(_pick(args, cfg, "sigma-q", kind=float), "sigma-q"),
+        sigma_p=_pick(args, cfg, "sigma-p", 1.0, float),
+        q0=_require(_pick(args, cfg, "q0", kind=float), "q0"),
+        c0=_require(_pick(args, cfg, "c0", kind=float), "c0"),
+        b=_require(_pick(args, cfg, "b", kind=float), "b"),
+        n=_require(_pick(args, cfg, "n", kind=int), "n"),
+        k=_require(_pick(args, cfg, "k", kind=int), "k"),
     )
     c_prime, c = lipschitz_consts(consts)
     doc = {"y_max": y_max(consts), "c_prime": c_prime, "c": c}
-    epsilon = _pick(args, cfg, "epsilon")
+    epsilon = _pick(args, cfg, "epsilon", kind=float)
     if epsilon is not None:
         doc["bound"] = gen_bound(
-            float(epsilon),
-            float(_pick(args, cfg, "delta", 0.05)),
-            int(_pick(args, cfg, "d", 100)),
+            epsilon,
+            _pick(args, cfg, "delta", 0.05, float),
+            _pick(args, cfg, "d", 100, int),
             consts.b,
-            float(_pick(args, cfg, "log-n-cover", 0.0)),
+            _pick(args, cfg, "log-n-cover", 0.0, float),
             c,
         )
     else:
@@ -287,7 +281,6 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a dataset split")
@@ -362,8 +355,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg_all = _load_config(args.config)
-        cfg = cfg_all.get(args.command.replace("-", "_"),
-                          cfg_all.get(args.command, {}))
+        section = args.command.replace("-", "_")
+        section = section if section in cfg_all else args.command
+        cfg = cfg_all.get(section, {})
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config section {section!r} must be an object, got {cfg!r}")
         # shared sections (e.g. solver) visible to every command
         for key in ("solver", "record_timings", "seed"):
             if key in cfg_all and key not in cfg:

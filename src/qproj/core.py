@@ -37,6 +37,8 @@ class QpInstance:
     b: np.ndarray
     constant: float = 0.0
     meta: dict = field(default_factory=dict)
+    # ascending eigenvalues of Q, computed once by the PSD check; not serialized
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=np.float64)
@@ -68,15 +70,17 @@ class QpInstance:
         asym = np.abs(Q - Q.T).max(initial=0.0)
         if asym > SYM_RTOL * max(scale, 1.0):
             raise ValueError(f"Q is not symmetric: |Q - Q'| = {asym:.3e}")
-        Q = 0.5 * (Q + Q.T)
+        Q = _frozen(0.5 * (Q + Q.T))
 
         eigs = np.linalg.eigvalsh(Q)
         if eigs[0] < -PSD_RTOL * max(np.abs(eigs).max(), 1e-300):
             raise ValueError(
                 f"Q is not positive semidefinite (min eigenvalue {eigs[0]:.3e})"
             )
+        eigs.flags.writeable = False
 
-        object.__setattr__(self, "Q", _frozen(Q))
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "eigenvalues", eigs)
         object.__setattr__(self, "c", _frozen(c))
         object.__setattr__(self, "A", _frozen(A))
         object.__setattr__(self, "b", _frozen(b))
@@ -230,10 +234,8 @@ def feasibility_tol(inst: QpInstance) -> float:
     return 1e-6 * (1.0 + binf)
 
 
-def is_feasible(inst: QpInstance, x, tol=None) -> bool:
-    if tol is None:
-        tol = feasibility_tol(inst)
-    return max_violation(inst, x) <= tol
+def is_feasible(inst: QpInstance, x) -> bool:
+    return max_violation(inst, x) <= feasibility_tol(inst)
 
 
 def project(inst: QpInstance, proj: ProjectionMatrix) -> QpInstance:

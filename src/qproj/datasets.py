@@ -32,20 +32,14 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def assumption_min_eig(inst: QpInstance, n_structural_zeros: int = 0) -> float:
-    """Smallest eigenvalue of the Hessian restricted to the subspace the
-    problem actually lives on. Null-space elimination leaves exactly one
-    structural zero eigenvalue per eliminated equality row; those are
-    excluded. For untransformed instances this is the plain smallest
-    eigenvalue."""
-    eigs = np.sort(np.linalg.eigvalsh(inst.Q))
-    return float(eigs[n_structural_zeros])
-
-
 def _check_generated(inst: QpInstance, n_eq: int) -> QpInstance:
+    """inst, checked to admit x = 0 and to have a Hessian positive definite
+    on the subspace the problem lives on: null-space elimination leaves one
+    structural zero eigenvalue per eliminated equality row, so the n_eq
+    smallest eigenvalues are skipped."""
     if inst.n_cons and inst.b.min() < -1e-10:
         raise ValueError("generated instance does not admit x = 0 as feasible")
-    if assumption_min_eig(inst, n_eq) <= 1e-10:
+    if inst.eigenvalues[n_eq] <= 1e-10:
         raise ValueError("generated Hessian is not positive definite on its subspace")
     return inst
 

@@ -1,7 +1,7 @@
 """Metrics, per-instance evaluation with timing, and experiment sweeps.
 
-Solution quality is the relative error (u_hat - u*) / (u0 - u*) with u0 = 0
-the trivial feasible objective; methods that fail to produce a feasible
+Solution quality is the relative error (u_hat - u*) / (0 - u*) against the
+trivial feasible objective 0; methods that fail to produce a feasible
 solution score exactly 1, and where the trivial point is optimal (u* >= 0)
 a solution scores 0 if it matches u* and 1 otherwise. Evaluation, training
 and the baselines all score through `score`. The reference u* must come
@@ -19,7 +19,6 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields as dc_fields
 from functools import cache, partial
 
@@ -28,41 +27,33 @@ import numpy as np
 from .core import (
     ProjectionMatrix,
     QpInstance,
+    int_field,
     is_feasible,
     objective,
     project,
     recover,
 )
 from .gnn import ModelParams, forward, forward_raw
-from .solver import SolveStatus, SolverSettings, solve_qp
+from .solver import SolveStatus, SolverSettings, settings_from_json, solve_qp
 
 
-def relative_error(u_hat: float, u_star: float, u0: float) -> float:
-    """(u_hat - u*) / (u0 - u*); 0 is optimal, 1 matches the trivial point."""
-    denom = u0 - u_star
+def relative_error(u_hat: float, u_star: float) -> float:
+    """(u_hat - u*) / (0 - u*), the error against the trivial objective 0:
+    0 is optimal, 1 matches the trivial point. Where the trivial point is
+    optimal (u* >= 0), u_hat scores 0 when it matches u* and 1 otherwise."""
+    denom = 0.0 - u_star
     if denom <= 0.0:
-        raise ValueError(
-            f"degenerate denominator: u0={u0!r} must strictly exceed u*={u_star!r}"
-        )
+        return 0.0 if u_hat - u_star <= 1e-9 * (1.0 + abs(u_star)) else 1.0
     return (u_hat - u_star) / denom
 
 
-def guarded_relative_error(u_hat: float, u_star: float) -> float:
-    """Relative error against the trivial objective 0, tolerating instances
-    whose optimum coincides with the trivial solution (u* >= 0): those
-    score 0 when u_hat matches u* and 1 otherwise."""
-    if -u_star <= 0.0:
-        return 0.0 if u_hat - u_star <= 1e-9 * (1.0 + abs(u_star)) else 1.0
-    return relative_error(u_hat, u_star, 0.0)
-
-
-def score(inst: QpInstance, x, u_hat: float, u_star: float, solved: bool = True,
-          feas_tol: float | None = None) -> tuple[float, bool]:
+def score(inst: QpInstance, x, u_hat: float, u_star: float,
+          solved: bool = True) -> tuple[float, bool]:
     """(relative error, feasible) of a method's point x, whose objective the
     caller passes as u_hat: a point that is not solved or not feasible
-    (against feas_tol, or core.feasibility_tol when None) scores 1."""
-    feasible = solved and is_feasible(inst, x, feas_tol)
-    return (guarded_relative_error(u_hat, u_star) if feasible else 1.0), feasible
+    (against core.feasibility_tol) scores 1."""
+    feasible = solved and is_feasible(inst, x)
+    return (relative_error(u_hat, u_star) if feasible else 1.0), feasible
 
 
 @dataclass
@@ -118,9 +109,6 @@ class SolutionCache:
     def u_star(self, inst: QpInstance) -> float:
         return self.entry(inst)["u_star"]
 
-    def x_star(self, inst: QpInstance) -> np.ndarray:
-        return np.asarray(self.entry(inst)["x_star"])
-
     def entry(self, inst: QpInstance) -> dict:
         """{"u_star", "x_star", "status"} of the full solve of inst. A solve
         that is not Solved gives no reference: ValueError names the instance
@@ -151,11 +139,8 @@ class SolutionCache:
                 f"ended {entry['status']}, not Solved")
         return entry
 
-    def warm(self, instances, threads: int = 1) -> list:
+    def warm(self, instances) -> list:
         """The entries of the instances, in order, computing missing ones."""
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(self.entry, instances))
         return [self.entry(inst) for inst in instances]
 
 
@@ -171,9 +156,10 @@ class ProjectionMethod:
 
 
 class OursMethod(ProjectionMethod):
-    def __init__(self, params: ModelParams, name: str = "ours"):
+    name = "ours"
+
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.name = name
         self.k = params.k
 
     def make_projection(self, inst, index):
@@ -184,10 +170,11 @@ class OursMethod(ProjectionMethod):
 class RandMethod(ProjectionMethod):
     """Uniformly selects K coordinates; instance d uses seed base_seed + d."""
 
-    def __init__(self, k: int, base_seed: int = 0, name: str = "rand"):
+    name = "rand"
+
+    def __init__(self, k: int, base_seed: int = 0):
         self.k = k
         self.base_seed = base_seed
-        self.name = name
 
     def make_projection(self, inst, index):
         from .baselines import rand_projection
@@ -210,11 +197,11 @@ class FixedProjectionMethod(ProjectionMethod):
 
 class DirectMethod:
     kind = "direct"
+    name = "direct"
+    k = 0
 
-    def __init__(self, params: ModelParams, name: str = "direct"):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.name = name
-        self.k = 0
 
     def predict(self, inst):
         x, _ = forward_raw(self.params, inst)
@@ -240,19 +227,15 @@ def _median_time(fn, repeats: int) -> float:
 def evaluate_method(method, test_set, k: int | None = None,
                     settings: SolverSettings | None = None,
                     cache: SolutionCache | None = None,
-                    timing_repeats: int = 3,
-                    feas_tol: float | None = None,
-                    threads: int = 1) -> list:
+                    timing_repeats: int = 3) -> list:
     """One EvalRecord per test instance.
 
     test_set is a list of QpInstance (ids read from meta). Failures --
     non-Solved reduced problems or infeasible recovered points -- are data,
     scored with relative error 1. Feasibility is always recomputed from the
-    raw lifted point, against feas_tol or, when it is None, against
-    core.feasibility_tol of the instance. A reference that is not Solved
-    raises ValueError. The full method reports the cache's reference solve,
-    which must use the same settings. Timing is pinned to sequential
-    execution; threads only parallelize the untimed u* warm-up.
+    raw lifted point, against core.feasibility_tol of the instance. A
+    reference that is not Solved raises ValueError. The full method reports
+    the cache's reference solve, which must use the same settings.
     """
     settings = settings or SolverSettings()
     cache = cache or SolutionCache(settings=settings)
@@ -261,7 +244,7 @@ def evaluate_method(method, test_set, k: int | None = None,
     method_k = getattr(method, "k", None)
     if k is not None and method_k not in (None, 0) and method_k != k:
         raise ValueError(f"method emits K={method_k}, caller expects K={k}")
-    entries = cache.warm(test_set, threads=threads)
+    entries = cache.warm(test_set)
 
     records = []
     for index, (inst, entry) in enumerate(zip(test_set, entries)):
@@ -290,7 +273,7 @@ def evaluate_method(method, test_set, k: int | None = None,
         else:
             raise ValueError(f"unknown method kind {method.kind!r}")
         u_hat = objective(inst, x)
-        err, feasible = score(inst, x, u_hat, u_star, solved, feas_tol)
+        err, feasible = score(inst, x, u_hat, u_star, solved)
         records.append(EvalRecord(
             instance_id=inst_id,
             method=method.name,
@@ -315,18 +298,19 @@ def mean_stderr(values) -> tuple[float, float]:
     return float(v.mean()), float(v.std(ddof=1) / np.sqrt(v.size))
 
 
-def summarize(rows, group_cols, value_col="relative_error"):
-    """Group (context, EvalRecord) rows and emit mean +/- standard error."""
+def summarize(rows, group_cols):
+    """Group (context, EvalRecord) rows and emit the mean relative error
+    +/- its standard error."""
     groups = {}
     for ctx, rec in rows:
         key = tuple(ctx.get(c, getattr(rec, c, "")) for c in group_cols)
-        groups.setdefault(key, []).append(getattr(rec, value_col))
+        groups.setdefault(key, []).append(rec.relative_error)
     out = []
     for key in sorted(groups, key=lambda t: tuple(map(str, t))):
         mean, se = mean_stderr(groups[key])
         out.append(dict(zip(group_cols, key)) | {
-            "mean_" + value_col: mean,
-            "stderr_" + value_col: se,
+            "mean_relative_error": mean,
+            "stderr_relative_error": se,
             "count": len(groups[key]),
         })
     return out
@@ -338,6 +322,7 @@ def summarize(rows, group_cols, value_col="relative_error"):
 # {
 #   "solver": {"eps_abs": ..., ...},            optional
 #   "timing_repeats": 3,                        optional (0 disables timing)
+#   "cache_dir": "path/to/cache",               optional
 #   "sweeps": [
 #     {"type": "k_sweep",
 #      "name": "...",                           optional tag
@@ -364,7 +349,8 @@ def summarize(rows, group_cols, value_col="relative_error"):
 #
 # Checkpoint values are paths: "ours"/"direct" -> model checkpoints,
 # "pca"/"sharedp" -> projection files (see baselines.save_projection).
-# Missing checkpoints are reported per cell and the run continues.
+# Missing checkpoints are reported per cell and the run continues. Any other
+# top-level key is an error.
 
 def load_method(name, spec_entry, k, rand_seed=0):
     """The method `name`; spec_entry is the path of its model checkpoint
@@ -439,8 +425,13 @@ def _sweep_cells(spec):
         else:
             # one test split per setting: (setting, label, checkpoint key, K, split)
             if stype == "k_sweep":
+                k_values = sweep["k_values"]
+                if not (isinstance(k_values, list)
+                        and all(type(k) is int and k >= 1 for k in k_values)):
+                    raise ValueError(f"sweep {sname!r}: 'k_values' must be a list of "
+                                     f"integers >= 1, got {k_values!r}")
                 split = test_split(sweep["manifest"])
-                points = [(k, f"k={k}", k, int(k), split) for k in sweep["k_values"]]
+                points = [(k, f"k={k}", k, k, split) for k in k_values]
             elif stype == "d_sweep":
                 plain = sorted(mname for mname, entry in (ckpts or {}).items()
                                if not isinstance(entry, dict))
@@ -479,12 +470,14 @@ def run_experiment(spec, out_dir) -> dict:
             spec = json.load(fh)
     if not isinstance(spec, dict):
         raise ValueError(f"an experiment spec must be a JSON object, got {type(spec).__name__}")
+    unknown = sorted(set(spec) - {"solver", "timing_repeats", "cache_dir", "sweeps"})
+    if unknown:
+        raise ValueError(f"unknown experiment spec keys {unknown}")
+    settings = settings_from_json(spec.get("solver", {}))
+    timing_repeats = int_field({"timing_repeats": 3} | spec, "timing_repeats", 0,
+                               "experiment spec")
     cells = _sweep_cells(spec)
     os.makedirs(out_dir, exist_ok=True)
-    settings = SolverSettings(**spec.get("solver", {}))
-    timing_repeats = int(spec.get("timing_repeats", 3))
-    feas_tol = spec.get("feas_tol")
-    feas_tol = None if feas_tol is None else float(feas_tol)
     cache = SolutionCache(cache_dir=spec.get("cache_dir"), settings=settings)
 
     context_cols = ["sweep", "sweep_type", "setting", "train_tag", "test_tag"]
@@ -498,7 +491,7 @@ def run_experiment(spec, out_dir) -> dict:
             continue
         for ctx, test_set in targets:
             recs = evaluate_method(method, test_set, settings=settings, cache=cache,
-                                   timing_repeats=timing_repeats, feas_tol=feas_tol)
+                                   timing_repeats=timing_repeats)
             rows.extend((ctx, rec) for rec in recs)
 
     records_path = os.path.join(out_dir, "records.csv")

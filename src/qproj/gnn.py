@@ -88,16 +88,6 @@ class ModelParams:
     def zeros_like(self) -> "ModelParams":
         return ModelParams(**{f: np.zeros_like(getattr(self, f)) for f in self._FIELDS})
 
-    @property
-    def n_params(self) -> int:
-        return sum(getattr(self, f).size for f in self._FIELDS)
-
-
-def param_count(h: int, l: int, k: int, h_g: int) -> int:
-    """4H init terms + 5 LxHxH message matrices + head."""
-    head = h_g * h + h_g + h_g * h_g + h_g + k * h_g + k
-    return 4 * h + 5 * l * h * h + head
-
 
 def init_params(seed: int, h: int = 32, l: int = 4, k: int = 10, h_g: int = 32) -> ModelParams:
     """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) weights, zero biases."""

@@ -60,6 +60,8 @@ CHECK_INTERVAL = 25         # termination test cadence
 RHO_INTERVAL = 100          # adaptive rho cadence
 RHO_MIN, RHO_MAX = 1e-6, 1e6
 RHO_REFACTOR_RATIO = 5.0
+RHO_0 = 0.1                 # first ADMM step size
+SIGMA = 1e-6                # step regularization
 CROSSOVER_TRIGGER = 1e3     # cross over once residuals are this close
 CROSSOVER_RCOND = 1e-10     # Q better conditioned than this crosses over
 CROSSOVER_DEP_TOL = 1e-10   # relative norm below which a row is dependent
@@ -84,12 +86,10 @@ class SolverSettings:
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
     max_iter: int = 20000
-    rho: float = 0.1
-    sigma: float = 1e-6
     polish: bool = True
 
     def __post_init__(self):
-        for name in ("eps_abs", "eps_rel", "rho", "sigma"):
+        for name in ("eps_abs", "eps_rel"):
             value = getattr(self, name)
             # a NaN fails every comparison, so test for the good case
             if not (math.isfinite(value) and value > 0):
@@ -97,6 +97,24 @@ class SolverSettings:
                                  f"got {value!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+
+
+def settings_from_json(section) -> SolverSettings:
+    """SolverSettings from the "solver" mapping of a config file or an
+    experiment spec. A section that is not a mapping, an unknown key or a
+    value of the wrong type raises ValueError naming the key: the settings
+    class itself would raise TypeError."""
+    if not isinstance(section, dict):
+        raise ValueError(f"key 'solver' must be an object, got {section!r}")
+    defaults = vars(SolverSettings())
+    for key, value in section.items():
+        if key not in defaults:
+            raise ValueError(f"unknown solver setting {key!r}")
+        kind = type(defaults[key])
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+            raise ValueError(f"solver setting {key!r} must be a {kind.__name__}, got {value!r}")
+    return SolverSettings(**section)
 
 
 @dataclass
@@ -107,10 +125,6 @@ class SolveResult:
     objective: float
     iterations: int
     message: str = ""
-
-    @property
-    def solved(self) -> bool:
-        return self.status is SolveStatus.SOLVED
 
 
 def kkt_residuals(inst: QpInstance, y, lam):
@@ -402,8 +416,8 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
             return finish(pol[0], pol[1], SolveStatus.SOLVED, 0)
 
     Qs, cs, As, bs, d_sc, e_sc, gamma = _ruiz_equilibrate(Q, c, A, b)
-    rho = settings.rho
-    chol = _factor(Qs, As, settings.sigma, rho)
+    rho = RHO_0
+    chol = _factor(Qs, As, SIGMA, rho)
 
     xb = np.zeros(n)       # scaled-space iterates
     zb = np.zeros(m)
@@ -422,7 +436,7 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
         if chol is None:
             return fail(k - 1, f"Cholesky factorization failed at rho={rho:.3e}: "
                                "Q + sigma I + rho A'A is not numerically positive definite")
-        x_t, z_t = _step(chol, As, cs, settings.sigma, rho, xb, zb, yb)
+        x_t, z_t = _step(chol, As, cs, SIGMA, rho, xb, zb, yb)
         xb = ALPHA * x_t + (1.0 - ALPHA) * xb
         if m:
             v = ALPHA * z_t + (1.0 - ALPHA) * zb + yb / rho
@@ -516,7 +530,7 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
             rho_new = float(np.clip(rho * np.sqrt(ratio), RHO_MIN, RHO_MAX))
             if rho_new / rho > RHO_REFACTOR_RATIO or rho / rho_new > RHO_REFACTOR_RATIO:
                 rho = rho_new
-                chol = _factor(Qs, As, settings.sigma, rho)
+                chol = _factor(Qs, As, SIGMA, rho)
 
     _, xbest, ybest, kb = best
     pol = crossover(xbest, ybest, 1.0)

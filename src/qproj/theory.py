@@ -121,7 +121,7 @@ def validate_norm_bound(instances, params: ModelParams, k: int,
         if res.status is not SolveStatus.SOLVED:
             skipped += 1
             continue
-        sigma_q = float(np.linalg.eigvalsh(reduced.Q)[0])
+        sigma_q = float(reduced.eigenvalues[0])
         if sigma_q <= 0:
             skipped += 1
             continue

@@ -104,13 +104,6 @@ def envelope_grad(inst: QpInstance, P, y_star, lambda_star) -> np.ndarray:
     return g
 
 
-def surrogate_loss(inst: QpInstance, P, y_star, lambda_star) -> float:
-    """<envelope_grad (held constant), P>; its P-gradient is the envelope
-    gradient, so backpropagating this scalar realizes the chain rule."""
-    Pm = P.P if isinstance(P, ProjectionMatrix) else np.asarray(P, dtype=np.float64)
-    return float(np.sum(envelope_grad(inst, Pm, y_star, lambda_star) * Pm))
-
-
 def penalized_total(scores, penalty: float = VALIDATION_PENALTY) -> float:
     """Sum of the relative errors of (relative error, feasible) pairs, one
     per validation instance (failures already scored 1), plus

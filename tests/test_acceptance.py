@@ -245,7 +245,7 @@ def test_criterion_04_feasibility_all_projection_methods(
         train_set = desk_data[family]["train"]
         n = test_set[0].n_vars
         u_star_cache.warm(train_set)
-        sols = np.array([u_star_cache.x_star(inst) for inst in train_set])
+        sols = np.array([u_star_cache.entry(inst)["x_star"] for inst in train_set])
         pca = FixedProjectionMethod(pca_projection(sols, DESK_K).P, "pca")
         shared_cfg = TrainConfig(k=DESK_K, batch_size=8, max_epochs=3, seed=0,
                                  record_timings=False)

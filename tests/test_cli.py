@@ -266,3 +266,32 @@ def test_baseline_sharedp_and_direct_round_trip(tmp_path, capsys):
                         "--timing-repeats", "0"]) == 2, (name, path)
         assert message in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+def test_config_seed_equals_the_seed_flag(tmp_path, capsys):
+    # gen-data took base seed 0 and eval --method rand seed 0 whatever the
+    # config's seed; train and baseline already honoured it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 5}))
+
+    def gen_data(out, *seed_args):
+        assert run_cli([*seed_args, "--out", str(out), "gen-data", "--family", "regression",
+                        "--n", "6", "--m", "2", "--t", "12", "--train", "1", "--val", "1",
+                        "--test", "2"]) == 0
+        return out / "manifest.json"
+
+    def eval_rand(out, manifest, *seed_args):
+        assert run_cli([*seed_args, "--out", str(out), "eval", "--manifest", str(manifest),
+                        "--method", "rand", "--k", "2", "--timing-repeats", "0"]) == 0
+        return (out / "records.csv").read_bytes()
+
+    by_flag = gen_data(tmp_path / "flag", "--seed", "5")
+    by_config = gen_data(tmp_path / "config", "--config", str(cfg_path))
+    assert json.loads(by_config.read_text())["base_seed"] == 5
+    assert by_config.read_bytes() == by_flag.read_bytes()
+    test_file = "regression_test_0003.json"
+    assert (by_config.parent / test_file).read_bytes() == (by_flag.parent / test_file).read_bytes()
+    records = eval_rand(tmp_path / "e5", by_flag, "--seed", "5")
+    assert eval_rand(tmp_path / "ec", by_flag, "--config", str(cfg_path)) == records
+    assert eval_rand(tmp_path / "e0", by_flag) != records
+    capsys.readouterr()

@@ -13,7 +13,6 @@ from qproj.core import (
 )
 from qproj.datasets import (
     DatasetManifest,
-    assumption_min_eig,
     control_eq_instance,
     gen_control,
     gen_portfolio,
@@ -30,7 +29,7 @@ def test_regression_shapes_and_feasibility():
     assert inst.n_cons == 3 + 8
     assert max_violation(inst, np.zeros(8)) == 0.0
     assert inst.b.min() >= 0.0
-    assert assumption_min_eig(inst) > 0
+    assert inst.eigenvalues[0] > 0
 
 
 def test_regression_default_t_and_scaling():
@@ -64,7 +63,7 @@ def test_portfolio_structure():
     assert inst.n_vars == 12
     assert inst.n_cons == 13           # -x <= 0 rows plus the return row
     assert inst.b.min() >= -1e-10      # x = 0 feasible
-    assert assumption_min_eig(inst, n_structural_zeros=1) > 0
+    assert inst.eigenvalues[1] > 0      # one structural zero per equality row
 
 
 def test_portfolio_round_trip_objective():
@@ -98,7 +97,7 @@ def test_control_structure():
     assert inst.n_vars == n
     assert inst.n_cons == 2 * n
     assert inst.b.min() >= -1e-10
-    assert assumption_min_eig(inst, n_structural_zeros=3 * 4) > 0
+    assert inst.eigenvalues[3 * 4] > 0
 
 
 def test_control_n_500_at_full_scale():
@@ -175,3 +174,25 @@ def test_generated_instance_is_built_once(make):
         again = QpInstance(Q=inst.Q, c=inst.c, A=inst.A, b=inst.b,
                            constant=inst.constant, meta=inst.meta)
         assert json.dumps(instance_to_dict(inst)) == json.dumps(instance_to_dict(again))
+
+
+@pytest.mark.parametrize("make", [lambda: gen_regression(n=8, m=3, t=16, seed=0),
+                                  lambda: gen_portfolio(12, seed=0),
+                                  lambda: gen_control(s=3, v=3, t=4, seed=0)],
+                         ids=["regression", "portfolio", "control"])
+def test_generation_computes_the_eigenvalues_once(make, monkeypatch):
+    # the generator's positive-definiteness check ran eigvalsh a second time
+    # on the Q the instance had just checked for PSD
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    inst = make()
+    assert calls == [inst.Q.shape]
+    assert inst.eigenvalues.tobytes() == real(inst.Q).tobytes()
+    assert not inst.eigenvalues.flags.writeable
+    assert "eigenvalues" not in instance_to_dict(inst)

@@ -8,7 +8,6 @@ from qproj.gnn import (
     forward_raw,
     init_params,
     load_checkpoint,
-    param_count,
     save_checkpoint,
 )
 
@@ -20,8 +19,7 @@ def _unconstrained(q, c):
 
 def test_param_count_formula():
     params = init_params(0, h=32, l=4, k=10, h_g=32)
-    assert params.n_params == param_count(32, 4, 10, 32)
-    assert params.n_params == 4 * 32 + 5 * 4 * 32 * 32 + (
+    assert params.to_vector().size == 4 * 32 + 5 * 4 * 32 * 32 + (
         32 * 32 + 32 + 32 * 32 + 32 + 10 * 32 + 10)
 
 
@@ -62,7 +60,7 @@ def test_forward_size_independence():
 
 def test_zero_params_fallback():
     params = init_params(0, h=4, l=2, k=3, h_g=4)
-    zero = params.from_vector(np.zeros(params.n_params))
+    zero = params.from_vector(np.zeros(params.to_vector().size))
     inst = _unconstrained(np.eye(5), np.ones(5))
     proj, tape = forward(zero, inst, 3)
     assert tape.fallback

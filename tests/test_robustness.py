@@ -215,7 +215,8 @@ def test_empty_instance_rejected(tmp_path, capsys):
     ([1], "'solver'"),
     ({"max_iter": "10"}, "'max_iter'"),
     # NaN tolerances ran 20,000 iterations to MaxIterReached, and a NaN rho
-    # ended NumericalError; both exited 0
+    # ended NumericalError; both exited 0. rho and sigma are no longer
+    # settings, so those rows are now unknown keys
     ({"eps_abs": float("nan")}, "'eps_abs'"),
     ({"eps_rel": float("nan")}, "'eps_rel'"),
     ({"rho": float("nan")}, "'rho'"),
@@ -245,12 +246,23 @@ def test_malformed_instance_file_rejected(tmp_path, capsys, doc, message):
 
 
 # a spec that is a list ended in an AttributeError and a sweep that is not a
-# mapping in a TypeError (exit code 1)
+# mapping in a TypeError (exit code 1); the spec's solver and timing_repeats
+# skipped the checks a config file's solver section gets and escaped as a
+# TypeError too, and a string k_values (on a real manifest) and the removed
+# key feas_tol ran and exited 0
 @pytest.mark.parametrize("spec, message", [
     ([1], "must be a JSON object"),
     ({"sweeps": ["x"]}, "sweeps[0]"),
     ({"sweeps": 5}, "'sweeps'"),
-], ids=["list", "sweep-string", "sweeps-number"])
+    ({"solver": {"bogus": 1}}, "'bogus'"),
+    ({"solver": [1]}, "'solver'"),
+    ({"solver": {"max_iter": "10"}}, "'max_iter'"),
+    ({"timing_repeats": [1]}, "'timing_repeats'"),
+    ({"sweeps": [{"type": "k_sweep", "manifest": "m.json", "methods": ["rand"],
+                  "k_values": "23"}]}, "'k_values'"),
+    ({"feas_tol": 1e-3}, "'feas_tol'"),
+], ids=["list", "sweep-string", "sweeps-number", "solver-unknown-key", "solver-list",
+        "solver-string", "timing-repeats-list", "k-values-string", "removed-feas-tol"])
 def test_malformed_experiment_spec_rejected(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -332,3 +344,22 @@ def test_non_finite_projection_rejected(tmp_path, capsys):
     assert main(["--out", str(tmp_path / "eval"), "eval", "--manifest", str(manifest),
                  "--method", "pca", "--artifact", str(path), "--timing-repeats", "0"]) == 2
     assert "P holds NaN" in capsys.readouterr().err
+
+
+# a config section that is not a mapping ended in an AttributeError, and a
+# value int() rejects in a TypeError (exit code 1)
+@pytest.mark.parametrize("config, command, message", [
+    ({"eval": [1]}, "eval", "section 'eval'"),
+    ({"eval": {"timing-repeats": [1]}}, "eval", "'timing-repeats'"),
+    ({"train": {"epochs": [2]}}, "train", "'epochs'"),
+], ids=["eval-section-list", "eval-timing-repeats-list", "train-epochs-list"])
+def test_malformed_config_rejected(tmp_path, capsys, config, command, message):
+    manifest = _regression_data(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    args = {"eval": ["--method", "rand", "--k", "2"], "train": ["--k", "2"]}[command]
+    capsys.readouterr()
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), command,
+                 "--manifest", str(manifest), *args]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

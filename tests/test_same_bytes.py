@@ -90,7 +90,8 @@ def test_cache_entry_matches_the_python_encoder(tmp_path):
     assert name == cache.key(inst) + ".json"
     assert file_bytes(tmp_path / name) == reencoded(tmp_path / name)
     res = solve_qp(inst, cache.settings)
-    assert SolutionCache(cache_dir=tmp_path).x_star(inst).tobytes() == res.y_star.tobytes()
+    x_star = SolutionCache(cache_dir=tmp_path).entry(inst)["x_star"]
+    assert np.asarray(x_star).tobytes() == res.y_star.tobytes()
 
 
 @pytest.mark.parametrize("family,sizes,seed", [

@@ -8,7 +8,6 @@ from qproj.training import (
     TrainConfig,
     envelope_grad,
     penalized_total,
-    surrogate_loss,
     train,
     validation_loss,
 )
@@ -67,16 +66,6 @@ def test_envelope_grad_matches_finite_differences():
             checked += 1
             assert abs(fd - g[i, j]) / max(abs(fd), abs(g[i, j])) <= 1e-3
     assert checked >= 8
-
-
-def test_surrogate_loss_examples():
-    inst = QpInstance(Q=np.eye(2), c=[0, 0], A=np.zeros((1, 2)), b=[1.0])
-    P = np.eye(2)[:, :1]
-    assert surrogate_loss(inst, P, np.zeros(1), np.zeros(1)) == 0.0
-
-    inst1 = QpInstance(Q=[[2.0]], c=[-2.0], A=[[1.0]], b=[0.5])
-    val = surrogate_loss(inst1, np.array([[1.0]]), np.array([0.5]), np.array([1.0]))
-    assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_surrogate_gradient_realizes_chain_rule():
