@@ -26,10 +26,13 @@ def _load_config(path):
     return doc
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", os.fspath: "a path"}
+
+
 def _pick(args, cfg, key, default=None, kind=None):
     """The flag, else the config value, else default, converted by kind
-    (int or float) when given; a value kind rejects raises ValueError naming
-    the key."""
+    (int, float, or os.fspath for a path) when given; a value kind rejects
+    raises ValueError naming the key."""
     val = getattr(args, key.replace("-", "_"), None)
     if val is None:
         val = cfg.get(key, default)
@@ -38,14 +41,18 @@ def _pick(args, cfg, key, default=None, kind=None):
     try:
         return kind(val)
     except (TypeError, ValueError):
-        raise ValueError(f"option {key!r} must be {'an integer' if kind is int else 'a number'}, "
-                         f"got {val!r}") from None
+        raise ValueError(f"option {key!r} must be {_KIND_NAMES[kind]}, got {val!r}") from None
 
 
 def _require(value, name):
     if value is None:
         raise ValueError(f"missing required option --{name} (flag or config)")
     return value
+
+
+def _path(args, cfg, key):
+    """The required path option key, flag or config."""
+    return _require(_pick(args, cfg, key, kind=os.fspath), key)
 
 
 def _solver_settings(cfg):
@@ -94,7 +101,7 @@ def cmd_train(args, cfg):
     from .gnn import save_checkpoint
     from .training import train
 
-    manifest = DatasetManifest.load(_require(_pick(args, cfg, "manifest"), "manifest"))
+    manifest = DatasetManifest.load(_path(args, cfg, "manifest"))
     config = _train_config(args, cfg, _require(_pick(args, cfg, "k", kind=int), "k"), 500,
                            hidden=_pick(args, cfg, "hidden", 32, int),
                            layers=_pick(args, cfg, "layers", 4, int),
@@ -122,9 +129,9 @@ def _build_method(args, cfg, name, k):
     if name == "rand":
         _require(k, "k")
     elif name == "ours":
-        path = _require(_pick(args, cfg, "checkpoint"), "checkpoint")
+        path = _path(args, cfg, "checkpoint")
     elif name != "full":
-        path = _require(_pick(args, cfg, "artifact"), "artifact")
+        path = _path(args, cfg, "artifact")
     return load_method(name, path, k, rand_seed=_seed(args, cfg))
 
 
@@ -132,7 +139,7 @@ def cmd_eval(args, cfg):
     from .datasets import DatasetManifest
     from .evaluate import SolutionCache, evaluate_method, write_records_csv
 
-    manifest = DatasetManifest.load(_require(_pick(args, cfg, "manifest"), "manifest"))
+    manifest = DatasetManifest.load(_path(args, cfg, "manifest"))
     name = _require(_pick(args, cfg, "method"), "method")
     k = _pick(args, cfg, "k", kind=int)
     method = _build_method(args, cfg, name, k)
@@ -142,7 +149,7 @@ def cmd_eval(args, cfg):
         manifest.load_split(_pick(args, cfg, "split", "test")),
         k=k,
         settings=settings,
-        cache=SolutionCache(cache_dir=_pick(args, cfg, "cache-dir"),
+        cache=SolutionCache(cache_dir=_pick(args, cfg, "cache-dir", kind=os.fspath),
                             settings=settings),
         timing_repeats=_pick(args, cfg, "timing-repeats", 3, int),
     )
@@ -157,7 +164,7 @@ def cmd_solve(args, cfg):
     from .core import load_instance
     from .solver import solve_qp
 
-    inst = load_instance(_require(_pick(args, cfg, "instance"), "instance"))
+    inst = load_instance(_path(args, cfg, "instance"))
     settings = _solver_settings(cfg)
     res = solve_qp(inst, settings)
     doc = {
@@ -187,7 +194,7 @@ def cmd_baseline(args, cfg):
     from .evaluate import SolutionCache
     from .gnn import save_checkpoint
 
-    manifest = DatasetManifest.load(_require(_pick(args, cfg, "manifest"), "manifest"))
+    manifest = DatasetManifest.load(_path(args, cfg, "manifest"))
     name = _require(_pick(args, cfg, "method"), "method")
     train_set = manifest.load_split("train")
     val_set = manifest.load_split("val")
@@ -197,7 +204,7 @@ def cmd_baseline(args, cfg):
     path = os.path.join(args.out, f"{name}_artifact.json")
 
     if name == "pca":
-        cache = SolutionCache(cache_dir=_pick(args, cfg, "cache-dir"),
+        cache = SolutionCache(cache_dir=_pick(args, cfg, "cache-dir", kind=os.fspath),
                               settings=settings)
         sols = np.array([e["x_star"] for e in cache.warm(train_set)])
         proj = baselines.pca_projection(sols, _require(k, "k"))
@@ -226,10 +233,8 @@ def cmd_theory(args, cfg):
         from .gnn import load_checkpoint
         from .theory import validate_norm_bound
 
-        manifest = DatasetManifest.load(
-            _require(_pick(args, cfg, "manifest"), "manifest"))
-        params = load_checkpoint(
-            _require(_pick(args, cfg, "checkpoint"), "checkpoint"))
+        manifest = DatasetManifest.load(_path(args, cfg, "manifest"))
+        params = load_checkpoint(_path(args, cfg, "checkpoint"))
         report = validate_norm_bound(manifest.load_split("test"), params,
                                      params.k, settings=_solver_settings(cfg))
         os.makedirs(args.out, exist_ok=True)
@@ -270,7 +275,7 @@ def cmd_theory(args, cfg):
 def cmd_experiment(args, cfg):
     from .evaluate import run_experiment
 
-    spec = _require(_pick(args, cfg, "spec"), "spec")
+    spec = _path(args, cfg, "spec")
     out = run_experiment(spec, args.out)
     print(out["records"])
     return 0

@@ -416,8 +416,9 @@ def _sweep_cells(spec):
         ckpts = sweep.get("checkpoints")
         # (method, checkpoint, K, label, [(setting, train tag, test tag, test set)])
         if stype == "cross_dataset":
+            k = int_field(sweep, "k", 1, f"sweep {sname!r}")
             splits = {fam: test_split(p)[1] for fam, p in sweep["manifests"].items()}
-            cells = [(mname, _checkpoint_for(ckpts, sname, train), int(sweep["k"]),
+            cells = [(mname, _checkpoint_for(ckpts, sname, train), k,
                       f"train={train}",
                       [(f"{train}->{test}", train, test, split)
                        for test, split in splits.items()])
@@ -438,13 +439,15 @@ def _sweep_cells(spec):
                 if plain:
                     raise ValueError(f"sweep {sname!r}: a d_sweep takes the checkpoints of "
                                      f"{plain} as per-setting maps, not one path")
+                k = int_field(sweep, "k", 1, f"sweep {sname!r}")
                 split = test_split(sweep["manifest"])
                 d_values = sorted({d for entry in (ckpts or {}).values() for d in entry},
                                   key=int)
-                points = [(f"d={d}", f"d={d}", d, int(sweep["k"]), split) for d in d_values]
+                points = [(f"d={d}", f"d={d}", d, k, split) for d in d_values]
             elif stype == "generalization_sweep":
                 axis = sweep.get("axis", "n")
-                points = [(f"{axis}={v}", f"{axis}={v}", None, int(sweep["k"]), test_split(p))
+                k = int_field(sweep, "k", 1, f"sweep {sname!r}")
+                points = [(f"{axis}={v}", f"{axis}={v}", None, k, test_split(p))
                           for v, p in sweep["manifests"].items()]
             else:
                 raise ValueError(f"unknown sweep type {stype!r}")
@@ -452,7 +455,7 @@ def _sweep_cells(spec):
                       f"method={mname} {label}",
                       [(setting, fam, fam, split)])
                      for setting, label, key, k, (fam, split) in points for mname in methods]
-        rand_seed = int(sweep.get("rand_seed", 0))
+        rand_seed = int_field({"rand_seed": 0} | sweep, "rand_seed", 0, f"sweep {sname!r}")
         out += [(partial(load_method, mname, ckpt, k, rand_seed), f"{sname}: {label}",
                  [({"sweep": sname, "sweep_type": stype, "setting": setting,
                     "train_tag": train_tag, "test_tag": test_tag}, split)

@@ -5,9 +5,8 @@ Ay + s = b, s >= 0. Each ADMM step solves the regularized KKT system in
 its reduced (normal-equation) form, whose n x n matrix Q + sigma I + rho A'A
 is Cholesky-factored once per value of rho (OSQP, Stellato et al. 2020,
 section 5), so a step costs O(n^2 + mn) however many rows A has. Returns
-both primal and dual solutions; an optional finish refines the iterate to
-machine precision, which matters because downstream gradients consume the
-duals.
+both primal and dual solutions; an optional finish makes them exact up to
+round-off, which matters because downstream gradients consume the duals.
 
 The finish is a Goldfarb-Idnani dual active-set crossover warm-started from
 the rows the duals guess active. It needs Q to pass a gate checked once per
@@ -17,19 +16,18 @@ and control problems after equality elimination, LPs) fails it; there the
 crossover runs on Q + delta I with linear term c - delta y from the current
 iterate y, delta = CROSSOVER_PROX * max(||Q||_1, 1), for up to
 CROSSOVER_PROX_ROUNDS rounds of the proximal point method (Rockafellar 1976).
-The finish is tried when the iterate meets the tolerances, every 100
-iterations while the residuals are within CROSSOVER_TRIGGER times them or
-from iteration 100 on, and once on the best iterate when max_iter runs out.
-A finished point is kept only when its KKT merit meets the tolerances, so a
-status never comes from the finish alone, and an active set whose finish
-missed is not tried again in the same solve.
-
-A caller that solves a sequence of nearby problems (training re-solves each
-instance every epoch under a slightly different projection) can pass the
-last duals as a guess. When Q passes the gate the finish is tried from the
-guessed active set before ADMM is even set up; a guess that meets the
-tolerances ends the solve at iteration 0, one that misses is memoized like
-any other, and ADMM then runs exactly as without a guess.
+When Q passes the gate the finish is tried first, before ADMM is even set
+up: from the active set of the caller's guess, or from the empty active set
+(the unconstrained minimizer, the natural start of the dual method) when
+there is none. A caller that solves a sequence of nearby problems (training
+re-solves each instance every epoch under a slightly different projection)
+passes the last duals as that guess. A start that meets the tolerances ends
+the solve at iteration 0. ADMM runs below the gate, with polish off, or
+after that start missed; the finish is then tried at every termination
+check (every CHECK_INTERVAL iterations) and once on the best iterate when
+max_iter runs out. A finished point is kept only when its KKT merit meets
+the tolerances, so a status never comes from the finish alone, and an
+active set whose finish missed is not tried again in the same solve.
 
 A non-finite iterate ends the solve with status NumericalError.
 
@@ -62,7 +60,6 @@ RHO_MIN, RHO_MAX = 1e-6, 1e6
 RHO_REFACTOR_RATIO = 5.0
 RHO_0 = 0.1                 # first ADMM step size
 SIGMA = 1e-6                # step regularization
-CROSSOVER_TRIGGER = 1e3     # cross over once residuals are this close
 CROSSOVER_RCOND = 1e-10     # Q better conditioned than this crosses over
 CROSSOVER_DEP_TOL = 1e-10   # relative norm below which a row is dependent
 CROSSOVER_VIOL_TOL = 1e-12  # relative violation that counts as round-off
@@ -408,10 +405,11 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
         missed.add(key)
         return None
 
-    # below the gate the proximal rounds start from a primal iterate, which a
-    # guess lacks, so there the guess is ignored
-    if guess is not None and q_chol is not None and not delta:
-        pol = crossover(None, guess, 1.0)
+    # cold start: the finish from the guess, or from the empty active set (the
+    # unconstrained minimizer); below the gate the proximal rounds start from
+    # a primal iterate, which neither has, so there ADMM runs first
+    if q_chol is not None and not delta:
+        pol = crossover(None, np.zeros(m) if guess is None else guess, 1.0)
         if pol is not None:
             return finish(pol[0], pol[1], SolveStatus.SOLVED, 0)
 
@@ -423,7 +421,6 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
     zb = np.zeros(m)
     yb = np.zeros(m)
 
-    tried_crossover_at = -10**9
     x_last_check = np.zeros(n)
     y_last_check = np.zeros(m)
 
@@ -460,24 +457,13 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
         if best is None or cur < best[0]:
             best = (cur, x.copy(), y.copy(), k)
 
+        # the finish at every check; an iterate within tolerance keeps its
+        # point unless the finish does at least as well
+        pol = crossover(x, y, min(cur, 1.0))
+        if pol is not None:
+            return finish(pol[0], pol[1], SolveStatus.SOLVED, k)
         if cur <= 1.0:
-            pol = crossover(x, y, cur)
-            if pol is not None:
-                return finish(pol[0], pol[1], SolveStatus.SOLVED, k)
             return finish(x, y, SolveStatus.SOLVED, k)
-
-        # early finish, at most every 100 iterations: once the residuals are
-        # close, and from iteration 100 on whatever the residuals
-        if (
-            q_chol is not None
-            and k - tried_crossover_at >= 100
-            and (k >= 100
-                 or (viol <= CROSSOVER_TRIGGER * eps_pri and dual <= CROSSOVER_TRIGGER * eps_dua))
-        ):
-            tried_crossover_at = k
-            pol = crossover(x, y, 1.0)
-            if pol is not None:
-                return finish(pol[0], pol[1], SolveStatus.SOLVED, k)
 
         # infeasibility certificates on check-to-check directions
         if m:

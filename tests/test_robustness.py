@@ -78,7 +78,7 @@ def test_failed_cholesky_is_a_status():
 
 def test_failed_cholesky_after_rho_change_is_a_status(monkeypatch):
     # random_pd_instance(default_rng(0), 8, 12) refactors at iteration 100;
-    # with the finish on, the crossover would land it there first
+    # with the finish on, the crossover would land it before that
     inst = random_pd_instance(np.random.default_rng(0), 8, 12)
     real_factor, calls = solver._factor, []
 
@@ -248,8 +248,9 @@ def test_malformed_instance_file_rejected(tmp_path, capsys, doc, message):
 # a spec that is a list ended in an AttributeError and a sweep that is not a
 # mapping in a TypeError (exit code 1); the spec's solver and timing_repeats
 # skipped the checks a config file's solver section gets and escaped as a
-# TypeError too, and a string k_values (on a real manifest) and the removed
-# key feas_tol ran and exited 0
+# TypeError too, and so did a sweep's k and rand_seed, read with int(); a
+# string k_values (on a real manifest) and the removed key feas_tol ran and
+# exited 0
 @pytest.mark.parametrize("spec, message", [
     ([1], "must be a JSON object"),
     ({"sweeps": ["x"]}, "sweeps[0]"),
@@ -261,8 +262,13 @@ def test_malformed_instance_file_rejected(tmp_path, capsys, doc, message):
     ({"sweeps": [{"type": "k_sweep", "manifest": "m.json", "methods": ["rand"],
                   "k_values": "23"}]}, "'k_values'"),
     ({"feas_tol": 1e-3}, "'feas_tol'"),
+    ({"sweeps": [{"type": "generalization_sweep", "manifests": {"6": "m.json"},
+                  "methods": ["rand"], "k": [2]}]}, "'k'"),
+    ({"sweeps": [{"type": "generalization_sweep", "manifests": {}, "methods": ["rand"],
+                  "k": 2, "rand_seed": [1]}]}, "'rand_seed'"),
 ], ids=["list", "sweep-string", "sweeps-number", "solver-unknown-key", "solver-list",
-        "solver-string", "timing-repeats-list", "k-values-string", "removed-feas-tol"])
+        "solver-string", "timing-repeats-list", "k-values-string", "removed-feas-tol",
+        "sweep-k-list", "sweep-rand-seed-list"])
 def test_malformed_experiment_spec_rejected(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -346,20 +352,30 @@ def test_non_finite_projection_rejected(tmp_path, capsys):
     assert "P holds NaN" in capsys.readouterr().err
 
 
-# a config section that is not a mapping ended in an AttributeError, and a
-# value int() rejects in a TypeError (exit code 1)
-@pytest.mark.parametrize("config, command, message", [
-    ({"eval": [1]}, "eval", "section 'eval'"),
-    ({"eval": {"timing-repeats": [1]}}, "eval", "'timing-repeats'"),
-    ({"train": {"epochs": [2]}}, "train", "'epochs'"),
-], ids=["eval-section-list", "eval-timing-repeats-list", "train-epochs-list"])
-def test_malformed_config_rejected(tmp_path, capsys, config, command, message):
-    manifest = _regression_data(tmp_path)
+# a config section that is not a mapping ended in an AttributeError, a
+# value int() rejects in a TypeError, and so did a path that is not a string,
+# from os.makedirs or open (exit code 1)
+@pytest.mark.parametrize("config, argv, message", [
+    ({"eval": [1]}, ["eval", "--method", "rand", "--k", "2"], "section 'eval'"),
+    ({"eval": {"timing-repeats": [1]}}, ["eval", "--method", "rand", "--k", "2"],
+     "'timing-repeats'"),
+    ({"train": {"epochs": [2]}}, ["train", "--k", "2"], "'epochs'"),
+    ({"eval": {"cache-dir": [1]}}, ["eval", "--method", "rand", "--k", "2"], "'cache-dir'"),
+    ({"eval": {"manifest": [1]}}, ["eval", "--method", "rand", "--k", "2"], "'manifest'"),
+    ({"eval": {"checkpoint": [1]}}, ["eval", "--method", "ours"], "'checkpoint'"),
+    ({"eval": {"artifact": [1]}}, ["eval", "--method", "pca"], "'artifact'"),
+    ({"solve": {"instance": [1]}}, ["solve"], "'instance'"),
+    ({"experiment": {"spec": [1]}}, ["experiment"], "'spec'"),
+], ids=["eval-section-list", "eval-timing-repeats-list", "train-epochs-list",
+        "eval-cache-dir-list", "eval-manifest-list", "eval-checkpoint-list",
+        "eval-artifact-list", "solve-instance-list", "experiment-spec-list"])
+def test_malformed_config_rejected(tmp_path, capsys, config, argv, message):
+    section = config.get(argv[0])
+    if argv[0] in ("eval", "train") and not (isinstance(section, dict) and "manifest" in section):
+        argv = [*argv, "--manifest", str(_regression_data(tmp_path))]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    args = {"eval": ["--method", "rand", "--k", "2"], "train": ["--k", "2"]}[command]
     capsys.readouterr()
-    assert main(["--config", str(path), "--out", str(tmp_path / "out"), command,
-                 "--manifest", str(manifest), *args]) == 2
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), *argv]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

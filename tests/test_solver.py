@@ -78,11 +78,12 @@ def test_determinism_bitwise():
 
 
 def test_unconstrained_problem():
+    # m = 0: the cold finish from the empty active set is the whole answer
     inst = QpInstance(Q=2.0 * np.eye(3), c=[-2.0, -4.0, 2.0],
                       A=np.zeros((0, 3)), b=[])
     res = solve_qp(inst)
-    assert res.status is SolveStatus.SOLVED
-    np.testing.assert_allclose(res.y_star, [1.0, 2.0, -1.0], atol=1e-8)
+    assert (res.status, res.iterations) == (SolveStatus.SOLVED, 0)
+    np.testing.assert_allclose(res.y_star, [1.0, 2.0, -1.0], atol=1e-12)
 
 
 def test_dual_infeasible_detected():
@@ -190,7 +191,7 @@ def test_step_matches_kkt_system(n, m, rho):
 def test_step_matches_kkt_system_across_rho_refactorization(monkeypatch):
     # every step of a solve that changes rho mid-way is checked against the
     # KKT system at the rho it was taken with; the finish is off, or the
-    # crossover would end the solve at iteration 100, before the refactor
+    # crossover would end the solve before the refactor
     inst = random_pd_instance(np.random.default_rng(0), 8, 12)
     factors, steps = [], []
 
@@ -267,12 +268,11 @@ def test_f2_reduced_reg500_seed1_is_solved():
 def test_seed_1011_full_solve_is_solved_at_its_first_finish():
     # Q positive definite (rcond about 6e-3): the first finish attempt, at
     # iteration 9,100, used to miss, and ADMM alone needed 18,300 iterations;
-    # the crossover is now first tried at iteration 100, and lands
+    # the crossover is now first tried before ADMM, and lands
     inst = gen_regression(100, 20, t=200, seed=1011)
     assert solver._crossover_factor(inst.Q) is not None
     res = solve_qp(inst)
-    assert res.status is SolveStatus.SOLVED
-    assert res.iterations <= 100
+    assert (res.status, res.iterations) == (SolveStatus.SOLVED, 0)
 
 
 @pytest.mark.parametrize("seed, u_star", [
@@ -280,15 +280,38 @@ def test_seed_1011_full_solve_is_solved_at_its_first_finish():
     (1, -45.034209327846334),
     (2, -75.7789213626402),
 ])
-def test_full_reg500_crosses_over_at_iteration_100(seed, u_star):
-    # the residuals reached the finish trigger only at iteration 550-1,075;
-    # the crossover from the iteration-100 duals already lands. The optima
-    # are those of the ADMM-then-crossover solve that waited for the trigger.
+def test_full_reg500_is_solved_at_iteration_0(seed, u_star):
+    # Q passes the gate, so the finish from the empty active set runs before
+    # any ADMM step and lands. The optima are those of the ADMM-then-crossover
+    # solves that finished at iteration 100, and before that at 550-1,075.
     from qproj.datasets import generate_instance
 
     res = solve_qp(generate_instance("regression", {"n": 500, "m": 50}, seed))
-    assert (res.status, res.iterations) == (SolveStatus.SOLVED, 100)
+    assert (res.status, res.iterations) == (SolveStatus.SOLVED, 0)
     assert res.objective == pytest.approx(u_star, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("family, sizes", [
+    ("portfolio", {"n": 100}),
+    ("control", {"s": 10, "v": 10, "t": 5}),
+    ("regression", {"n": 100, "m": 20}),
+], ids=["portfolio", "control", "regression"])
+def test_cold_reduced_solves_are_solved_at_iteration_0(family, sizes):
+    # without a guess the finish starts from the empty active set, the
+    # unconstrained minimizer; these solves used to run 25-100 ADMM
+    # iterations first
+    from qproj.datasets import generate_instance
+
+    for seed in range(3):
+        inst = generate_instance(family, sizes, seed)
+        proj, _ = forward(init_params(0, k=10), inst, 10)
+        red = project(inst, proj)
+        assert solver._crossover_factor(red.Q) is not None
+        res = solve_qp(red)
+        assert (res.status, res.iterations) == (SolveStatus.SOLVED, 0), seed
+        admm = solve_qp(red, SolverSettings(polish=False))
+        assert admm.status is SolveStatus.SOLVED, seed
+        assert res.objective == pytest.approx(admm.objective, rel=1e-6, abs=1e-9), seed
 
 
 def test_crossover_start_refactors_once_per_round(monkeypatch):
@@ -321,15 +344,17 @@ def test_crossover_start_refactors_once_per_round(monkeypatch):
     assert np.count_nonzero(lam) == 256
 
 
-@pytest.mark.parametrize("family, sizes, seed, iterations, u_star", [
-    ("portfolio", {"n": 100}, 1, 50, -0.45875358656486454),   # passes potrf
-    ("portfolio", {"n": 100}, 2, 75, -0.4419941774607872),
-    ("control", {"s": 10, "v": 10, "t": 5}, 0, 100, -1.3284868947028494),  # potrf fails
+@pytest.mark.parametrize("family, sizes, seed, u_star", [
+    ("portfolio", {"n": 100}, 1, -0.45875358656486454),   # passes potrf
+    ("portfolio", {"n": 100}, 2, -0.4419941774607872),
+    ("control", {"s": 10, "v": 10, "t": 5}, 0, -1.3284868947028494),  # potrf fails
 ], ids=["portfolio-1", "portfolio-2", "control-0"])
-def test_singular_full_solves_cross_over(monkeypatch, family, sizes, seed, iterations, u_star):
-    # singular Q fails the gate, so the crossover runs on Q + delta I in
-    # proximal rounds; the optima are those of the heuristic polish that
-    # finished these solves before, control seed 0 at iteration 125
+def test_singular_full_solves_cross_over(monkeypatch, family, sizes, seed, u_star):
+    # singular Q fails the gate, so there is no cold start and the crossover
+    # runs on Q + delta I in proximal rounds. It is tried at every check, so
+    # the first check's iterate is finished; these solves used to wait for
+    # iteration 50-100. The optima are those of the heuristic polish that
+    # finished them before, control seed 0 at iteration 125.
     from qproj.datasets import generate_instance
 
     inst = generate_instance(family, sizes, seed)
@@ -343,8 +368,8 @@ def test_singular_full_solves_cross_over(monkeypatch, family, sizes, seed, itera
     real_crossover = solver._crossover
     monkeypatch.setattr(solver, "_crossover", recording_crossover)
     res = solve_qp(inst)
-    assert res.status is SolveStatus.SOLVED
-    assert res.iterations <= iterations
+    assert (res.status, res.iterations) == (SolveStatus.SOLVED, solver.CHECK_INTERVAL)
+    assert 1 <= len(outputs) <= solver.CROSSOVER_PROX_ROUNDS
     assert res.y_star.tobytes() == outputs[-1][0].tobytes()
     assert res.objective == pytest.approx(u_star, rel=1e-12, abs=0.0)
 
@@ -394,7 +419,9 @@ def test_singular_unbounded_and_infeasible_problems_end_by_certificate():
 
 
 def test_crossover_on_infeasible_problems(monkeypatch):
-    # x <= 1 and x >= 2; and in 3-D, x1 <= -1, x1 >= 1 plus a feasible row
+    # x <= 1 and x >= 2; and in 3-D, x1 <= -1, x1 >= 1 plus a feasible row.
+    # Q passes the gate, so the cold finish misses first and ADMM's
+    # certificate ends the solve
     cases = [
         QpInstance(Q=[[2.0]], c=[0.0], A=[[1.0], [-1.0]], b=[1.0, -2.0]),
         QpInstance(Q=np.diag([1.0, 2.0, 3.0]), c=[1.0, -1.0, 0.5],
@@ -403,11 +430,13 @@ def test_crossover_on_infeasible_problems(monkeypatch):
     ]
     for inst in cases:
         m = inst.n_cons
+        assert solver._crossover_factor(inst.Q) is not None
         for guess in (np.zeros(m), np.ones(m), np.eye(m)[0]):
             assert solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess) is None
         res = solve_qp(inst)
         assert res.status is SolveStatus.PRIMAL_INFEASIBLE
         assert "certificate" in res.message
+        assert res.iterations > 0
 
 
 def _degenerate_pd_instance(rng, n, m):
