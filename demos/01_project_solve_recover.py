@@ -25,7 +25,7 @@ print(f"instance: {inst.n_vars} variables, {inst.n_cons} inequality rows")
 
 full = solve_qp(inst)
 print(f"full solve: status={full.status.value}, objective u* = {full.objective:.4f}, "
-      f"{full.iterations} iterations")
+      f"{full.iterations} proximal rounds")
 
 # note: these instances carry x >= 0 rows, so a dense gaussian subspace is
 # pinned at the origin -- random *coordinate selection* is the meaningful

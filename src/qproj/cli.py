@@ -26,13 +26,21 @@ def _load_config(path):
     return doc
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", os.fspath: "a path"}
+def _boolean(val):
+    """val when it is a JSON true or false; bool() would take "false" as true."""
+    if not isinstance(val, bool):
+        raise TypeError(val)
+    return val
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", os.fspath: "a path",
+               _boolean: "true or false"}
 
 
 def _pick(args, cfg, key, default=None, kind=None):
     """The flag, else the config value, else default, converted by kind
-    (int, float, or os.fspath for a path) when given; a value kind rejects
-    raises ValueError naming the key."""
+    (int, float, _boolean, or os.fspath for a path) when given; a value kind
+    rejects raises ValueError naming the key."""
     val = getattr(args, key.replace("-", "_"), None)
     if val is None:
         val = cfg.get(key, default)
@@ -107,7 +115,7 @@ def cmd_train(args, cfg):
                            layers=_pick(args, cfg, "layers", 4, int),
                            head_hidden=_pick(args, cfg, "head-hidden", 32, int),
                            solver=_solver_settings(cfg),
-                           record_timings=bool(cfg.get("record_timings", True)))
+                           record_timings=_pick(args, cfg, "record_timings", True, _boolean))
     params, report = train(manifest.load_split("train"),
                            manifest.load_split("val"), config)
     os.makedirs(args.out, exist_ok=True)
@@ -228,7 +236,7 @@ def cmd_baseline(args, cfg):
 def cmd_theory(args, cfg):
     from .theory import AssumptionConstants, gen_bound, lipschitz_consts, y_max
 
-    if _pick(args, cfg, "validate"):
+    if _pick(args, cfg, "validate", kind=_boolean):
         from .datasets import DatasetManifest
         from .gnn import load_checkpoint
         from .theory import validate_norm_bound

@@ -1,7 +1,7 @@
 """Independent oracles used by the tests.
 
 The brute-force QP oracle enumerates all active-constraint subsets and keeps
-the feasible minimum; it shares no code with the ADMM solver. The
+the feasible minimum; it shares no code with qproj.solver. The
 finite-difference helpers re-solve perturbed problems from scratch.
 """
 
@@ -85,38 +85,3 @@ def u_of_raw_projection(inst, P, settings=None):
 
 def active_set(result, tol=1e-8):
     return frozenset(np.flatnonzero(result.lambda_star > tol).tolist())
-
-
-def ruiz_equilibrate_reference(Q, c, A, b, iters=10, reg=1e-8):
-    """The plain form of solver._ruiz_equilibrate: fresh copies and fresh
-    absolute values every iteration. The solver's in-place version must
-    return the same bits."""
-    n, m = Q.shape[0], A.shape[0]
-    d = np.ones(n)
-    e = np.ones(m)
-    gamma = 1.0
-    Qs, cs, As, bs = Q.copy(), c.copy(), A.copy(), b.copy()
-    for _ in range(iters):
-        col_x = np.abs(Qs).max(axis=0, initial=0.0)
-        if m:
-            col_x = np.maximum(col_x, np.abs(As).max(axis=0, initial=0.0))
-            col_z = np.abs(As).max(axis=1, initial=0.0)
-            dz = 1.0 / np.sqrt(np.where(col_z > reg, col_z, 1.0))
-        else:
-            dz = e
-        dx = 1.0 / np.sqrt(np.where(col_x > reg, col_x, 1.0))
-        Qs = dx[:, None] * Qs * dx[None, :]
-        cs = dx * cs
-        if m:
-            As = dz[:, None] * As * dx[None, :]
-            bs = dz * bs
-            e = e * dz
-        d = d * dx
-        # cost normalization
-        q_scale = max(float(np.abs(Qs).max(axis=0, initial=0.0).mean()) if n else 0.0,
-                      float(np.abs(cs).max(initial=0.0)))
-        g = 1.0 / q_scale if q_scale > reg else 1.0
-        Qs *= g
-        cs *= g
-        gamma *= g
-    return Qs, cs, As, bs, d, e, gamma

@@ -5,21 +5,24 @@ import json
 import numpy as np
 import pytest
 
-from qproj import solver
 from qproj.baselines import direct_train, save_projection, sharedp_train
 from qproj.cli import main
 from qproj.core import (
     ProjectionMatrix,
     QpInstance,
+    feasibility_tol,
+    is_feasible,
+    load_instance,
     max_violation,
+    objective,
     project,
     recover,
     save_instance,
 )
 from qproj.datasets import gen_regression, generate_instance
-from qproj.evaluate import FullMethod, OursMethod, RandMethod, evaluate_method
+from qproj.evaluate import FullMethod, RandMethod, evaluate_method, score
 from qproj.gnn import forward, init_params, load_checkpoint, save_checkpoint
-from qproj.solver import SolveStatus, SolverSettings, solve_qp
+from qproj.solver import SolveStatus, solve_qp
 from qproj.training import TrainConfig, train
 
 from oracles import random_pd_instance
@@ -62,7 +65,7 @@ def test_cli_rejects_instance_file_with_nan(tmp_path):
 
 def _indefinite_instance():
     """A QpInstance whose Q was made indefinite after validation, so that
-    the Cholesky factorization of the step matrix fails."""
+    the Cholesky factorization of Q + delta I fails."""
     inst = QpInstance(Q=np.eye(2), c=[1.0, -1.0], A=[[1.0, 1.0]], b=[1.0])
     object.__setattr__(inst, "Q", np.diag([1.0, -1.0]))
     return inst
@@ -76,63 +79,24 @@ def test_failed_cholesky_is_a_status():
     assert np.all(np.isfinite(res.y_star))
 
 
-def test_failed_cholesky_after_rho_change_is_a_status(monkeypatch):
-    # random_pd_instance(default_rng(0), 8, 12) refactors at iteration 100;
-    # with the finish on, the crossover would land it before that
-    inst = random_pd_instance(np.random.default_rng(0), 8, 12)
-    real_factor, calls = solver._factor, []
-
-    def factor_fails_on_refactor(Q, A, sigma, rho):
-        calls.append(rho)
-        return real_factor(Q, A, sigma, rho) if len(calls) == 1 else None
-
-    monkeypatch.setattr(solver, "_factor", factor_fails_on_refactor)
-    res = solve_qp(inst, SolverSettings(polish=False))
-    assert len(calls) == 2
-    assert res.status is SolveStatus.NUMERICAL_ERROR
-    assert res.iterations == 100
-    assert "Cholesky" in res.message
-    assert np.all(np.isfinite(res.y_star))
-
-
 def test_feasibility_judged_at_instance_tolerance():
-    # Solved at a lifted violation of about 1.9e-6, inside the solver's own
-    # tolerance (about 1.4e-3) but above the absolute 1e-6 once used. The
-    # unfinished ADMM point at a looser tolerance gives that slack: with the
-    # default settings the crossover now lands this solve exactly.
+    # a lifted point is feasible up to core.feasibility_tol, 1e-6 * (1 + ||b||),
+    # not up to the absolute 1e-6 once used. The solver's lifted points are
+    # exact, so one is shifted along a row normal into the band between.
     inst = gen_regression(500, 50, seed=4)
-    params = init_params(0, k=30)
-    proj, _ = forward(params, inst, 30)
-    settings = SolverSettings(eps_abs=3e-6, eps_rel=3e-6, polish=False)
-    res = solve_qp(project(inst, proj), settings)
+    proj, _ = forward(init_params(0, k=30), inst, 30)
+    res = solve_qp(project(inst, proj))
     assert res.status is SolveStatus.SOLVED
-    assert max_violation(inst, recover(proj, res.y_star)) > 1e-6
-    [rec] = evaluate_method(OursMethod(params), [inst], settings=settings,
-                            timing_repeats=0)
-    assert rec.feasible
-    assert rec.relative_error < 1.0
-
-
-def test_non_finite_iterate_is_a_numerical_error(monkeypatch):
-    # Python's max() dropped the NaN residuals, so this returned Solved at
-    # iteration 25 with a NaN y_star and objective
-    inst = generate_instance("portfolio", {"n": 20}, 0)
-    real_step, calls = solver._step, []
-
-    def step_goes_nan(*args):
-        calls.append(None)
-        x, z = real_step(*args)
-        if len(calls) >= 20:
-            x, z = np.full_like(x, np.nan), np.full_like(z, np.nan)
-        return x, z
-
-    monkeypatch.setattr(solver, "_step", step_goes_nan)
-    res = solve_qp(inst, SolverSettings(polish=False))
-    assert res.status is SolveStatus.NUMERICAL_ERROR
-    assert res.iterations == 25
-    assert "non-finite" in res.message
-    assert np.all(np.isfinite(res.y_star))
-    assert np.isfinite(res.objective)
+    x = recover(proj, res.y_star)
+    tol = feasibility_tol(inst)
+    i = int(np.argmax(inst.A @ x - inst.b))
+    a = inst.A[i]
+    x = x + (np.sqrt(1e-6 * tol) - (a @ x - inst.b[i])) / (a @ a) * a
+    assert 1e-6 < max_violation(inst, x) <= tol
+    assert is_feasible(inst, x)
+    err, feasible = score(inst, x, objective(inst, x), solve_qp(inst).objective)
+    assert feasible
+    assert err < 1.0
 
 
 def test_eval_scores_trivial_optimum_zero():
@@ -168,22 +132,29 @@ def test_bad_checkpoint_rejected(tmp_path, case, capsys):
     capsys.readouterr()
 
 
+def _made_infeasible(inst):
+    """inst plus the rows y_0 <= -1 and -y_0 <= -1, which no point meets."""
+    row = np.eye(inst.n_vars)[0]
+    return QpInstance(Q=inst.Q, c=inst.c, A=np.vstack([inst.A, row, -row]),
+                      b=np.append(inst.b, [-1.0, -1.0]), constant=inst.constant,
+                      meta=inst.meta)
+
+
 def test_reference_optimum_must_be_solved(tmp_path, capsys):
-    # a full solve cut at max_iter=10 without the crossover finish ends
-    # MaxIterReached at u = -0.9438 (the optimum is -0.8930); eval took it
-    # as u* and scored rand 0.855 against it
-    inst = generate_instance("control", {"s": 5, "v": 5, "t": 3}, 0)
-    settings = SolverSettings(max_iter=10, polish=False)
-    assert solve_qp(inst, settings).status is SolveStatus.MAX_ITER_REACHED
-    with pytest.raises(ValueError, match="MaxIterReached, not Solved"):
-        evaluate_method(RandMethod(5), [inst], settings=settings, timing_repeats=0)
+    # eval took the objective of an unsolved full solve as u* (a solve cut
+    # short ended at u = -0.9438 where the optimum is -0.8930, and rand
+    # scored 0.855 against it); an infeasible instance has no optimum at all
+    inst = _made_infeasible(generate_instance("control", {"s": 5, "v": 5, "t": 3}, 0))
+    assert solve_qp(inst).status is SolveStatus.PRIMAL_INFEASIBLE
+    with pytest.raises(ValueError, match="PrimalInfeasible, not Solved"):
+        evaluate_method(RandMethod(5), [inst], timing_repeats=0)
     # training read the validation u* from the same unchecked solve
     config = TrainConfig(k=2, batch_size=1, max_epochs=1, hidden=4, layers=1,
-                         head_hidden=4, solver=settings)
+                         head_hidden=4)
     for fit in (lambda: train([inst], [inst], config),
                 lambda: sharedp_train([inst], [inst], 2, config),
                 lambda: direct_train([inst], [inst], config)):
-        with pytest.raises(ValueError, match="MaxIterReached, not Solved"):
+        with pytest.raises(ValueError, match="PrimalInfeasible, not Solved"):
             fit()
 
     # the CLI reports it as a configuration error; instance 0 is the train split
@@ -191,12 +162,12 @@ def test_reference_optimum_must_be_solved(tmp_path, capsys):
     assert main(["--out", str(data), "gen-data", "--family", "control", "--s", "5",
                  "--v", "5", "--t", "3", "--train", "1", "--val", "1",
                  "--test", "1", "--base-seed", "0"]) == 0
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"solver": {"max_iter": 10, "polish": False}}))
-    assert main(["--config", str(config), "--out", str(tmp_path / "eval"), "eval",
+    (path,) = data.glob("*train*")
+    save_instance(_made_infeasible(load_instance(path)), path)
+    assert main(["--out", str(tmp_path / "eval"), "eval",
                  "--manifest", str(data / "manifest.json"), "--split", "train",
                  "--method", "rand", "--k", "5", "--timing-repeats", "0"]) == 2
-    assert "control-train-0000 ended MaxIterReached" in capsys.readouterr().err
+    assert "control-train-0000 ended PrimalInfeasible" in capsys.readouterr().err
 
 
 def test_empty_instance_rejected(tmp_path, capsys):
@@ -213,14 +184,17 @@ def test_empty_instance_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("section, key", [
     ({"bogus": 1}, "'bogus'"),
     ([1], "'solver'"),
-    ({"max_iter": "10"}, "'max_iter'"),
-    # NaN tolerances ran 20,000 iterations to MaxIterReached, and a NaN rho
-    # ended NumericalError; both exited 0. rho and sigma are no longer
-    # settings, so those rows are now unknown keys
+    # max_iter, rho, sigma and polish are no longer settings, so their rows
+    # are now unknown keys. NaN tolerances ran 20,000 iterations to
+    # MaxIterReached, and a NaN rho ended NumericalError; both exited 0.
+    ({"max_iter": 10}, "'max_iter'"),
     ({"eps_abs": float("nan")}, "'eps_abs'"),
     ({"eps_rel": float("nan")}, "'eps_rel'"),
     ({"rho": float("nan")}, "'rho'"),
     ({"sigma": float("inf")}, "'sigma'"),
+    ({"polish": False}, "'polish'"),
+    ({"eps_abs": "1e-8"}, "'eps_abs'"),
+    ({"eps_rel": True}, "'eps_rel'"),
 ])
 def test_bad_solver_config_rejected(tmp_path, capsys, section, key):
     path = tmp_path / "inst.json"
@@ -257,7 +231,7 @@ def test_malformed_instance_file_rejected(tmp_path, capsys, doc, message):
     ({"sweeps": 5}, "'sweeps'"),
     ({"solver": {"bogus": 1}}, "'bogus'"),
     ({"solver": [1]}, "'solver'"),
-    ({"solver": {"max_iter": "10"}}, "'max_iter'"),
+    ({"solver": {"eps_abs": "1e-8"}}, "'eps_abs'"),
     ({"timing_repeats": [1]}, "'timing_repeats'"),
     ({"sweeps": [{"type": "k_sweep", "manifest": "m.json", "methods": ["rand"],
                   "k_values": "23"}]}, "'k_values'"),
@@ -366,9 +340,15 @@ def test_non_finite_projection_rejected(tmp_path, capsys):
     ({"eval": {"artifact": [1]}}, ["eval", "--method", "pca"], "'artifact'"),
     ({"solve": {"instance": [1]}}, ["solve"], "'instance'"),
     ({"experiment": {"spec": [1]}}, ["experiment"], "'spec'"),
+    # bool() took the string "false" as true, so these recorded timings and
+    # ran the validation
+    ({"record_timings": "false"}, ["train", "--k", "2"], "'record_timings'"),
+    ({"train": {"record_timings": 0}}, ["train", "--k", "2"], "'record_timings'"),
+    ({"theory": {"validate": "no"}}, ["theory"], "'validate'"),
 ], ids=["eval-section-list", "eval-timing-repeats-list", "train-epochs-list",
         "eval-cache-dir-list", "eval-manifest-list", "eval-checkpoint-list",
-        "eval-artifact-list", "solve-instance-list", "experiment-spec-list"])
+        "eval-artifact-list", "solve-instance-list", "experiment-spec-list",
+        "record-timings-string", "train-record-timings-number", "theory-validate-string"])
 def test_malformed_config_rejected(tmp_path, capsys, config, argv, message):
     section = config.get(argv[0])
     if argv[0] in ("eval", "train") and not (isinstance(section, dict) and "manifest" in section):

@@ -2,9 +2,8 @@
 
 The JSON writers encode with json.dumps (the C encoder); each file must
 equal what json.dump (the pure-Python encoder) writes for the same document
-with the same options. The in-place Ruiz scaling must equal its plain form
-(tests/oracles.py) bitwise, and the crossover's direct LAPACK trtrs call must
-equal scipy.linalg.solve_triangular bitwise. Everything is compared in
+with the same options. The crossover's direct LAPACK trtrs call must equal
+scipy.linalg.solve_triangular bitwise. Everything is compared in
 process, so the tests hold on any machine."""
 
 import io
@@ -20,9 +19,7 @@ from qproj.core import instance_to_dict
 from qproj.datasets import gen_split, generate_instance
 from qproj.evaluate import SolutionCache
 from qproj.gnn import init_params, load_checkpoint, save_checkpoint
-from qproj.solver import _ruiz_equilibrate, _tri, solve_qp
-
-from oracles import ruiz_equilibrate_reference
+from qproj.solver import _tri, solve_qp
 
 
 def python_encoded(doc, **options) -> bytes:
@@ -92,22 +89,6 @@ def test_cache_entry_matches_the_python_encoder(tmp_path):
     res = solve_qp(inst, cache.settings)
     x_star = SolutionCache(cache_dir=tmp_path).entry(inst)["x_star"]
     assert np.asarray(x_star).tobytes() == res.y_star.tobytes()
-
-
-@pytest.mark.parametrize("family,sizes,seed", [
-    ("regression", {"n": 20, "m": 4}, 0),
-    ("portfolio", {"n": 15}, 1),
-    ("control", {"s": 3, "v": 3, "t": 3}, 2),
-])
-@pytest.mark.parametrize("with_rows", [True, False])
-def test_ruiz_equilibrate_matches_the_plain_form(family, sizes, seed, with_rows):
-    inst = generate_instance(family, sizes, seed)
-    A, b = (inst.A, inst.b) if with_rows else (np.zeros((0, inst.n_vars)), np.zeros(0))
-    got = _ruiz_equilibrate(inst.Q, inst.c, A, b)
-    want = ruiz_equilibrate_reference(inst.Q, inst.c, A, b)
-    for g, w in zip(got, want):
-        g, w = np.asarray(g), np.asarray(w)
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def _triangles():

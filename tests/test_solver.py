@@ -6,14 +6,7 @@ from qproj import solver
 from qproj.core import QpInstance, objective, project
 from qproj.datasets import gen_regression
 from qproj.gnn import forward, init_params
-from qproj.solver import (
-    SolveStatus,
-    SolverSettings,
-    _factor,
-    _step,
-    kkt_residuals,
-    solve_qp,
-)
+from qproj.solver import SolveStatus, SolverSettings, kkt_residuals, solve_qp
 
 from oracles import brute_force_min, random_pd_instance
 
@@ -101,19 +94,42 @@ def test_primal_infeasible_detected():
     assert res.message
 
 
-def test_max_iter_returned_not_raised():
-    rng = np.random.default_rng(10)
-    inst = random_pd_instance(rng, 8, 12)
-    res = solve_qp(inst, SolverSettings(max_iter=3, polish=False))
-    assert res.status is SolveStatus.MAX_ITER_REACHED
+def test_max_iter_returned_not_raised(monkeypatch):
+    # the step cap of the active-set solve, and below the gate the round cap
+    # of the proximal rounds, each end a solve MaxIterReached
+    inst = random_pd_instance(np.random.default_rng(10), 8, 12)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "CROSSOVER_MAX_STEPS", 0)
+        res = solve_qp(inst)
+    assert (res.status, res.iterations) == (SolveStatus.MAX_ITER_REACHED, 0)
     assert res.y_star.shape == (8,)
+    assert np.isfinite(res.objective)
+    # this LP takes 2 proximal rounds
+    inst = _singular_box_instance(np.random.default_rng(0), 3, 0, 2)
+    assert solve_qp(inst).iterations == 2
+    monkeypatch.setattr(solver, "CROSSOVER_PROX_ROUNDS", 1)
+    res = solve_qp(inst)
+    assert (res.status, res.iterations) == (SolveStatus.MAX_ITER_REACHED, 1)
+    assert "proximal round" in res.message
+
+
+def test_a_finish_that_fails_its_checks_is_a_numerical_error(monkeypatch):
+    # a point outside the tolerances is not Solved, and a Farkas vector that
+    # fails the certificate checks is not PrimalInfeasible
+    inst = random_pd_instance(np.random.default_rng(11), 4, 6)
+    for out, message in (((np.zeros(4), np.zeros(6)), "missed the tolerances"),
+                         ((None, np.zeros(6)), "fails the certificate checks")):
+        monkeypatch.setattr(solver, "_crossover", lambda *args, out=out, **kw: out)
+        res = solve_qp(inst)
+        assert (res.status, res.iterations) == (SolveStatus.NUMERICAL_ERROR, 0)
+        assert message in res.message
 
 
 def test_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(eps_abs=0.0)
     with pytest.raises(ValueError):
-        SolverSettings(max_iter=0)
+        SolverSettings(eps_rel=-1e-8)
 
 
 # a NaN passed the old `<= 0` tests: NaN tolerances ran all 20,000
@@ -158,99 +174,6 @@ def test_psd_singular_hessian_supported():
     assert res.objective == pytest.approx(-0.5, abs=1e-8)
 
 
-def _kkt_step(Q, A, c, sigma, rho, xb, zb, yb):
-    """Reference ADMM step from the full (n + m) KKT system
-    [Q + sigma I, A'; A, -I/rho] [x; nu] = [sigma xb - c; zb - yb/rho],
-    with z = zb + (nu - yb)/rho."""
-    n, m = Q.shape[0], A.shape[0]
-    kkt = np.block([[Q + sigma * np.eye(n), A.T], [A, -np.eye(m) / rho]])
-    sol = scipy.linalg.solve(kkt, np.concatenate([sigma * xb - c, zb - yb / rho]))
-    return sol[:n], zb + (sol[n:] - yb) / rho
-
-
-def _assert_close_rel(got, want, rtol=1e-9):
-    assert np.linalg.norm(got - want) <= rtol * max(np.linalg.norm(want), 1.0)
-
-
-@pytest.mark.parametrize("n, m", [(5, 12), (12, 5), (6, 0)])
-@pytest.mark.parametrize("rho", [1e-3, 0.1, 10.0, 1e3])
-def test_step_matches_kkt_system(n, m, rho):
-    rng = np.random.default_rng(100 * n + m)
-    inst = random_pd_instance(rng, n, m)
-    sigma = 1e-6
-    chol = _factor(inst.Q, inst.A, sigma, rho)
-    assert chol is not None
-    for _ in range(3):
-        xb, zb, yb = rng.normal(size=n), rng.normal(size=m), rng.normal(size=m)
-        x_t, z_t = _step(chol, inst.A, inst.c, sigma, rho, xb, zb, yb)
-        x_ref, z_ref = _kkt_step(inst.Q, inst.A, inst.c, sigma, rho, xb, zb, yb)
-        _assert_close_rel(x_t, x_ref)
-        _assert_close_rel(z_t, z_ref)
-
-
-def test_step_matches_kkt_system_across_rho_refactorization(monkeypatch):
-    # every step of a solve that changes rho mid-way is checked against the
-    # KKT system at the rho it was taken with; the finish is off, or the
-    # crossover would end the solve before the refactor
-    inst = random_pd_instance(np.random.default_rng(0), 8, 12)
-    factors, steps = [], []
-
-    def recording_factor(Q, A, sigma, rho):
-        factors.append((Q.copy(), rho))
-        return _factor(Q, A, sigma, rho)
-
-    def recording_step(chol, A, c, sigma, rho, xb, zb, yb):
-        x_t, z_t = _step(chol, A, c, sigma, rho, xb, zb, yb)
-        steps.append((A.copy(), c.copy(), sigma, rho, xb.copy(), zb.copy(),
-                      yb.copy(), x_t, z_t))
-        return x_t, z_t
-
-    monkeypatch.setattr(solver, "_factor", recording_factor)
-    monkeypatch.setattr(solver, "_step", recording_step)
-    res = solve_qp(inst, SolverSettings(polish=False))
-    assert res.status is SolveStatus.SOLVED
-    assert len(factors) >= 2
-    rhos = [rho for _, rho in factors]
-    assert {step[3] for step in steps} == set(rhos)
-    Qs = factors[0][0]
-    for A, c, sigma, rho, xb, zb, yb, x_t, z_t in steps:
-        x_ref, z_ref = _kkt_step(Qs, A, c, sigma, rho, xb, zb, yb)
-        _assert_close_rel(x_t, x_ref)
-        _assert_close_rel(z_t, z_ref)
-
-
-def _singular_reduced_reg500():
-    """The reduced problem of gen_regression(500, 50, seed=0) under
-    init_params(0, k=30), with the direction of the smallest eigenvalue of
-    Q removed: singular, so it fails the crossover gate."""
-    inst = gen_regression(500, 50, seed=0)
-    proj, _ = forward(init_params(0, k=30), inst, 30)
-    red = project(inst, proj)
-    w, v = np.linalg.eigh(red.Q)
-    q = red.Q - w[0] * np.outer(v[:, 0], v[:, 0])
-    return QpInstance(Q=0.5 * (q + q.T), c=red.c, A=red.A, b=red.b)
-
-
-def test_crossover_never_repeats_a_missed_active_set(monkeypatch):
-    # a finish is memoized by the guessed active set; a solve that stalls in
-    # the trigger zone used to repeat the same missed guess every 100
-    # iterations. The crossover is made to miss so that ADMM runs to
-    # tolerance.
-    inst = _singular_reduced_reg500()
-    assert solver._crossover_factor(inst.Q) is None
-    guesses = []
-
-    def missing_crossover(Q, c, A, b, lam, chol=None):
-        guesses.append(np.flatnonzero(lam > 0).tobytes())
-        return None
-
-    monkeypatch.setattr(solver, "_crossover", missing_crossover)
-    res = solve_qp(inst)
-    assert res.status is SolveStatus.SOLVED
-    assert len(guesses) > 1
-    assert len(set(guesses)) == len(guesses)
-
-
 def _reduced_reg500(seed):
     inst = gen_regression(500, 50, seed=seed)
     proj, _ = forward(init_params(0, k=30), inst, 30)
@@ -268,7 +191,7 @@ def test_f2_reduced_reg500_seed1_is_solved():
 def test_seed_1011_full_solve_is_solved_at_its_first_finish():
     # Q positive definite (rcond about 6e-3): the first finish attempt, at
     # iteration 9,100, used to miss, and ADMM alone needed 18,300 iterations;
-    # the crossover is now first tried before ADMM, and lands
+    # the solve is now one active-set run, and it lands
     inst = gen_regression(100, 20, t=200, seed=1011)
     assert solver._crossover_factor(inst.Q) is not None
     res = solve_qp(inst)
@@ -281,9 +204,9 @@ def test_seed_1011_full_solve_is_solved_at_its_first_finish():
     (2, -75.7789213626402),
 ])
 def test_full_reg500_is_solved_at_iteration_0(seed, u_star):
-    # Q passes the gate, so the finish from the empty active set runs before
-    # any ADMM step and lands. The optima are those of the ADMM-then-crossover
-    # solves that finished at iteration 100, and before that at 550-1,075.
+    # Q passes the gate, so one active-set run from the rows that the
+    # unconstrained minimizer violates is the solve. The optima are those of
+    # the ADMM-then-crossover solves that finished at iteration 100-1,075.
     from qproj.datasets import generate_instance
 
     res = solve_qp(generate_instance("regression", {"n": 500, "m": 50}, seed))
@@ -297,9 +220,9 @@ def test_full_reg500_is_solved_at_iteration_0(seed, u_star):
     ("regression", {"n": 100, "m": 20}),
 ], ids=["portfolio", "control", "regression"])
 def test_cold_reduced_solves_are_solved_at_iteration_0(family, sizes):
-    # without a guess the finish starts from the empty active set, the
-    # unconstrained minimizer; these solves used to run 25-100 ADMM
-    # iterations first
+    # without a guess the finish starts from the rows that the unconstrained
+    # minimizer violates; these solves used to run 25-100 iterations of an
+    # operator-splitting method first
     from qproj.datasets import generate_instance
 
     for seed in range(3):
@@ -309,20 +232,20 @@ def test_cold_reduced_solves_are_solved_at_iteration_0(family, sizes):
         assert solver._crossover_factor(red.Q) is not None
         res = solve_qp(red)
         assert (res.status, res.iterations) == (SolveStatus.SOLVED, 0), seed
-        admm = solve_qp(red, SolverSettings(polish=False))
-        assert admm.status is SolveStatus.SOLVED, seed
-        assert res.objective == pytest.approx(admm.objective, rel=1e-6, abs=1e-9), seed
+        # exact up to round-off, far inside the tolerances of Solved
+        scale = 1.0 + np.abs(red.b).max() + np.abs(red.c).max()
+        assert max(kkt_residuals(red, res.y_star, res.lambda_star)) <= 1e-12 * scale, seed
 
 
 def test_crossover_start_refactors_once_per_round(monkeypatch):
-    # from the iteration-100 duals of full reg500 seed 0 (374 guessed rows),
-    # dropping one negative multiplier at a time took 118 qr_delete calls;
-    # dropping all of them per round and refactoring leaves 18 inserts and
-    # 1 delete for step 3
+    # a cold solve of full reg500 seed 0 starts from the 257 rows that the
+    # unconstrained minimizer violates; 48 of them get a negative multiplier.
+    # Dropping all of those per round and refactoring takes 3 QRs where one
+    # qr_delete per row would take 48, and leaves 49 inserts and 2 deletes
+    # for step 3
     from qproj.datasets import generate_instance
 
     inst = generate_instance("regression", {"n": 500, "m": 50}, 0)
-    guess = solve_qp(inst, SolverSettings(max_iter=100, polish=False)).lambda_star
     updates = []
 
     def spy(name):
@@ -335,8 +258,10 @@ def test_crossover_start_refactors_once_per_round(monkeypatch):
 
     for name in ("qr_delete", "qr_insert"):
         monkeypatch.setattr(scipy.linalg, name, spy(name))
-    y, lam = solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess)
-    assert len(updates) <= 30
+    res = solve_qp(inst)
+    assert (res.status, res.iterations) == (SolveStatus.SOLVED, 0)
+    assert updates.count("qr_delete") <= 5
+    y, lam = res.y_star, res.lambda_star
     # the point of the one-row-at-a-time start
     assert objective(inst, y) == pytest.approx(-84.7949129801243, rel=1e-12, abs=0.0)
     assert np.linalg.norm(y) == pytest.approx(0.5756672761455097, rel=1e-12, abs=0.0)
@@ -350,11 +275,10 @@ def test_crossover_start_refactors_once_per_round(monkeypatch):
     ("control", {"s": 10, "v": 10, "t": 5}, 0, -1.3284868947028494),  # potrf fails
 ], ids=["portfolio-1", "portfolio-2", "control-0"])
 def test_singular_full_solves_cross_over(monkeypatch, family, sizes, seed, u_star):
-    # singular Q fails the gate, so there is no cold start and the crossover
-    # runs on Q + delta I in proximal rounds. It is tried at every check, so
-    # the first check's iterate is finished; these solves used to wait for
-    # iteration 50-100. The optima are those of the heuristic polish that
-    # finished them before, control seed 0 at iteration 125.
+    # singular Q fails the gate, so the crossover runs on Q + delta I in
+    # proximal rounds from y = 0. These solves used to wait for 25-125
+    # iterations of an operator-splitting method; the optima are those of
+    # the heuristic polish that finished them before.
     from qproj.datasets import generate_instance
 
     inst = generate_instance(family, sizes, seed)
@@ -368,7 +292,7 @@ def test_singular_full_solves_cross_over(monkeypatch, family, sizes, seed, u_sta
     real_crossover = solver._crossover
     monkeypatch.setattr(solver, "_crossover", recording_crossover)
     res = solve_qp(inst)
-    assert (res.status, res.iterations) == (SolveStatus.SOLVED, solver.CHECK_INTERVAL)
+    assert (res.status, res.iterations) == (SolveStatus.SOLVED, len(outputs))
     assert 1 <= len(outputs) <= solver.CROSSOVER_PROX_ROUNDS
     assert res.y_star.tobytes() == outputs[-1][0].tobytes()
     assert res.objective == pytest.approx(u_star, rel=1e-12, abs=0.0)
@@ -388,8 +312,8 @@ def _singular_box_instance(rng, n, rank, m_extra):
 
 def test_singular_qps_and_lps_match_brute_force_oracle():
     # rank 0 (LPs) to n - 1: Q fails the crossover gate, and the proximal
-    # crossover finishes every solve by iteration 100; the heuristic polish
-    # it replaced needed up to 1,125 iterations
+    # rounds finish every solve; the heuristic polish they replaced needed
+    # up to 1,125 iterations of an operator-splitting method
     for trial in range(60):
         rng = np.random.default_rng(trial)
         n = int(rng.integers(2, 6))
@@ -397,7 +321,7 @@ def test_singular_qps_and_lps_match_brute_force_oracle():
         assert solver._crossover_factor(inst.Q) is None, trial
         res = solve_qp(inst)
         assert res.status is SolveStatus.SOLVED, trial
-        assert res.iterations <= 100, trial
+        assert res.iterations <= solver.CROSSOVER_PROX_ROUNDS, trial
         ref, _ = brute_force_min(inst.Q, inst.c, inst.A, inst.b)
         assert res.objective == pytest.approx(ref, rel=1e-7, abs=1e-12), trial
 
@@ -420,8 +344,8 @@ def test_singular_unbounded_and_infeasible_problems_end_by_certificate():
 
 def test_crossover_on_infeasible_problems(monkeypatch):
     # x <= 1 and x >= 2; and in 3-D, x1 <= -1, x1 >= 1 plus a feasible row.
-    # Q passes the gate, so the cold finish misses first and ADMM's
-    # certificate ends the solve
+    # Q passes the gate; the crossover stops at a violated row that depends
+    # on the active ones, and its Farkas vector ends the solve at once
     cases = [
         QpInstance(Q=[[2.0]], c=[0.0], A=[[1.0], [-1.0]], b=[1.0, -2.0]),
         QpInstance(Q=np.diag([1.0, 2.0, 3.0]), c=[1.0, -1.0, 0.5],
@@ -432,11 +356,13 @@ def test_crossover_on_infeasible_problems(monkeypatch):
         m = inst.n_cons
         assert solver._crossover_factor(inst.Q) is not None
         for guess in (np.zeros(m), np.ones(m), np.eye(m)[0]):
-            assert solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess) is None
+            y, e = solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess)
+            assert y is None and e.min() >= 0.0
+            assert np.abs(inst.A.T @ e).max() <= 1e-12 and inst.b @ e < 0.0
         res = solve_qp(inst)
         assert res.status is SolveStatus.PRIMAL_INFEASIBLE
         assert "certificate" in res.message
-        assert res.iterations > 0
+        assert res.iterations == 0
 
 
 def _degenerate_pd_instance(rng, n, m):
@@ -513,7 +439,7 @@ def test_a_right_guess_lands_at_iteration_0():
 
 def test_wrong_guesses_still_give_the_cold_optimum():
     # every row, no row and random rows guessed active: the crossover is exact
-    # from any guess, and a miss falls back to the unchanged ADMM solve
+    # from any guess
     rng = np.random.default_rng(13)
     landed = 0
     for inst, label in _guess_cases():
@@ -539,24 +465,60 @@ def test_a_guess_of_the_wrong_shape_or_not_finite_raises():
             solve_qp(inst, guess=guess)
 
 
-def _same_result(a, b):
-    return (a.status, a.iterations, a.message, a.objective, a.y_star.tobytes(),
-            a.lambda_star.tobytes()) == (b.status, b.iterations, b.message, b.objective,
-                                         b.y_star.tobytes(), b.lambda_star.tobytes())
-
-
-def test_a_guess_is_ignored_without_the_finish_or_below_the_gate():
-    # with polish=False there is no finish to try; below the gate (singular Q)
-    # the proximal rounds need a primal iterate, which a guess does not give
+def test_below_the_gate_a_guess_reaches_the_same_optimum():
+    # below the gate (singular Q) the guess picks the first proximal round's
+    # active set, as it does above the gate
     rng = np.random.default_rng(15)
-    inst = random_pd_instance(rng, 6, 9)
-    settings = SolverSettings(polish=False)
-    cold = solve_qp(inst, settings)
-    for guess in (cold.lambda_star, np.ones(9), rng.normal(size=9)):
-        assert _same_result(solve_qp(inst, settings, guess=guess), cold)
     for trial in range(4):
         inst = _singular_box_instance(rng, 4, trial, 2)
         assert solver._crossover_factor(inst.Q) is None
         cold = solve_qp(inst)
-        for guess in (cold.lambda_star, np.ones(inst.n_cons)):
-            assert _same_result(solve_qp(inst, guess=guess), cold), trial
+        assert cold.status is SolveStatus.SOLVED, trial
+        for guess in (cold.lambda_star, np.ones(inst.n_cons), rng.normal(size=inst.n_cons)):
+            res = solve_qp(inst, guess=guess)
+            assert res.status is SolveStatus.SOLVED, trial
+            assert res.objective == pytest.approx(cold.objective, rel=1e-7, abs=1e-12), trial
+
+
+def test_crossover_stop_test_scales_with_the_iterate():
+    # a cold proximal round starts near y = -c/delta, about 1e6 here; the
+    # stop test scaled with ||Ay|| missed the cancellation in A @ y and kept
+    # re-adding an active row until the step cap (None on a feasible
+    # problem), so the LP with Q = 0 ended MaxIterReached
+    rng = np.random.default_rng(34)
+    n, m = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+    A, b, c = rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=n)
+    assert (n, m) == (2, 1)
+    y, lam = solver._crossover(1e-6 * np.eye(2), c, A, b, np.zeros(1))
+    assert np.abs(y).max() > 1e5 and (A @ y - b).max() <= 1e-12 * np.abs(A).sum() * np.abs(y).max()
+    res = solve_qp(QpInstance(Q=np.zeros((n, n)), c=c, A=A, b=b))
+    assert res.status is SolveStatus.DUAL_INFEASIBLE
+    assert "certificate" in res.message
+
+
+def test_lp_status_matches_highs():
+    # 120 seeded LPs, every third made infeasible by a row that contradicts
+    # a positive combination of the others; HiGHS gives the status. 12 of
+    # the infeasible ones used to end DualInfeasible.
+    from scipy.optimize import linprog
+
+    want = {0: SolveStatus.SOLVED, 2: SolveStatus.PRIMAL_INFEASIBLE,
+            3: SolveStatus.DUAL_INFEASIBLE}
+    seen = set()
+    for trial in range(120):
+        rng = np.random.default_rng(trial)
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+        A, b, c = rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=n)
+        if trial % 3 == 2:
+            w = rng.uniform(0.1, 1.0, size=m)
+            A = np.vstack([A, -w @ A])
+            b = np.append(b, -w @ b - rng.uniform(0.1, 1.0))
+        lp = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * n, method="highs")
+        res = solve_qp(QpInstance(Q=np.zeros((n, n)), c=c, A=A, b=b))
+        assert res.status is want[lp.status], trial
+        if lp.status == 0:
+            assert res.objective == pytest.approx(lp.fun, rel=1e-7, abs=1e-12), trial
+        else:
+            assert "certificate" in res.message, trial
+        seen.add(lp.status)
+    assert seen == set(want)

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from qproj.core import QpInstance
 from qproj.datasets import gen_regression
 from qproj.gnn import init_params
-from qproj.solver import SolveStatus, SolverSettings, solve_qp
+from qproj.solver import SolveStatus, solve_qp
 from qproj.theory import (
     AssumptionConstants,
     gen_bound,
@@ -122,13 +123,15 @@ def test_norm_bound_csv(tmp_path):
 
 
 def test_validate_norm_bound_needs_a_solved_reference():
-    # b was |objective| of the full solve whatever its status: with these
-    # settings every full solve ends MaxIterReached, and 5 of the 6 rows
-    # took a b 0.01-0.53% off the true |u*|
+    # b was |objective| of the full solve whatever its status: solves cut
+    # short ended MaxIterReached, and 5 of 6 rows took a b 0.01-0.53% off the
+    # true |u*|. Here one full problem is unbounded along its last variable
+    # (no curvature, no row, c < 0 there), while its reduced problem is not.
     instances = [gen_regression(n=30, m=5, t=60, seed=s) for s in range(6)]
+    inst, keep = instances[3], np.append(np.ones(29), 0.0)
+    instances[3] = QpInstance(Q=keep[:, None] * inst.Q * keep, c=np.append(inst.c[:29], -1.0),
+                              A=inst.A * keep, b=inst.b)
     params = init_params(0, h=4, l=1, k=2, h_g=4)
-    settings = SolverSettings(max_iter=50, polish=False)
-    assert all(solve_qp(inst, settings).status is SolveStatus.MAX_ITER_REACHED
-               for inst in instances)
-    with pytest.raises(ValueError, match="MaxIterReached, not Solved"):
-        validate_norm_bound(instances, params, 2, settings=settings)
+    assert solve_qp(instances[3]).status is SolveStatus.DUAL_INFEASIBLE
+    with pytest.raises(ValueError, match="DualInfeasible, not Solved"):
+        validate_norm_bound(instances, params, 2)

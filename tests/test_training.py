@@ -206,7 +206,7 @@ def test_train_report_csv(tmp_path):
 def test_train_warm_starts_every_solve_after_the_first_epoch(monkeypatch, family, sizes):
     # each instance's reduced solve is guessed from its duals of the last
     # epoch; the reduced rows are A P row for row, so from epoch 2 on every
-    # guess lands and no ADMM iteration runs
+    # guess lands at iteration 0
     from qproj import training
     from qproj.datasets import generate_instance
 
