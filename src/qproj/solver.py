@@ -88,11 +88,12 @@ def settings_from_json(section) -> SolverSettings:
     settings class itself would raise TypeError."""
     if not isinstance(section, dict):
         raise ValueError(f"key 'solver' must be an object, got {section!r}")
+    fields = vars(SolverSettings())
     for key, value in section.items():
-        if key not in vars(SolverSettings()):
+        if key not in fields:
             raise ValueError(f"unknown solver setting {key!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"solver setting {key!r} must be a float, got {value!r}")
+            raise ValueError(f"solver setting {key!r} must be a number, got {value!r}")
     return SolverSettings(**section)
 
 

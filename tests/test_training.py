@@ -204,21 +204,29 @@ def test_train_report_csv(tmp_path):
     ("control", {"s": 4, "v": 4, "t": 5}),
 ])
 def test_train_warm_starts_every_solve_after_the_first_epoch(monkeypatch, family, sizes):
-    # each instance's reduced solve is guessed from its duals of the last
-    # epoch; the reduced rows are A P row for row, so from epoch 2 on every
-    # guess lands at iteration 0
+    # each instance's reduced solve is guessed from its own duals of the last
+    # epoch, as warm_solver keys them; the first epoch has no guess
     from qproj import training
     from qproj.datasets import generate_instance
 
     n_train, n_val, epochs = 12, 4, 3
     sets = [generate_instance(family, sizes, seed) for seed in range(n_train + n_val)]
-    real_solve, solves = training.solve_qp, []
+    real_solve, real_warm_solver, solves, key = training.solve_qp, training.warm_solver, [], [None]
+
+    def keyed_warm_solver(settings):
+        solve = real_warm_solver(settings)
+
+        def keyed(k, inst, proj):
+            key[0] = k
+            return solve(k, inst, proj)
+        return keyed
 
     def counting_solve(inst, settings=None, guess=None):
         res = real_solve(inst, settings, guess=guess)
-        solves.append((guess is not None, res.status, res.iterations))
+        solves.append((key[0], guess, res))
         return res
 
+    monkeypatch.setattr(training, "warm_solver", keyed_warm_solver)
     monkeypatch.setattr(training, "solve_qp", counting_solve)
     cfg = TrainConfig(k=10, batch_size=4, max_epochs=epochs, hidden=8, layers=2,
                       head_hidden=8, record_timings=False)
@@ -226,5 +234,11 @@ def test_train_warm_starts_every_solve_after_the_first_epoch(monkeypatch, family
     assert report.failures == [0] * epochs
     first = n_train + n_val
     assert len(solves) == epochs * first
-    assert not any(guessed for guessed, _, _ in solves[:first])
-    assert solves[first:] == [(True, SolveStatus.SOLVED, 0)] * (len(solves) - first)
+    assert not any(guess is not None for _, guess, _ in solves[:first])
+    assert len({k for k, _, _ in solves[:first]}) == first
+    last = {}
+    for i, (k, guess, res) in enumerate(solves):
+        assert res.status is SolveStatus.SOLVED, i
+        if i >= first:
+            assert np.array_equal(guess, last[k]), i
+        last[k] = res.lambda_star
