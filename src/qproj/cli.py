@@ -179,6 +179,8 @@ def cmd_solve(args, cfg):
         "status": res.status.value,
         "objective": res.objective,
         "iterations": res.iterations,
+        "adds": res.adds,
+        "drops": res.drops,
         "y_star": res.y_star.tolist(),
         "lambda_star": res.lambda_star.tolist(),
         "message": res.message,

@@ -21,6 +21,14 @@ re-solves each instance every epoch under a slightly different projection)
 passes the last duals. Without a guess it starts from the rows that the
 unconstrained minimizer -(Q + delta I)^-1 c violates.
 
+An active-set solve holds its active rows as a thin QR factor in the metric
+of Q. The start factors the guessed rows in one QR; after that, a step that
+makes a row active appends the Gram-Schmidt column the step has already
+computed (reorthogonalized when cancellation calls for it: Daniel, Gragg,
+Kaufman & Stewart 1976), and a dropped row is a qr_delete.
+SolveResult.adds and SolveResult.drops count those steps, summed over the
+proximal rounds: a guess that names the optimum's active set makes neither.
+
 A result is declared Solved only when it satisfies, in infinity norm,
 
     max(Ay - b, 0)        <= eps_abs + eps_rel * ||b||
@@ -104,6 +112,8 @@ class SolveResult:
     status: SolveStatus
     objective: float
     iterations: int
+    adds: int
+    drops: int
     message: str = ""
 
 
@@ -155,8 +165,10 @@ def _tri(R, v, trans=0):
     trtrs called as scipy.linalg.solve_triangular calls it (a C-ordered R is
     passed as the lower-triangular R' with trans flipped), so the answer is
     bitwise the same, without that function's per-call wrapper cost. A
-    singular R raises LinAlgError; empty operands return at once, since
-    trtrs rejects the zero leading dimension of a 0 x 0 R."""
+    Fortran-ordered R with more rows than columns is read as its upper-left
+    square block, at its own leading dimension. A singular R raises
+    LinAlgError; empty operands return at once, since trtrs rejects the zero
+    leading dimension of a 0 x 0 R."""
     if not v.size:
         return np.empty_like(v, dtype=np.float64)
     if R.flags.f_contiguous:
@@ -184,32 +196,38 @@ def _crossover_factor(Q):
 def _crossover(Q, c, A, b, lam, chol=None):
     """Goldfarb-Idnani dual active-set solve (Math. Prog. 27, 1983) of
     min 1/2 y'Qy + c'y s.t. Ay <= b for Q positive definite, warm-started
-    from the rows active in the dual guess lam. Returns (y, lambda), exact
-    up to round-off; (None, e) when the problem is infeasible (a step bound
-    is infinite), e a Farkas vector (e >= 0, A'e = 0, b'e < 0); or None when
-    the step cap is hit or Q fails potrf. `chol` is the upper Cholesky
-    factor R of Q = R'R when the caller has it.
+    from the rows active in the dual guess lam. Returns (y, lambda, adds,
+    drops): y and lambda exact up to round-off, adds and drops the rows that
+    step 3 made active and dropped. y is None when the solve stops early:
+    then lambda is a Farkas vector e (e >= 0, A'e = 0, b'e < 0) when the
+    problem is infeasible (a step bound is infinite), or None when the step
+    cap is hit or Q fails potrf. `chol` is the upper Cholesky factor R of
+    Q = R'R when the caller has it.
 
     The work runs in the metric of Q. With g = R^-T(-c) and the active rows
-    W factored as R^-T A_W' = F T (thin QR, updated one column at a time, so
-    a step costs O(n^2 + mn)), the optimum on W held as equalities is
-    y = R^-1 (g - F T u) with T u = F'g - T^-T b_W."""
+    W factored as R^-T A_W' = F T (thin QR), the optimum on W held as
+    equalities is y = R^-1 (g - F T u) with T u = F'g - T^-T b_W. A step
+    computes the Gram-Schmidt products F'v and v - F F'v of the row it adds,
+    so a full step appends that column to F in place (with a second pass
+    when cancellation calls for it: Daniel, Gragg, Kaufman & Stewart 1976)
+    and a drop is a qr_delete: a step costs O(n^2 + mn). Before the first
+    step of step 3, F and T move into Fortran-ordered buffers of min(n, m)
+    columns; T is the first k columns of its buffer, whose upper-left k x k
+    block trtrs reads at the buffer's leading dimension without a copy."""
     n, m = Q.shape[0], A.shape[0]
+    adds = drops = 0
     if chol is None:
         chol, info = dpotrf(Q)
         if info != 0:
-            return None
-
-    def insert(F, T, v):
-        """Thin QR with v appended (qr_insert mishandles an empty factor)."""
-        if not T.size:
-            return np.linalg.qr(v[:, None])
-        return scipy.linalg.qr_insert(F, T, v, T.shape[1], which="col", check_finite=False)
+            return None, None, adds, drops
 
     def delete(F, T, j):
-        """Thin QR without column j (at |W| = n, qr_delete sees a full QR)."""
-        F, T = scipy.linalg.qr_delete(F, T, j, which="col", check_finite=False)
-        return F[:, :T.shape[1]], T[:T.shape[1]]
+        """Thin QR without column j, written back into the buffers (at
+        |W| = n, qr_delete sees a full QR)."""
+        k = F.shape[1] - 1
+        F1, T1 = scipy.linalg.qr_delete(F, T[:k + 1], j, which="col", check_finite=False)
+        F[:, :k], T[:k, :k] = F1[:, :k], T1[:k, :k]
+        return F[:, :k], T[:, :k]
 
     g = _tri(chol, -c, trans=1)
     # 1. a linearly independent prefix of the guessed rows (pivoted QR)
@@ -217,19 +235,22 @@ def _crossover(Q, c, A, b, lam, chol=None):
     M = _tri(chol, A[W].T, trans=1)
     F, T, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
     dep = np.abs(np.diag(T)) <= CROSSOVER_DEP_TOL * np.linalg.norm(M, axis=0)[piv[:T.shape[0]]]
-    del M
     keep = np.argmax(dep) if dep.any() else dep.size
-    W, F, T = W[piv[:keep]], F[:, :keep], T[:keep, :keep]
-    # 2. drop every negative multiplier and refactor, until the start is dual
-    # feasible: any independent set with u >= 0 is a valid start, and one QR
-    # per round is cheaper than one update per dropped row
+    cols = piv[:keep]
+    W, F, T = W[cols], F[:, :keep], T[:keep, :keep]
+    # 2. drop every negative multiplier and refactor the kept columns of M,
+    # until the start is dual feasible: any independent set with u >= 0 is a
+    # valid start, and one QR per round is cheaper than one update per
+    # dropped row
     while True:
         u = _tri(T, F.T @ g - _tri(T, b[W], trans=1))
         if not W.size or u.min() >= 0.0:
             break
-        W = W[u >= 0.0]
-        F, T = scipy.linalg.qr(_tri(chol, A[W].T, trans=1), mode="economic", overwrite_a=True)
+        W, cols = W[u >= 0.0], cols[u >= 0.0]
+        F, T = scipy.linalg.qr(M[:, cols], mode="economic", overwrite_a=True)
+    del M
     y = _tri(chol, g - F @ (T @ u))
+    basis = None
     # 3. add the most violated row: partial steps drop a blocking row, a
     # full step makes the added row active
     steps = 0
@@ -244,15 +265,22 @@ def _crossover(Q, c, A, b, lam, chol=None):
         if s_p <= CROSSOVER_VIOL_TOL * (1.0 + b_max + a_max * np.abs(y).max()):
             break
         v = _tri(chol, A[p], trans=1)
+        v2 = v @ v
+        if basis is None:
+            k = F.shape[1]
+            basis = np.empty((n, min(n, m)), order="F")
+            tri = np.zeros((min(n, m), min(n, m)), order="F")
+            basis[:, :k], tri[:k, :k] = F, T
+            F, T = basis[:, :k], tri[:, :k]
         while True:
             steps += 1
             if steps > CROSSOVER_MAX_STEPS * (n + m):
-                return None
+                return None, None, adds, drops
             coef = F.T @ v
             r = _tri(T, coef)              # rate at which the multipliers fall
             w = v - F @ coef               # R times the primal step direction
             w2 = w @ w
-            dependent = np.sqrt(w2) <= CROSSOVER_DEP_TOL * np.linalg.norm(v)
+            dependent = np.sqrt(w2) <= CROSSOVER_DEP_TOL * np.sqrt(v2)
             t_full = math.inf if dependent else s_p / w2
             block = np.flatnonzero(r > 0.0)
             ratios = u[block] / r[block]
@@ -262,22 +290,34 @@ def _crossover(Q, c, A, b, lam, chol=None):
                 # gives A'e = 0 and b'e = b_p - r'b_W = -s_p < 0
                 e = np.zeros(m)
                 e[W], e[p] = -r, 1.0
-                return None, e
+                return None, e, adds, drops
             t = min(t_full, t_part)
             u, u_p = u - t * r, u_p + t
             if not dependent:
                 y = y - t * _tri(chol, w)
                 s_p -= t * w2
             if t_full <= t_part:
+                # append q = w / ||w|| to F and [coef; ||w||] to T, after a
+                # second Gram-Schmidt pass when ||w||^2 < ||v||^2 / 2
+                if w2 < 0.5 * v2:
+                    coef2 = F.T @ w
+                    w -= F @ coef2
+                    coef += coef2
+                    w2 = w @ w
+                k = F.shape[1]
+                basis[:, k] = w / np.sqrt(w2)
+                tri[:k, k], tri[k, k] = coef, np.sqrt(w2)
+                F, T = basis[:, :k + 1], tri[:, :k + 1]
                 W, u = np.append(W, p), np.append(u, u_p)
-                F, T = insert(F, T, v)
+                adds += 1
                 break
             drop = block[np.argmin(ratios)]
             W, u = np.delete(W, drop), np.delete(u, drop)
             F, T = delete(F, T, drop)
+            drops += 1
     lam_out = np.zeros(m)
     lam_out[W] = np.maximum(u, 0.0)
-    return y, lam_out
+    return y, lam_out, adds, drops
 
 
 def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
@@ -318,10 +358,13 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
             status=status,
             objective=objective(inst, y),
             iterations=k,
+            adds=adds,
+            drops=drops,
             message=message,
         )
 
     y, lam = np.zeros(n), np.zeros(m)
+    adds = drops = 0
     q_prox, delta = Q, 0.0
     chol = _crossover_factor(Q)
     if chol is None:
@@ -341,18 +384,19 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
     if guess is None:
         guess = (A @ dpotrs(chol, -c)[0] > b).astype(np.float64)
     for k in range(1, CROSSOVER_PROX_ROUNDS + 1) if delta else [0]:
-        out = _crossover(q_prox, c - delta * y, A, b, guess, chol=chol)
-        if out is None:
+        y_k, lam_k, k_adds, k_drops = _crossover(q_prox, c - delta * y, A, b, guess, chol=chol)
+        adds, drops = adds + k_adds, drops + k_drops
+        if y_k is None and lam_k is None:
             return result(y, lam, SolveStatus.MAX_ITER_REACHED, k,
                           message="the active-set step cap was hit")
-        if out[0] is None:
-            if _is_farkas(A, b, out[1]):
-                return result(y, out[1], SolveStatus.PRIMAL_INFEASIBLE, k,
+        if y_k is None:
+            if _is_farkas(A, b, lam_k):
+                return result(y, lam_k, SolveStatus.PRIMAL_INFEASIBLE, k,
                               message="certificate: direction e>=0 with A'e=0, b'e<0")
             return result(y, lam, SolveStatus.NUMERICAL_ERROR, k,
                           message="a dependent row stopped the active-set solve, "
                                   "but its Farkas vector fails the certificate checks")
-        y_last, (y, lam) = y, out
+        y_last, y, lam = y, y_k, lam_k
         guess = lam
         cur = merit(*kkt_residuals(inst, y, lam))
         if cur <= 1.0:

@@ -69,6 +69,9 @@ def test_solve_subcommand(tmp_path, capsys):
     assert doc["objective"] == pytest.approx(-0.75, abs=1e-9)
     assert doc["y_star"][0] == pytest.approx(0.5, abs=1e-9)
     assert doc["lambda_star"][0] == pytest.approx(1.0, abs=1e-8)
+    # the unconstrained minimizer y = 1 violates the row, so the start
+    # already holds it and the finish adds and drops nothing
+    assert (doc["iterations"], doc["adds"], doc["drops"]) == (0, 0, 0)
 
 
 def test_baseline_pca_artifact(tmp_path, capsys):

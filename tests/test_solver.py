@@ -116,8 +116,8 @@ def test_a_finish_that_fails_its_checks_is_a_numerical_error(monkeypatch):
     # a point outside the tolerances is not Solved, and a Farkas vector that
     # fails the certificate checks is not PrimalInfeasible
     inst = random_pd_instance(np.random.default_rng(11), 4, 6)
-    for out, message in (((np.zeros(4), np.zeros(6)), "missed the tolerances"),
-                         ((None, np.zeros(6)), "fails the certificate checks")):
+    for out, message in (((np.zeros(4), np.zeros(6), 0, 0), "missed the tolerances"),
+                         ((None, np.zeros(6), 0, 0), "fails the certificate checks")):
         monkeypatch.setattr(solver, "_crossover", lambda *args, out=out, **kw: out)
         res = solve_qp(inst)
         assert (res.status, res.iterations) == (SolveStatus.NUMERICAL_ERROR, 0)
@@ -201,16 +201,30 @@ def test_seed_1011_full_solve_is_solved_at_its_first_finish():
     (0, -84.79491298012431),
     (1, -45.034209327846334),
     (2, -75.7789213626402),
+    (3, -98.54776690651525),
+    (4, -43.475454110912054),
+    (5, -87.19768780553004),
+    (6, -71.93810642550194),
+    (7, -89.6195376420878),
 ])
 def test_full_reg500_is_solved_at_iteration_0(seed, u_star):
     # Q passes the gate, so one active-set run from the rows that the
-    # unconstrained minimizer violates is the solve. The optima are those of
-    # the ADMM-then-crossover solves that finished at iteration 100-1,075.
+    # unconstrained minimizer violates is the solve. The optima of seeds 0-2
+    # are those of the ADMM-then-crossover solves that finished at iteration
+    # 100-1,075; those of seeds 3-7 are those of the active-set finish that
+    # still called qr_insert. Each row added by step 3 is appended to the
+    # active rows' factor in place; seed 1 makes the longest chain, 208
+    # appends to 389 active rows
     from qproj.datasets import generate_instance
 
-    res = solve_qp(generate_instance("regression", {"n": 500, "m": 50}, seed))
+    inst = generate_instance("regression", {"n": 500, "m": 50}, seed)
+    res = solve_qp(inst)
     assert (res.status, res.iterations) == (SolveStatus.SOLVED, 0)
     assert res.objective == pytest.approx(u_star, rel=1e-12, abs=0.0)
+    scale = 1.0 + np.abs(inst.b).max() + np.abs(inst.c).max()
+    assert max(kkt_residuals(inst, res.y_star, res.lambda_star)) <= 1e-12 * scale
+    if seed == 1:
+        assert (res.adds, np.count_nonzero(res.lambda_star)) == (208, 389)
 
 
 @pytest.mark.parametrize("family, sizes", [
@@ -236,25 +250,62 @@ def test_cold_reduced_solves_are_solved_at_iteration_0(family, sizes):
         assert max(kkt_residuals(red, res.y_star, res.lambda_star)) <= 1e-12 * scale, seed
 
 
-def test_crossover_start_refactors_once_per_round(qr_updates):
+def test_crossover_start_refactors_once_per_round():
     # a cold solve of full reg500 seed 0 starts from the 257 rows that the
     # unconstrained minimizer violates; 48 of them get a negative multiplier.
     # Dropping all of those per round and refactoring takes 3 QRs where one
-    # qr_delete per row would take 48, and leaves 49 inserts and 2 deletes
-    # for step 3 (adding the rows one at a time would take about 256 inserts)
+    # drop per row would take 48, and leaves 49 adds and 2 drops for step 3
+    # (adding the rows one at a time would take about 256 adds)
     from qproj.datasets import generate_instance
 
     inst = generate_instance("regression", {"n": 500, "m": 50}, 0)
     res = solve_qp(inst)
     assert (res.status, res.iterations) == (SolveStatus.SOLVED, 0)
-    assert qr_updates.count("qr_delete") <= 5
-    assert qr_updates.count("qr_insert") <= 60
+    assert res.drops <= 5
+    assert res.adds <= 60
     y, lam = res.y_star, res.lambda_star
     # the point of the one-row-at-a-time start
     assert objective(inst, y) == pytest.approx(-84.7949129801243, rel=1e-12, abs=0.0)
     assert np.linalg.norm(y) == pytest.approx(0.5756672761455097, rel=1e-12, abs=0.0)
     assert lam.sum() == pytest.approx(3945.9496333470674, rel=1e-12, abs=0.0)
     assert np.count_nonzero(lam) == 256
+
+
+def _wedge_instance(rng, n, eps):
+    """Strictly convex QP whose optimum x_opt sits in the tip of a thin wedge:
+    a random row a and the row -a + eps z, both active with multipliers of
+    about 1e3, plus two inactive random rows. Once either wedge row is
+    active, the other lies within about eps of the active span."""
+    B = rng.normal(size=(n, n))
+    Q = B @ B.T + np.eye(n)
+    x_opt = rng.normal(size=n)
+    a = rng.normal(size=n)
+    A = np.vstack([a, -a + eps * rng.normal(size=n), rng.normal(size=(2, n))])
+    b = A @ x_opt
+    b[2:] += rng.uniform(0.1, 1.0, size=2)
+    u = np.zeros(4)
+    u[1] = 1e3 * rng.uniform(0.5, 1.5)
+    u[0] = u[1] + rng.uniform(0.5, 1.5)
+    return QpInstance(Q=Q, c=-Q @ x_opt - A.T @ u, A=A, b=b)
+
+
+def test_rows_added_near_the_active_span_match_brute_force_oracle():
+    # from an empty guess every active row is added by a full step. When both
+    # wedge rows end active, the later one was appended with the other in
+    # the factor, at ||w|| about 1e-7 ||v||: the second Gram-Schmidt pass ran
+    both_active = 0
+    for seed in range(20):
+        inst = _wedge_instance(np.random.default_rng(seed), 4, 1e-7)
+        res = solve_qp(inst, guess=np.zeros(4))
+        assert res.status is SolveStatus.SOLVED, seed
+        ref, _ = brute_force_min(inst.Q, inst.c, inst.A, inst.b)
+        # the oracle keeps candidates infeasible by up to 1e-11 (1 + ||b||),
+        # which undercut the optimum by at most lambda'(that violation)
+        undercut = res.lambda_star.sum() * 1e-11 * (1.0 + np.abs(inst.b).max())
+        tol = 1e-9 * (1.0 + abs(ref))
+        assert ref - tol <= res.objective <= ref + undercut + tol, seed
+        both_active += res.lambda_star[:2].min() > 0.0
+    assert both_active >= 10
 
 
 @pytest.mark.parametrize("family, sizes, seed, u_star", [
@@ -344,7 +395,7 @@ def test_crossover_on_infeasible_problems(monkeypatch):
         m = inst.n_cons
         assert solver._crossover_factor(inst.Q) is not None
         for guess in (np.zeros(m), np.ones(m), np.eye(m)[0]):
-            y, e = solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess)
+            y, e, _, _ = solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess)
             assert y is None and e.min() >= 0.0
             assert np.abs(inst.A.T @ e).max() <= 1e-12 and inst.b @ e < 0.0
         res = solve_qp(inst)
@@ -386,9 +437,8 @@ def test_crossover_matches_brute_force_oracle():
         else:
             inst = random_pd_instance(rng, n, m)
         guess = rng.uniform(size=m) * (rng.uniform(size=m) < rng.uniform())
-        out = solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess)
-        assert out is not None, trial
-        y, lam = out
+        y, lam, _, _ = solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess)
+        assert y is not None, trial
         # the oracle's tight feasibility tolerance matters here: at 1e-8 it
         # accepted a point 2e-8 infeasible whose objective lies 8e-9 below
         # the optimum
@@ -416,23 +466,22 @@ def _guess_cases():
     return cases
 
 
-def test_a_right_guess_lands_at_iteration_0(qr_updates):
+def test_a_right_guess_lands_at_iteration_0():
     # the duals of the cold solve guess its own active set exactly, so the
-    # finish starts at the optimum and changes no row; some cold starts do
-    # change rows, so a solver that dropped the guess would fail here
+    # finish starts at the optimum and adds or drops no row; some cold starts
+    # do change rows, so a solver that dropped the guess would fail here
     cold_updates = 0
     for inst, label in _guess_cases():
-        qr_updates.clear()
         cold = solve_qp(inst)
-        cold_updates += len(qr_updates)
-        qr_updates.clear()
+        cold_updates += cold.adds + cold.drops
         warm = solve_qp(inst, guess=cold.lambda_star)
-        assert (warm.status, warm.iterations, qr_updates) == (SolveStatus.SOLVED, 0, []), label
+        assert (warm.status, warm.iterations) == (SolveStatus.SOLVED, 0), label
+        assert (warm.adds, warm.drops) == (0, 0), label
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12), label
     assert cold_updates > 0
 
 
-def test_wrong_guesses_still_give_the_cold_optimum(qr_updates):
+def test_wrong_guesses_still_give_the_cold_optimum():
     # every row, no row and random rows guessed active: the crossover is exact
     # from any guess. Some guesses land on the optimum's active set with no
     # row change, and some need changes
@@ -443,14 +492,13 @@ def test_wrong_guesses_still_give_the_cold_optimum(qr_updates):
         assert cold.status is SolveStatus.SOLVED, label
         m = inst.n_cons
         for guess in (np.ones(m), np.zeros(m), rng.normal(size=m)):
-            qr_updates.clear()
             res = solve_qp(inst, guess=guess)
             assert res.status is SolveStatus.SOLVED, label
             assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12), label
             viol, dual, compl_res = kkt_residuals(inst, res.y_star, res.lambda_star)
             eps = 1e-8 + 1e-8 * max(np.abs(inst.b).max(), np.abs(inst.c).max())
             assert max(viol, dual, compl_res / 10.0) <= eps, label
-            landed += not qr_updates
+            landed += res.adds == res.drops == 0
             guesses += 1
     assert 0 < landed < guesses
 
@@ -487,7 +535,7 @@ def test_crossover_stop_test_scales_with_the_iterate():
     n, m = int(rng.integers(2, 6)), int(rng.integers(1, 9))
     A, b, c = rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=n)
     assert (n, m) == (2, 1)
-    y, lam = solver._crossover(1e-6 * np.eye(2), c, A, b, np.zeros(1))
+    y, lam, _, _ = solver._crossover(1e-6 * np.eye(2), c, A, b, np.zeros(1))
     assert np.abs(y).max() > 1e5 and (A @ y - b).max() <= 1e-12 * np.abs(A).sum() * np.abs(y).max()
     res = solve_qp(QpInstance(Q=np.zeros((n, n)), c=c, A=A, b=b))
     assert res.status is SolveStatus.DUAL_INFEASIBLE
