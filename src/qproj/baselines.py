@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 
-from .core import ProjectionMatrix, QpInstance, float_array, int_field, objective
+from .core import ProjectionMatrix, QpInstance, float_array, int_field, objective, project
 from .gnn import (
     ModelParams,
     backward,
@@ -16,15 +16,8 @@ from .gnn import (
     init_params,
     orthonormalize,
 )
-from .solver import SolveStatus
-from .training import (
-    TrainConfig,
-    adam_fit,
-    envelope_grad,
-    penalized_total,
-    projected_score,
-    warm_solver,
-)
+from .solver import SolveStatus, solve_qp
+from .training import TrainConfig, adam_fit, envelope_grad, penalized_total, projected_score
 from .evaluate import SolutionCache, score
 
 
@@ -104,14 +97,13 @@ def sharedp_train(train_set, val_set, k: int, config: TrainConfig) -> Projection
     n = ns.pop()
     cache = SolutionCache(settings=config.solver)
     u_stars_val = [cache.u_star(inst) for inst in val_set]
-    solve = warm_solver(config.solver)
 
     def batch_grad(vec, batch):
         P = vec.reshape(n, k)
         grad = np.zeros((n, k))
         for idx in batch:
             inst = train_set[int(idx)]
-            res = solve(("train", int(idx)), inst, ProjectionMatrix(P=P))
+            res = solve_qp(project(inst, ProjectionMatrix(P=P)), config.solver)
             if res.status is not SolveStatus.SOLVED:
                 continue
             grad += envelope_grad(inst, P, res.y_star, res.lambda_star)
@@ -123,8 +115,8 @@ def sharedp_train(train_set, val_set, k: int, config: TrainConfig) -> Projection
     def val_loss(vec):
         P = vec.reshape(n, k)
         return penalized_total([
-            projected_score(inst, adapt_projection(P, inst.n_vars), u_star, solve, ("val", i))
-            for i, (inst, u_star) in enumerate(zip(val_set, u_stars_val))])
+            projected_score(inst, adapt_projection(P, inst.n_vars), u_star, config.solver)
+            for inst, u_star in zip(val_set, u_stars_val)])
 
     # start from a coordinate selection: on families with sign-constrained
     # variables a dense random subspace pins the reduced optimum at zero,

@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     ProjectionMatrix,
     QpInstance,
+    float_array,
     int_field,
     is_feasible,
     objective,
@@ -87,6 +88,24 @@ def write_records_csv(path, records, extra_columns=None) -> None:
             writer.writerow(row)
 
 
+def _read_cache_entry(path, n: int) -> dict:
+    """The SolutionCache entry in file path, of an instance with n variables.
+    A document that is not such an entry raises ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        entry = json.load(fh)
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: a cache entry must be a JSON object")
+    u_star = entry.get("u_star")
+    x_star = float_array(entry.get("x_star"), (n,), f"{path}: cache field 'x_star'")
+    for key, ok, expected in (
+            ("u_star", type(u_star) in (int, float) and math.isfinite(u_star), "a finite number"),
+            ("x_star", np.isfinite(x_star).all(), "finite"),
+            ("status", isinstance(entry.get("status"), str), "a string")):
+        if not ok:
+            raise ValueError(f"{path}: cache field {key!r} must be {expected}")
+    return entry
+
+
 class SolutionCache:
     """Disk-backed cache of full-problem optima keyed by instance content
     and every solver setting."""
@@ -117,8 +136,7 @@ class SolutionCache:
         entry = self._mem.get(k)
         path = os.path.join(self.cache_dir, k + ".json") if self.cache_dir else None
         if entry is None and path and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
+            entry = _read_cache_entry(path, inst.n_vars)
         elif entry is None:
             res = solve_qp(inst, self.settings)
             entry = {
@@ -377,10 +395,26 @@ def load_method(name, spec_entry, k, rand_seed=0):
     raise ValueError(f"unknown method {name!r}")
 
 
+def _spec_path(value, where):
+    """value as a path (os.fspath); anything else raises ValueError naming
+    where. open() would read an integer as a file descriptor."""
+    try:
+        return os.fspath(value)
+    except TypeError:
+        raise ValueError(f"{where} must be a path, got {value!r}") from None
+
+
+def _spec_object(value, key, sname):
+    """value, sweep sname's key, if it is a JSON object; else ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"sweep {sname!r}: key {key!r} must be an object, got {value!r}")
+    return value
+
+
 def _checkpoint_for(checkpoints, sweep, method, setting=None):
     """The checkpoint path of method (or train family) at setting; a
     per-setting map where the sweep has no setting is a ValueError."""
-    entry = (checkpoints or {}).get(method)
+    entry = checkpoints.get(method)
     if isinstance(entry, dict):
         if setting is None:
             raise ValueError(f"sweep {sweep!r}: the checkpoint of {method!r} must be "
@@ -399,9 +433,13 @@ def _sweep_cells(spec):
     from .datasets import DatasetManifest
 
     @cache
-    def test_split(path):
+    def load_test_split(path):
         manifest = DatasetManifest.load(path)
         return manifest.family, manifest.load_split("test")
+
+    def test_split(path, key):
+        """load_test_split of the path under the current sweep's key."""
+        return load_test_split(_spec_path(path, f"sweep {sname!r}: key {key!r}"))
 
     sweeps = spec.get("sweeps", [])
     if not isinstance(sweeps, list):
@@ -413,11 +451,17 @@ def _sweep_cells(spec):
         stype = sweep["type"]
         sname = sweep.get("name", f"{stype}-{si}")
         methods = sweep.get("methods", [])
-        ckpts = sweep.get("checkpoints")
+        if not isinstance(methods, list):
+            raise ValueError(f"sweep {sname!r}: key 'methods' must be a list, got {methods!r}")
+        ckpts = _spec_object(sweep.get("checkpoints", {}), "checkpoints", sname)
+        for entry in ckpts.values():
+            for path in entry.values() if isinstance(entry, dict) else [entry]:
+                _spec_path(path, f"sweep {sname!r}: key 'checkpoints'")
         # (method, checkpoint, K, label, [(setting, train tag, test tag, test set)])
         if stype == "cross_dataset":
             k = int_field(sweep, "k", 1, f"sweep {sname!r}")
-            splits = {fam: test_split(p)[1] for fam, p in sweep["manifests"].items()}
+            manifests = _spec_object(sweep["manifests"], "manifests", sname)
+            splits = {fam: test_split(p, "manifests")[1] for fam, p in manifests.items()}
             cells = [(mname, _checkpoint_for(ckpts, sname, train), k,
                       f"train={train}",
                       [(f"{train}->{test}", train, test, split)
@@ -431,24 +475,25 @@ def _sweep_cells(spec):
                         and all(type(k) is int and k >= 1 for k in k_values)):
                     raise ValueError(f"sweep {sname!r}: 'k_values' must be a list of "
                                      f"integers >= 1, got {k_values!r}")
-                split = test_split(sweep["manifest"])
+                split = test_split(sweep["manifest"], "manifest")
                 points = [(k, f"k={k}", k, k, split) for k in k_values]
             elif stype == "d_sweep":
-                plain = sorted(mname for mname, entry in (ckpts or {}).items()
+                plain = sorted(mname for mname, entry in ckpts.items()
                                if not isinstance(entry, dict))
                 if plain:
                     raise ValueError(f"sweep {sname!r}: a d_sweep takes the checkpoints of "
                                      f"{plain} as per-setting maps, not one path")
                 k = int_field(sweep, "k", 1, f"sweep {sname!r}")
-                split = test_split(sweep["manifest"])
-                d_values = sorted({d for entry in (ckpts or {}).values() for d in entry},
+                split = test_split(sweep["manifest"], "manifest")
+                d_values = sorted({d for entry in ckpts.values() for d in entry},
                                   key=int)
                 points = [(f"d={d}", f"d={d}", d, k, split) for d in d_values]
             elif stype == "generalization_sweep":
                 axis = sweep.get("axis", "n")
                 k = int_field(sweep, "k", 1, f"sweep {sname!r}")
-                points = [(f"{axis}={v}", f"{axis}={v}", None, k, test_split(p))
-                          for v, p in sweep["manifests"].items()]
+                manifests = _spec_object(sweep["manifests"], "manifests", sname)
+                points = [(f"{axis}={v}", f"{axis}={v}", None, k, test_split(p, "manifests"))
+                          for v, p in manifests.items()]
             else:
                 raise ValueError(f"unknown sweep type {stype!r}")
             cells = [(mname, _checkpoint_for(ckpts, sname, mname, key), k,
@@ -479,9 +524,12 @@ def run_experiment(spec, out_dir) -> dict:
     settings = settings_from_json(spec.get("solver", {}))
     timing_repeats = int_field({"timing_repeats": 3} | spec, "timing_repeats", 0,
                                "experiment spec")
+    cache_dir = spec.get("cache_dir")
+    if cache_dir is not None:
+        cache_dir = _spec_path(cache_dir, "experiment spec key 'cache_dir'")
     cells = _sweep_cells(spec)
+    cache = SolutionCache(cache_dir=cache_dir, settings=settings)
     os.makedirs(out_dir, exist_ok=True)
-    cache = SolutionCache(cache_dir=spec.get("cache_dir"), settings=settings)
 
     context_cols = ["sweep", "sweep_type", "setting", "train_tag", "test_tag"]
     rows = []

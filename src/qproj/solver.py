@@ -13,21 +13,18 @@ problems after equality elimination, LPs) fails it. There Q + delta I is
 factored instead, delta = CROSSOVER_PROX * max(||Q||_1, 1), and up to
 CROSSOVER_PROX_ROUNDS rounds of the proximal point method (Rockafellar
 1976) each solve the problem with linear term c - delta y_{k-1}, from
-y_0 = 0, warm-started from the last round's duals.
-
-The first active-set solve starts from the rows active in the caller's dual
-guess: a caller that solves a sequence of nearby problems (training
-re-solves each instance every epoch under a slightly different projection)
-passes the last duals. Without a guess it starts from the rows that the
-unconstrained minimizer -(Q + delta I)^-1 c violates.
+y_0 = 0. The first active-set solve starts from the rows that the
+unconstrained minimizer -(Q + delta I)^-1 c violates, and each later round
+from the last round's duals: a result depends only on the instance and
+the settings.
 
 An active-set solve holds its active rows as a thin QR factor in the metric
-of Q. The start factors the guessed rows in one QR; after that, a step that
-makes a row active appends the Gram-Schmidt column the step has already
-computed (reorthogonalized when cancellation calls for it: Daniel, Gragg,
-Kaufman & Stewart 1976), and a dropped row is a qr_delete.
-SolveResult.adds and SolveResult.drops count those steps, summed over the
-proximal rounds: a guess that names the optimum's active set makes neither.
+of Q. The start factors its rows in one QR; after that, a step that makes a
+row active appends the Gram-Schmidt column the step has already computed
+(reorthogonalized when cancellation calls for it: Daniel, Gragg, Kaufman &
+Stewart 1976), and a dropped row is a qr_delete. SolveResult.adds and
+SolveResult.drops count those steps, summed over the proximal rounds: a
+start at the optimum's active set makes neither.
 
 A result is declared Solved only when it satisfies, in infinity norm,
 
@@ -193,16 +190,15 @@ def _crossover_factor(Q):
     return chol if info == 0 and rcond >= CROSSOVER_RCOND else None
 
 
-def _crossover(Q, c, A, b, lam, chol=None):
+def _crossover(Q, c, A, b, lam, chol):
     """Goldfarb-Idnani dual active-set solve (Math. Prog. 27, 1983) of
-    min 1/2 y'Qy + c'y s.t. Ay <= b for Q positive definite, warm-started
-    from the rows active in the dual guess lam. Returns (y, lambda, adds,
-    drops): y and lambda exact up to round-off, adds and drops the rows that
-    step 3 made active and dropped. y is None when the solve stops early:
-    then lambda is a Farkas vector e (e >= 0, A'e = 0, b'e < 0) when the
-    problem is infeasible (a step bound is infinite), or None when the step
-    cap is hit or Q fails potrf. `chol` is the upper Cholesky factor R of
-    Q = R'R when the caller has it.
+    min 1/2 y'Qy + c'y s.t. Ay <= b for Q = R'R positive definite, with chol
+    its upper Cholesky factor R, started from the rows where the dual
+    vector lam is positive. Returns (y, lambda, adds, drops): y and lambda
+    exact up to round-off, adds and drops the rows that step 3 made active
+    and dropped. y is None when the solve stops early: then lambda is a
+    Farkas vector e (e >= 0, A'e = 0, b'e < 0) when the problem is
+    infeasible (a step bound is infinite), or None when the step cap is hit.
 
     The work runs in the metric of Q. With g = R^-T(-c) and the active rows
     W factored as R^-T A_W' = F T (thin QR), the optimum on W held as
@@ -216,10 +212,6 @@ def _crossover(Q, c, A, b, lam, chol=None):
     block trtrs reads at the buffer's leading dimension without a copy."""
     n, m = Q.shape[0], A.shape[0]
     adds = drops = 0
-    if chol is None:
-        chol, info = dpotrf(Q)
-        if info != 0:
-            return None, None, adds, drops
 
     def delete(F, T, j):
         """Thin QR without column j, written back into the buffers (at
@@ -230,7 +222,7 @@ def _crossover(Q, c, A, b, lam, chol=None):
         return F[:, :k], T[:, :k]
 
     g = _tri(chol, -c, trans=1)
-    # 1. a linearly independent prefix of the guessed rows (pivoted QR)
+    # 1. a linearly independent prefix of the starting rows (pivoted QR)
     W = np.flatnonzero(lam > 0)
     M = _tri(chol, A[W].T, trans=1)
     F, T, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
@@ -320,26 +312,17 @@ def _crossover(Q, c, A, b, lam, chol=None):
     return y, lam_out, adds, drops
 
 
-def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
-             guess=None) -> SolveResult:
+def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveResult:
     """Solve an inequality-form convex QP, returning primal and dual solutions.
 
     Q is assumed PSD (validated when the QpInstance was constructed).
     MaxIterReached / infeasibility / failed-factorization (NumericalError)
     outcomes are reported in the status, never raised.
-
-    guess, m duals of a nearby problem, picks the first active set as
-    described in the module docstring; one of another shape or with a
-    non-finite entry raises ValueError.
     """
     if settings is None:
         settings = SolverSettings()
     Q, c, A, b = inst.Q, inst.c, inst.A, inst.b
     n, m = inst.n_vars, inst.n_cons
-    if guess is not None:
-        guess = np.asarray(guess, dtype=np.float64)
-        if guess.shape != (m,) or not np.isfinite(guess).all():
-            raise ValueError(f"guess must be a finite vector of {m} duals")
 
     eps_pri = settings.eps_abs + settings.eps_rel * np.abs(b).max(initial=0.0)
     eps_dua = settings.eps_abs + settings.eps_rel * np.abs(c).max(initial=0.0)
@@ -378,13 +361,12 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
             return result(y, lam, SolveStatus.NUMERICAL_ERROR, 0,
                           "Cholesky factorization failed: Q + delta I is not "
                           "numerically positive definite")
-    # the first active set is the guess's, or else the rows that the
-    # unconstrained minimizer violates; a later round starts from the last
-    # round's duals. k counts proximal rounds, 0 when Q passes the gate.
-    if guess is None:
-        guess = (A @ dpotrs(chol, -c)[0] > b).astype(np.float64)
+    # the first active set is the rows that the unconstrained minimizer
+    # violates; a later round starts from the last round's duals. k counts
+    # proximal rounds, 0 when Q passes the gate.
+    start = (A @ dpotrs(chol, -c)[0] > b).astype(np.float64)
     for k in range(1, CROSSOVER_PROX_ROUNDS + 1) if delta else [0]:
-        y_k, lam_k, k_adds, k_drops = _crossover(q_prox, c - delta * y, A, b, guess, chol=chol)
+        y_k, lam_k, k_adds, k_drops = _crossover(q_prox, c - delta * y, A, b, start, chol)
         adds, drops = adds + k_adds, drops + k_drops
         if y_k is None and lam_k is None:
             return result(y, lam, SolveStatus.MAX_ITER_REACHED, k,
@@ -397,7 +379,7 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None,
                           message="a dependent row stopped the active-set solve, "
                                   "but its Farkas vector fails the certificate checks")
         y_last, y, lam = y, y_k, lam_k
-        guess = lam
+        start = lam
         cur = merit(*kkt_residuals(inst, y, lam))
         if cur <= 1.0:
             return result(y, lam, SolveStatus.SOLVED, k)

@@ -1,8 +1,7 @@
 """Bilevel training of the projection generator.
 
 Outer loop: minibatch Adam on the model parameters. Inner loop: each
-instance's reduced QP is solved exactly, guessed from that instance's duals
-of the previous epoch (warm_solver); the gradient of the inner optimum
+instance's reduced QP is solved exactly; the gradient of the inner optimum
 with respect to the projection follows from the envelope theorem,
 
     d u / d P = Q P y* y*' + c y*' + A' lambda* y*',
@@ -113,44 +112,23 @@ def penalized_total(scores, penalty: float = VALIDATION_PENALTY) -> float:
     return float(sum(errors)) + (failures / len(errors)) * penalty
 
 
-def warm_solver(settings: SolverSettings):
-    """solve(key, inst, proj): solve_qp of project(inst, proj), guessed from
-    the duals of the last Solved solve under the same key. A training run
-    makes one and keys it by (split, index): each epoch re-solves the same
-    instances under a nearby projection, whose reduced rows are A P row for
-    row, so the last active set is a good guess. The memory lives in the
-    closure, so separate runs never share it."""
-    duals = {}
-
-    def solve(key, inst, proj):
-        res = solve_qp(project(inst, proj), settings, guess=duals.get(key))
-        if res.status is SolveStatus.SOLVED:
-            duals[key] = res.lambda_star
-        return res
-    return solve
-
-
 def projected_score(inst: QpInstance, proj: ProjectionMatrix, u_star: float,
-                    solve, key) -> tuple[float, bool]:
-    """evaluate.score of the lifted reduced optimum from solve(key, inst,
-    proj) (see warm_solver), at the reduced objective value."""
-    res = solve(key, inst, proj)
+                    settings: SolverSettings) -> tuple[float, bool]:
+    """evaluate.score of the lifted optimum of project(inst, proj), at the
+    reduced objective value."""
+    res = solve_qp(project(inst, proj), settings)
     return score(inst, recover(proj, res.y_star), res.objective, u_star,
                  res.status is SolveStatus.SOLVED)
 
 
-def validation_loss(params: ModelParams, val_set, config: TrainConfig,
-                    u_stars, solve=None) -> float:
+def validation_loss(params: ModelParams, val_set, config: TrainConfig, u_stars) -> float:
     """Sum of relative errors over validation instances plus
     failure_rate * VALIDATION_PENALTY. Failures (inner solve not Solved, or
     infeasible lifted point) count a relative error of one. u_stars are the
-    Solved full optima of val_set. solve is a training run's warm_solver,
-    keyed ("val", index); without one every solve is cold."""
-    if solve is None:
-        solve = warm_solver(config.solver)
+    Solved full optima of val_set."""
     return penalized_total([
-        projected_score(inst, forward(params, inst, config.k)[0], u_star, solve, ("val", i))
-        for i, (inst, u_star) in enumerate(zip(val_set, u_stars))])
+        projected_score(inst, forward(params, inst, config.k)[0], u_star, config.solver)
+        for inst, u_star in zip(val_set, u_stars)])
 
 
 def adam_fit(vec, n_items: int, config: TrainConfig, batch_grad, val_loss,
@@ -193,7 +171,6 @@ def train(train_set, val_set, config: TrainConfig):
     u_stars_val = [cache.u_star(inst) for inst in val_set]
     report = TrainReport()
     tally = {"u": 0.0, "solved": 0, "failures": 0, "t0": time.perf_counter()}
-    solve = warm_solver(config.solver)
 
     def batch_grad(vec, batch):
         params = template.from_vector(vec)
@@ -201,7 +178,7 @@ def train(train_set, val_set, config: TrainConfig):
         for idx in batch:
             inst = train_set[int(idx)]
             proj, tape = forward(params, inst, config.k)
-            res = solve(("train", int(idx)), inst, proj)
+            res = solve_qp(project(inst, proj), config.solver)
             if res.status is not SolveStatus.SOLVED:
                 tally["failures"] += 1
                 continue
@@ -212,7 +189,7 @@ def train(train_set, val_set, config: TrainConfig):
         return grad_acc
 
     def end_epoch(vec):
-        val = validation_loss(template.from_vector(vec), val_set, config, u_stars_val, solve)
+        val = validation_loss(template.from_vector(vec), val_set, config, u_stars_val)
         report.train_loss.append(tally["u"] / max(tally["solved"], 1))
         report.failures.append(tally["failures"])
         now = time.perf_counter()

@@ -240,15 +240,56 @@ def test_malformed_instance_file_rejected(tmp_path, capsys, doc, message):
                   "methods": ["rand"], "k": [2]}]}, "'k'"),
     ({"sweeps": [{"type": "generalization_sweep", "manifests": {}, "methods": ["rand"],
                   "k": 2, "rand_seed": [1]}]}, "'rand_seed'"),
+    # an integer path made open() read that file descriptor: on stdin it
+    # hung; a cache_dir that is not a path and a manifests or checkpoints
+    # list escaped as a TypeError or an AttributeError, and a methods number
+    # as a TypeError (or ran nothing and exited 0)
+    ({"sweeps": [{"type": "k_sweep", "manifest": 0, "methods": ["rand"],
+                  "k_values": [2]}]}, "'manifest'"),
+    ({"sweeps": [{"type": "k_sweep", "manifest": "m.json", "methods": ["ours"],
+                  "k_values": [2], "checkpoints": {"ours": 0}}]}, "'checkpoints'"),
+    ({"cache_dir": 5}, "'cache_dir'"),
+    ({"sweeps": [{"type": "generalization_sweep", "manifests": ["m.json"],
+                  "methods": ["rand"], "k": 2}]}, "'manifests'"),
+    ({"sweeps": [{"type": "d_sweep", "manifest": "m.json", "methods": ["ours"], "k": 2,
+                  "checkpoints": ["c.json"]}]}, "'checkpoints'"),
+    ({"sweeps": [{"type": "generalization_sweep", "manifests": {}, "methods": 3,
+                  "k": 2}]}, "'methods'"),
 ], ids=["list", "sweep-string", "sweeps-number", "solver-unknown-key", "solver-list",
         "solver-string", "timing-repeats-list", "k-values-string", "removed-feas-tol",
-        "sweep-k-list", "sweep-rand-seed-list"])
+        "sweep-k-list", "sweep-rand-seed-list", "manifest-integer", "checkpoint-integer",
+        "cache-dir-integer", "manifests-list", "checkpoints-list", "methods-number"])
 def test_malformed_experiment_spec_rejected(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["--out", str(tmp_path / "exp"), "experiment", "--spec", str(path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()
+
+
+# a cache file that is not an entry escaped as a TypeError (exit code 1),
+# a short x_star failed in numpy with a message naming neither the file nor
+# the field, a NaN x_star scored the full method 1 and exited 0, and a
+# status that is not a string was reported as the status of a solve
+@pytest.mark.parametrize("edit, message", [
+    (lambda e: [], "a cache entry must be a JSON object"),
+    (lambda e: {**e, "u_star": str(e["u_star"])}, "'u_star'"),
+    (lambda e: {**e, "x_star": e["x_star"][:-1]}, "'x_star'"),
+    (lambda e: {**e, "x_star": [float("nan")] * len(e["x_star"])}, "'x_star'"),
+    (lambda e: {**e, "status": 1}, "'status'"),
+], ids=["list", "u-star-string", "x-star-short", "x-star-nan", "status-number"])
+def test_malformed_cache_file_rejected(tmp_path, capsys, edit, message):
+    cache_dir = tmp_path / "cache"
+    args = ["eval", "--manifest", str(_regression_data(tmp_path)), "--method", "full",
+            "--timing-repeats", "0", "--cache-dir", str(cache_dir)]
+    assert main(["--out", str(tmp_path / "first"), *args]) == 0
+    (path,) = cache_dir.glob("*.json")
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "eval"), *args]) == 2
+    err = capsys.readouterr().err
+    assert path.name in err and message in err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_gen_data_below_the_smallest_portfolio_rejected(tmp_path, capsys):

@@ -233,8 +233,8 @@ def test_full_reg500_is_solved_at_iteration_0(seed, u_star):
     ("regression", {"n": 100, "m": 20}),
 ], ids=["portfolio", "control", "regression"])
 def test_cold_reduced_solves_are_solved_at_iteration_0(family, sizes):
-    # without a guess the finish starts from the rows that the unconstrained
-    # minimizer violates; these solves used to run 25-100 iterations of an
+    # the finish starts from the rows that the unconstrained minimizer
+    # violates; these solves used to run 25-100 iterations of an
     # operator-splitting method first
     from qproj.datasets import generate_instance
 
@@ -290,21 +290,22 @@ def _wedge_instance(rng, n, eps):
 
 
 def test_rows_added_near_the_active_span_match_brute_force_oracle():
-    # from an empty guess every active row is added by a full step. When both
+    # from an empty start every active row is added by a full step. When both
     # wedge rows end active, the later one was appended with the other in
     # the factor, at ||w|| about 1e-7 ||v||: the second Gram-Schmidt pass ran
     both_active = 0
     for seed in range(20):
         inst = _wedge_instance(np.random.default_rng(seed), 4, 1e-7)
-        res = solve_qp(inst, guess=np.zeros(4))
-        assert res.status is SolveStatus.SOLVED, seed
+        y, lam, _, _ = solver._crossover(inst.Q, inst.c, inst.A, inst.b, np.zeros(4),
+                                         solver._crossover_factor(inst.Q))
+        assert y is not None, seed
         ref, _ = brute_force_min(inst.Q, inst.c, inst.A, inst.b)
         # the oracle keeps candidates infeasible by up to 1e-11 (1 + ||b||),
         # which undercut the optimum by at most lambda'(that violation)
-        undercut = res.lambda_star.sum() * 1e-11 * (1.0 + np.abs(inst.b).max())
+        undercut = lam.sum() * 1e-11 * (1.0 + np.abs(inst.b).max())
         tol = 1e-9 * (1.0 + abs(ref))
-        assert ref - tol <= res.objective <= ref + undercut + tol, seed
-        both_active += res.lambda_star[:2].min() > 0.0
+        assert ref - tol <= objective(inst, y) <= ref + undercut + tol, seed
+        both_active += lam[:2].min() > 0.0
     assert both_active >= 10
 
 
@@ -393,9 +394,10 @@ def test_crossover_on_infeasible_problems(monkeypatch):
     ]
     for inst in cases:
         m = inst.n_cons
-        assert solver._crossover_factor(inst.Q) is not None
-        for guess in (np.zeros(m), np.ones(m), np.eye(m)[0]):
-            y, e, _, _ = solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess)
+        chol = solver._crossover_factor(inst.Q)
+        assert chol is not None
+        for start in (np.zeros(m), np.ones(m), np.eye(m)[0]):
+            y, e, _, _ = solver._crossover(inst.Q, inst.c, inst.A, inst.b, start, chol)
             assert y is None and e.min() >= 0.0
             assert np.abs(inst.A.T @ e).max() <= 1e-12 and inst.b @ e < 0.0
         res = solve_qp(inst)
@@ -427,7 +429,7 @@ def _degenerate_pd_instance(rng, n, m):
 
 def test_crossover_matches_brute_force_oracle():
     # 200 seeded instances, half of them degenerate, each from a random
-    # guess of the active set (empty, partial, wrong or too large)
+    # start of the active set (empty, partial, wrong or too large)
     many_active = 0
     for trial in range(200):
         rng = np.random.default_rng(trial)
@@ -436,8 +438,9 @@ def test_crossover_matches_brute_force_oracle():
             inst = _degenerate_pd_instance(rng, n, m)
         else:
             inst = random_pd_instance(rng, n, m)
-        guess = rng.uniform(size=m) * (rng.uniform(size=m) < rng.uniform())
-        y, lam, _, _ = solver._crossover(inst.Q, inst.c, inst.A, inst.b, guess)
+        start = rng.uniform(size=m) * (rng.uniform(size=m) < rng.uniform())
+        y, lam, _, _ = solver._crossover(inst.Q, inst.c, inst.A, inst.b, start,
+                                         solver._crossover_factor(inst.Q))
         assert y is not None, trial
         # the oracle's tight feasibility tolerance matters here: at 1e-8 it
         # accepted a point 2e-8 infeasible whose objective lies 8e-9 below
@@ -452,78 +455,31 @@ def test_crossover_matches_brute_force_oracle():
     assert many_active >= 20
 
 
-def _guess_cases():
-    """(instance, label) pairs whose Q passes the crossover gate: random
-    strictly convex QPs and a reduced portfolio problem."""
+def test_a_start_at_the_optimum_active_set_makes_no_update():
+    # a later proximal round starts from the last round's duals; when they
+    # name the optimum's active set the finish adds and drops no row. Random
+    # strictly convex QPs and a reduced portfolio problem; some cold starts
+    # do change rows, so a finish that ignored its start would fail here
     from qproj.datasets import generate_instance
 
     rng = np.random.default_rng(12)
-    cases = [(random_pd_instance(rng, int(rng.integers(2, 9)), int(rng.integers(1, 15))),
-              f"random {i}") for i in range(12)]
+    cases = [random_pd_instance(rng, int(rng.integers(2, 9)), int(rng.integers(1, 15)))
+             for _ in range(12)]
     inst = generate_instance("portfolio", {"n": 30}, 0)
     proj, _ = forward(init_params(0, h=8, l=2, k=6, h_g=8), inst, 6)
-    cases.append((project(inst, proj), "reduced portfolio"))
-    return cases
-
-
-def test_a_right_guess_lands_at_iteration_0():
-    # the duals of the cold solve guess its own active set exactly, so the
-    # finish starts at the optimum and adds or drops no row; some cold starts
-    # do change rows, so a solver that dropped the guess would fail here
+    cases.append(project(inst, proj))
     cold_updates = 0
-    for inst, label in _guess_cases():
+    for i, inst in enumerate(cases):
         cold = solve_qp(inst)
+        assert (cold.status, cold.iterations) == (SolveStatus.SOLVED, 0), i
         cold_updates += cold.adds + cold.drops
-        warm = solve_qp(inst, guess=cold.lambda_star)
-        assert (warm.status, warm.iterations) == (SolveStatus.SOLVED, 0), label
-        assert (warm.adds, warm.drops) == (0, 0), label
-        assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12), label
+        y, lam, adds, drops = solver._crossover(inst.Q, inst.c, inst.A, inst.b,
+                                                cold.lambda_star,
+                                                solver._crossover_factor(inst.Q))
+        assert (adds, drops) == (0, 0), i
+        assert objective(inst, y) == pytest.approx(cold.objective, rel=1e-9, abs=1e-12), i
+        assert np.count_nonzero(lam) == np.count_nonzero(cold.lambda_star), i
     assert cold_updates > 0
-
-
-def test_wrong_guesses_still_give_the_cold_optimum():
-    # every row, no row and random rows guessed active: the crossover is exact
-    # from any guess. Some guesses land on the optimum's active set with no
-    # row change, and some need changes
-    rng = np.random.default_rng(13)
-    landed = guesses = 0
-    for inst, label in _guess_cases():
-        cold = solve_qp(inst)
-        assert cold.status is SolveStatus.SOLVED, label
-        m = inst.n_cons
-        for guess in (np.ones(m), np.zeros(m), rng.normal(size=m)):
-            res = solve_qp(inst, guess=guess)
-            assert res.status is SolveStatus.SOLVED, label
-            assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12), label
-            viol, dual, compl_res = kkt_residuals(inst, res.y_star, res.lambda_star)
-            eps = 1e-8 + 1e-8 * max(np.abs(inst.b).max(), np.abs(inst.c).max())
-            assert max(viol, dual, compl_res / 10.0) <= eps, label
-            landed += res.adds == res.drops == 0
-            guesses += 1
-    assert 0 < landed < guesses
-
-
-def test_a_guess_of_the_wrong_shape_or_not_finite_raises():
-    inst = random_pd_instance(np.random.default_rng(14), 4, 6)
-    for guess in (np.zeros(5), np.zeros(7), np.zeros((6, 1)), [0.0, 1.0, np.nan, 0.0, 0.0, 0.0],
-                  np.full(6, np.inf)):
-        with pytest.raises(ValueError, match="guess"):
-            solve_qp(inst, guess=guess)
-
-
-def test_below_the_gate_a_guess_reaches_the_same_optimum():
-    # below the gate (singular Q) the guess picks the first proximal round's
-    # active set, as it does above the gate
-    rng = np.random.default_rng(15)
-    for trial in range(4):
-        inst = _singular_box_instance(rng, 4, trial, 2)
-        assert solver._crossover_factor(inst.Q) is None
-        cold = solve_qp(inst)
-        assert cold.status is SolveStatus.SOLVED, trial
-        for guess in (cold.lambda_star, np.ones(inst.n_cons), rng.normal(size=inst.n_cons)):
-            res = solve_qp(inst, guess=guess)
-            assert res.status is SolveStatus.SOLVED, trial
-            assert res.objective == pytest.approx(cold.objective, rel=1e-7, abs=1e-12), trial
 
 
 def test_crossover_stop_test_scales_with_the_iterate():
@@ -535,7 +491,8 @@ def test_crossover_stop_test_scales_with_the_iterate():
     n, m = int(rng.integers(2, 6)), int(rng.integers(1, 9))
     A, b, c = rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=n)
     assert (n, m) == (2, 1)
-    y, lam, _, _ = solver._crossover(1e-6 * np.eye(2), c, A, b, np.zeros(1))
+    Q = 1e-6 * np.eye(2)
+    y, lam, _, _ = solver._crossover(Q, c, A, b, np.zeros(1), solver._crossover_factor(Q))
     assert np.abs(y).max() > 1e5 and (A @ y - b).max() <= 1e-12 * np.abs(A).sum() * np.abs(y).max()
     res = solve_qp(QpInstance(Q=np.zeros((n, n)), c=c, A=A, b=b))
     assert res.status is SolveStatus.DUAL_INFEASIBLE
