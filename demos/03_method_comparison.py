@@ -33,7 +33,7 @@ config = TrainConfig(k=K, batch_size=8, max_epochs=8, seed=0)
 ours_params, _ = train(train_set, val_set, config)
 shared_cfg = TrainConfig(k=K, batch_size=8, max_epochs=25, learning_rate=2e-2,
                          seed=0)
-shared = sharedp_train(train_set, val_set, K, shared_cfg)
+shared = sharedp_train(train_set, val_set, shared_cfg)
 direct_cfg = TrainConfig(k=1, batch_size=8, max_epochs=10, seed=0)
 direct_params, _ = direct_train(train_set, val_set, direct_cfg, cache=cache)
 

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 
-from .core import ProjectionMatrix, QpInstance, float_array, int_field, objective, project
+from .core import ProjectionMatrix, QpInstance, float_array, int_field, project, read_json_object
 from .gnn import (
     ModelParams,
     backward,
@@ -17,8 +17,8 @@ from .gnn import (
     orthonormalize,
 )
 from .solver import SolveStatus, solve_qp
-from .training import TrainConfig, adam_fit, envelope_grad, penalized_total, projected_score
-from .evaluate import SolutionCache, score
+from .training import TrainConfig, adam_fit, envelope_grad, validation_loss
+from .evaluate import DirectMethod, FixedProjectionMethod, SolutionCache
 
 
 def rand_projection(n: int, k: int, seed: int) -> ProjectionMatrix:
@@ -87,16 +87,16 @@ def _orthonormal_columns(M) -> np.ndarray:
     return q
 
 
-def sharedp_train(train_set, val_set, k: int, config: TrainConfig) -> ProjectionMatrix:
-    """Optimize one shared orthonormal matrix with the same Adam + envelope
-    gradient loop used for the generator; re-orthonormalize by QR after each
-    step and keep the best validation epoch."""
+def sharedp_train(train_set, val_set, config: TrainConfig) -> ProjectionMatrix:
+    """Optimize one shared orthonormal N x config.k matrix with the same
+    Adam + envelope gradient loop used for the generator; re-orthonormalize
+    by QR after each step and keep the best validation epoch."""
     ns = {inst.n_vars for inst in train_set}
     if len(ns) != 1:
         raise ValueError(f"shared projection needs a single N, got {sorted(ns)}")
-    n = ns.pop()
+    n, k = ns.pop(), config.k
     cache = SolutionCache(settings=config.solver)
-    u_stars_val = [cache.u_star(inst) for inst in val_set]
+    cache.warm(val_set)
 
     def batch_grad(vec, batch):
         P = vec.reshape(n, k)
@@ -113,10 +113,8 @@ def sharedp_train(train_set, val_set, k: int, config: TrainConfig) -> Projection
         return _orthonormal_columns(vec.reshape(n, k)).ravel()
 
     def val_loss(vec):
-        P = vec.reshape(n, k)
-        return penalized_total([
-            projected_score(inst, adapt_projection(P, inst.n_vars), u_star, config.solver)
-            for inst, u_star in zip(val_set, u_stars_val)])
+        return validation_loss(FixedProjectionMethod(vec.reshape(n, k), "sharedp"),
+                               val_set, cache)
 
     # start from a coordinate selection: on families with sign-constrained
     # variables a dense random subspace pins the reduced optimum at zero,
@@ -154,15 +152,12 @@ def direct_train(train_set, val_set, config: TrainConfig,
     validation loss; returns (params, penalty weight)."""
     cache = cache or SolutionCache(settings=config.solver)
     x_stars = [np.asarray(e["x_star"]) for e in cache.warm(train_set)]
-    u_stars_val = [cache.u_star(inst) for inst in val_set]
+    cache.warm(val_set)
     template = init_params(config.seed, h=config.hidden, l=config.layers,
                            k=1, h_g=config.head_hidden)
 
     def val_loss(vec):
-        params = template.from_vector(vec)
-        xs = [forward_raw(params, inst)[0][:, 0] for inst in val_set]
-        return penalized_total([score(inst, x, objective(inst, x), u_star)
-                                for inst, x, u_star in zip(val_set, xs, u_stars_val)])
+        return validation_loss(DirectMethod(template.from_vector(vec)), val_set, cache)
 
     best = (np.inf, None, None)
     for lambda_pen in DIRECT_PENALTY_GRID:
@@ -202,9 +197,8 @@ def save_projection(path, proj: ProjectionMatrix, method: str) -> None:
 def load_projection(path) -> ProjectionMatrix:
     """The projection of a save_projection file. Any other document, or a P
     that is not an orthonormal n_train x k matrix, raises ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    method = doc.get("method") if isinstance(doc, dict) else None
+    doc = read_json_object(path, "a projection file")
+    method = doc.get("method")
     if method not in PROJECTION_METHODS:
         raise ValueError(f"{path}: not a projection file: method {method!r} is not one "
                          f"of {PROJECTION_METHODS}")

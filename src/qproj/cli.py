@@ -17,13 +17,9 @@ import numpy as np
 
 
 def _load_config(path):
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
-    return doc
+    from .core import read_json_object
+
+    return read_json_object(path, "a config file") if path else {}
 
 
 def _boolean(val):
@@ -223,7 +219,7 @@ def cmd_baseline(args, cfg):
         config = _train_config(args, cfg, _require(k, "k") if name == "sharedp" else 1,
                                100, solver=settings)
         if name == "sharedp":
-            proj = baselines.sharedp_train(train_set, val_set, config.k, config)
+            proj = baselines.sharedp_train(train_set, val_set, config)
             baselines.save_projection(path, proj, "sharedp")
         else:
             params, lambda_pen = baselines.direct_train(train_set, val_set, config)
@@ -292,6 +288,8 @@ def cmd_experiment(args, cfg):
 
 
 def build_parser():
+    from .evaluate import METHODS
+
     parser = argparse.ArgumentParser(prog="qproj")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--config", default=None, help="JSON config file")
@@ -317,8 +315,7 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate a method on a test split")
     p.add_argument("--manifest")
-    p.add_argument("--method",
-                   choices=["ours", "rand", "pca", "sharedp", "direct", "full"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--checkpoint")
     p.add_argument("--artifact")
     p.add_argument("--k", type=int, default=None)
@@ -380,7 +377,7 @@ def main(argv=None) -> int:
             if key in cfg_all and key not in cfg:
                 cfg[key] = cfg_all[key]
         return args.fn(args, cfg)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

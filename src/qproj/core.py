@@ -364,6 +364,20 @@ def instance_from_dict(d: dict) -> QpInstance:
     return QpInstance(**arrays, constant=constant, meta=dict(d.get("meta", {})))
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in file path. A file that does not parse, or whose
+    document is not an object, raises ValueError naming the path; `what`
+    names the kind of document, e.g. "a manifest"."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def save_instance(inst: QpInstance, path) -> None:
     # json.dumps encodes in C; json.dump always runs the pure-Python encoder
     with open(path, "w", encoding="utf-8") as fh:
@@ -371,5 +385,4 @@ def save_instance(inst: QpInstance, path) -> None:
 
 
 def load_instance(path) -> QpInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+    return instance_from_dict(read_json_object(path, "an instance"))

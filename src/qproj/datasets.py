@@ -20,6 +20,7 @@ from .core import (
     QpInstance,
     eliminate_eq_nullspace,
     load_instance,
+    read_json_object,
     save_instance,
 )
 
@@ -219,11 +220,7 @@ class DatasetManifest:
     def load(path) -> "DatasetManifest":
         """The manifest of a save() file. A document that is not a mapping, or
         whose 'files' are not objects with a string 'path', raises ValueError."""
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: a manifest must be a JSON object, "
-                             f"got {type(doc).__name__}")
+        doc = read_json_object(path, "a manifest")
         if not isinstance(doc["files"], list) or not all(
                 isinstance(f, dict) and isinstance(f.get("path"), str) for f in doc["files"]):
             raise ValueError(f"{path}: manifest field 'files' must be a list of objects "

@@ -3,11 +3,12 @@
 Solution quality is the relative error (u_hat - u*) / (0 - u*) against the
 trivial feasible objective 0; methods that fail to produce a feasible
 solution score exactly 1, and where the trivial point is optimal (u* >= 0)
-a solution scores 0 if it matches u* and 1 otherwise. Evaluation, training
-and the baselines all score through `score`. The reference u* must come
-from a Solved full solve; any other status is an error. Timing covers
-projection generation plus the reduced solve (median of repeated runs); the
-u* oracle is computed once, cached, and never timed.
+a solution scores 0 if it matches u* and 1 otherwise. Every score comes
+from `score` in `evaluate_method`, which training's validation loss calls
+too. The reference u* must come from a Solved full solve; any other status
+is an error. Timing covers projection generation plus the reduced solve
+(median of repeated runs, whose point is the one scored); the u* oracle is
+computed once, cached, and never timed.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     is_feasible,
     objective,
     project,
+    read_json_object,
     recover,
 )
 from .gnn import ModelParams, forward, forward_raw
@@ -91,10 +93,7 @@ def write_records_csv(path, records, extra_columns=None) -> None:
 def _read_cache_entry(path, n: int) -> dict:
     """The SolutionCache entry in file path, of an instance with n variables.
     A document that is not such an entry raises ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        entry = json.load(fh)
-    if not isinstance(entry, dict):
-        raise ValueError(f"{path}: a cache entry must be a JSON object")
+    entry = read_json_object(path, "a cache entry")
     u_star = entry.get("u_star")
     x_star = float_array(entry.get("x_star"), (n,), f"{path}: cache field 'x_star'")
     for key, ok, expected in (
@@ -232,14 +231,15 @@ class FullMethod:
     k = 0
 
 
-def _median_time(fn, repeats: int) -> float:
-    """Median seconds of `repeats` runs of fn; 0.0 when repeats = 0."""
+def _timed(fn, repeats: int):
+    """(the value of fn, the median seconds of `repeats` runs of it); with
+    repeats = 0, fn runs once and the time is 0.0."""
     times = []
-    for _ in range(repeats):
+    for _ in range(max(repeats, 1)):
         t0 = time.perf_counter()
-        fn()
+        value = fn()
         times.append(time.perf_counter() - t0)
-    return float(np.median(times)) if times else 0.0
+    return value, float(np.median(times)) if repeats else 0.0
 
 
 def evaluate_method(method, test_set, k: int | None = None,
@@ -271,22 +271,20 @@ def evaluate_method(method, test_set, k: int | None = None,
         t_proj = t_solve = 0.0
         solved = True
         if method.kind == "projection":
-            proj = method.make_projection(inst, index)
-            t_proj = _median_time(lambda: method.make_projection(inst, index),
+            proj, t_proj = _timed(lambda: method.make_projection(inst, index),
                                   timing_repeats)
             reduced = project(inst, proj)
-            res = solve_qp(reduced, settings)
-            t_solve = _median_time(lambda: solve_qp(reduced, settings), timing_repeats)
+            res, t_solve = _timed(lambda: solve_qp(reduced, settings), timing_repeats)
             x = recover(proj, res.y_star)
             solved = res.status is SolveStatus.SOLVED
             rec_k = proj.k
         elif method.kind == "direct":
-            x = method.predict(inst)
-            t_proj = _median_time(lambda: method.predict(inst), timing_repeats)
+            x, t_proj = _timed(lambda: method.predict(inst), timing_repeats)
             rec_k = 0
         elif method.kind == "full":
             x = np.asarray(entry["x_star"])
-            t_solve = _median_time(lambda: solve_qp(inst, settings), timing_repeats)
+            if timing_repeats:
+                _, t_solve = _timed(lambda: solve_qp(inst, settings), timing_repeats)
             rec_k = inst.n_vars
         else:
             raise ValueError(f"unknown method kind {method.kind!r}")
@@ -368,7 +366,10 @@ def summarize(rows, group_cols):
 # Checkpoint values are paths: "ours"/"direct" -> model checkpoints,
 # "pca"/"sharedp" -> projection files (see baselines.save_projection).
 # Missing checkpoints are reported per cell and the run continues. Any other
-# top-level key is an error.
+# top-level key, or a method name not in METHODS, is an error.
+
+METHODS = ("ours", "rand", "pca", "sharedp", "direct", "full")
+
 
 def load_method(name, spec_entry, k, rand_seed=0):
     """The method `name`; spec_entry is the path of its model checkpoint
@@ -453,6 +454,10 @@ def _sweep_cells(spec):
         methods = sweep.get("methods", [])
         if not isinstance(methods, list):
             raise ValueError(f"sweep {sname!r}: key 'methods' must be a list, got {methods!r}")
+        unknown = [mname for mname in methods if mname not in METHODS]
+        if unknown:
+            raise ValueError(f"sweep {sname!r}: unknown methods {unknown}, "
+                             f"expected names from {list(METHODS)}")
         ckpts = _spec_object(sweep.get("checkpoints", {}), "checkpoints", sname)
         for entry in ckpts.values():
             for path in entry.values() if isinstance(entry, dict) else [entry]:
@@ -514,10 +519,7 @@ def run_experiment(spec, out_dir) -> dict:
     summary.csv, and diagnostics.txt under out_dir. Returns paths and the
     in-memory rows."""
     if isinstance(spec, (str, os.PathLike)):
-        with open(spec, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-    if not isinstance(spec, dict):
-        raise ValueError(f"an experiment spec must be a JSON object, got {type(spec).__name__}")
+        spec = read_json_object(spec, "an experiment spec")
     unknown = sorted(set(spec) - {"solver", "timing_repeats", "cache_dir", "sweeps"})
     if unknown:
         raise ValueError(f"unknown experiment spec keys {unknown}")

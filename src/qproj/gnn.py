@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import ProjectionMatrix, QpInstance, float_array, int_field
+from .core import ProjectionMatrix, QpInstance, float_array, int_field, read_json_object
 
 LEAKY_SLOPE = 0.01
 RANK_RTOL = 1e-10          # |R_ii| below this (times ||P_raw||_F) is deficient
@@ -339,9 +339,8 @@ def load_checkpoint(path) -> ModelParams:
     format tag, sizes that are not positive integers, parameters that are
     not numeric arrays of their sizes, or NaN/infinite parameters (json
     accepts NaN tokens) raises ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    fmt = doc.get("format") if isinstance(doc, dict) else None
+    doc = read_json_object(path, "a checkpoint")
+    fmt = doc.get("format")
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: format {fmt!r} is not {CHECKPOINT_FORMAT!r}")
     # checked before init_params allocates L x H x H floats from them

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QpInstance, ProjectionMatrix, project, recover
-from .evaluate import SolutionCache, score
-from .gnn import ModelParams, backward, forward, init_params
+from .core import QpInstance, ProjectionMatrix, project
+from .evaluate import OursMethod, SolutionCache, evaluate_method
+from .gnn import backward, forward, init_params
 from .solver import SolveStatus, SolverSettings, solve_qp
 
 
@@ -103,32 +103,17 @@ def envelope_grad(inst: QpInstance, P, y_star, lambda_star) -> np.ndarray:
     return g
 
 
-def penalized_total(scores, penalty: float = VALIDATION_PENALTY) -> float:
-    """Sum of the relative errors of (relative error, feasible) pairs, one
-    per validation instance (failures already scored 1), plus
-    failure_rate * penalty."""
-    errors = [err for err, _ in scores]
-    failures = sum(not feasible for _, feasible in scores)
-    return float(sum(errors)) + (failures / len(errors)) * penalty
-
-
-def projected_score(inst: QpInstance, proj: ProjectionMatrix, u_star: float,
-                    settings: SolverSettings) -> tuple[float, bool]:
-    """evaluate.score of the lifted optimum of project(inst, proj), at the
-    reduced objective value."""
-    res = solve_qp(project(inst, proj), settings)
-    return score(inst, recover(proj, res.y_star), res.objective, u_star,
-                 res.status is SolveStatus.SOLVED)
-
-
-def validation_loss(params: ModelParams, val_set, config: TrainConfig, u_stars) -> float:
-    """Sum of relative errors over validation instances plus
-    failure_rate * VALIDATION_PENALTY. Failures (inner solve not Solved, or
-    infeasible lifted point) count a relative error of one. u_stars are the
-    Solved full optima of val_set."""
-    return penalized_total([
-        projected_score(inst, forward(params, inst, config.k)[0], u_star, config.solver)
-        for inst, u_star in zip(val_set, u_stars)])
+def validation_loss(method, val_set, cache: SolutionCache) -> float:
+    """The relative errors of evaluate_method(method, val_set), summed in
+    record order, plus failure_rate * VALIDATION_PENALTY: the sum that eval
+    reports on the validation split, with each failure (a reduced solve that
+    is not Solved, or an infeasible point) scored 1 and penalized. The
+    references come from cache."""
+    records = evaluate_method(method, val_set, settings=cache.settings, cache=cache,
+                              timing_repeats=0)
+    failures = sum(not rec.feasible for rec in records)
+    return (float(sum(rec.relative_error for rec in records))
+            + (failures / len(records)) * VALIDATION_PENALTY)
 
 
 def adam_fit(vec, n_items: int, config: TrainConfig, batch_grad, val_loss,
@@ -168,7 +153,7 @@ def train(train_set, val_set, config: TrainConfig):
     template = init_params(config.seed, h=config.hidden, l=config.layers,
                            k=config.k, h_g=config.head_hidden)
     cache = SolutionCache(settings=config.solver)
-    u_stars_val = [cache.u_star(inst) for inst in val_set]
+    cache.warm(val_set)
     report = TrainReport()
     tally = {"u": 0.0, "solved": 0, "failures": 0, "t0": time.perf_counter()}
 
@@ -189,7 +174,7 @@ def train(train_set, val_set, config: TrainConfig):
         return grad_acc
 
     def end_epoch(vec):
-        val = validation_loss(template.from_vector(vec), val_set, config, u_stars_val)
+        val = validation_loss(OursMethod(template.from_vector(vec)), val_set, cache)
         report.train_loss.append(tally["u"] / max(tally["solved"], 1))
         report.failures.append(tally["failures"])
         now = time.perf_counter()

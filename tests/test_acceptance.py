@@ -249,8 +249,7 @@ def test_criterion_04_feasibility_all_projection_methods(
         pca = FixedProjectionMethod(pca_projection(sols, DESK_K).P, "pca")
         shared_cfg = TrainConfig(k=DESK_K, batch_size=8, max_epochs=3, seed=0,
                                  record_timings=False)
-        shared = sharedp_train(train_set, desk_data[family]["val"], DESK_K,
-                               shared_cfg)
+        shared = sharedp_train(train_set, desk_data[family]["val"], shared_cfg)
         methods = [
             OursMethod(trained_models[(family, 0, DESK_K)]),
             RandMethod(DESK_K, base_seed=0),

@@ -102,7 +102,7 @@ def test_sharedp_train_improves_over_random():
     val_set = _feasible_zero_family(1, 2)
     cfg = TrainConfig(k=2, batch_size=3, max_epochs=8, learning_rate=0.05,
                       seed=0)
-    shared = sharedp_train(train_set, val_set, 2, cfg)
+    shared = sharedp_train(train_set, val_set, cfg)
     np.testing.assert_allclose(shared.P.T @ shared.P, np.eye(2), atol=1e-8)
 
     rand_p = rand_projection(6, 2, seed=0)
@@ -118,8 +118,7 @@ def test_sharedp_train_improves_over_random():
 def test_sharedp_rejects_mixed_sizes():
     mixed = _feasible_zero_family(0, 2, n=5) + _feasible_zero_family(1, 2, n=6)
     with pytest.raises(ValueError, match="single N"):
-        sharedp_train(mixed, mixed[:1], 2, TrainConfig(k=2, batch_size=1,
-                                                       max_epochs=1))
+        sharedp_train(mixed, mixed[:1], TrainConfig(k=2, batch_size=1, max_epochs=1))
 
 
 def test_sharedp_zero_padding_rule():

@@ -261,8 +261,8 @@ def test_baseline_sharedp_and_direct_round_trip(tmp_path, capsys):
     capsys.readouterr()
     for name, path, message in [("pca", direct, "method None"),
                                 ("direct", art / "pca_artifact.json", "format None"),
-                                ("pca", listed, "method None"),
-                                ("direct", listed, "format None"),
+                                ("pca", listed, "a projection file must be a JSON object"),
+                                ("direct", listed, "a checkpoint must be a JSON object"),
                                 ("direct", ours, "K=1, not K=2")]:
         assert run_cli(["--out", str(tmp_path / "bad"), "eval", "--manifest", manifest,
                         "--method", name, "--artifact", str(path),

@@ -93,6 +93,28 @@ def test_timing_fields_zero_when_disabled(small_dataset):
                for r in records)
 
 
+def test_timed_runs_are_the_scored_runs(monkeypatch, small_dataset):
+    # each projection method ran its reduced solve once more, untimed, for
+    # the point it scored: 3 solves per instance at 2 timing repeats
+    test_set = small_dataset.load_split("test")
+    cache = SolutionCache()
+    cache.warm(test_set)
+    real_solve, solves = evaluate.solve_qp, []
+
+    def counting_solve(inst, settings=None):
+        solves.append(inst)
+        return real_solve(inst, settings)
+
+    monkeypatch.setattr(evaluate, "solve_qp", counting_solve)
+    timed = evaluate_method(RandMethod(2), test_set, cache=cache, timing_repeats=2)
+    assert len(solves) == 2 * len(test_set)
+    untimed = evaluate_method(RandMethod(2), test_set, cache=cache, timing_repeats=0)
+    times = ("projection_time_s", "solve_time_s", "total_time_s")
+    for a, b in zip(timed, untimed):
+        assert {**vars(a), **dict.fromkeys(times)} == {**vars(b), **dict.fromkeys(times)}
+        assert a.solve_time_s > 0.0
+
+
 def test_write_records_csv_columns(tmp_path, small_dataset):
     test_set = small_dataset.load_split("test")
     records = evaluate_method(RandMethod(2), test_set, timing_repeats=0)

@@ -152,7 +152,7 @@ def test_reference_optimum_must_be_solved(tmp_path, capsys):
     config = TrainConfig(k=2, batch_size=1, max_epochs=1, hidden=4, layers=1,
                          head_hidden=4)
     for fit in (lambda: train([inst], [inst], config),
-                lambda: sharedp_train([inst], [inst], 2, config),
+                lambda: sharedp_train([inst], [inst], config),
                 lambda: direct_train([inst], [inst], config)):
         with pytest.raises(ValueError, match="PrimalInfeasible, not Solved"):
             fit()
@@ -345,6 +345,65 @@ def test_malformed_input_file_rejected(tmp_path, capsys, kind, edit, message):
     assert main(args) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "eval" / "records.csv").exists()
+
+
+def _truncated_file(tmp_path, kind):
+    """(qproj arguments, path): the arguments read a valid file of `kind` at
+    path, which the caller then truncates."""
+    manifest = _regression_data(tmp_path)
+    instance = str(next(manifest.parent.glob("*_test_*.json")))
+    evaluate = ["--out", str(tmp_path / "eval"), "eval", "--manifest", str(manifest),
+                "--timing-repeats", "0", "--method"]
+    path = tmp_path / f"{kind}.json"
+    if kind == "instance":
+        return ["solve", "--instance", instance], instance
+    if kind == "manifest":
+        return [*evaluate, "full"], manifest
+    if kind == "checkpoint":
+        save_checkpoint(path, init_params(0, h=4, l=1, k=2, h_g=4))
+        return [*evaluate, "ours", "--checkpoint", str(path)], path
+    if kind == "projection":
+        save_projection(path, ProjectionMatrix(P=np.eye(6)[:, :2]), "pca")
+        return [*evaluate, "pca", "--artifact", str(path)], path
+    if kind == "cache":
+        args = [*evaluate, "full", "--cache-dir", str(tmp_path / "cache")]
+        assert main(args) == 0
+        return args, next((tmp_path / "cache").glob("*.json"))
+    if kind == "spec":
+        path.write_text(json.dumps({"timing_repeats": 0, "sweeps": []}))
+        return ["--out", str(tmp_path / "exp"), "experiment", "--spec", str(path)], path
+    path.write_text(json.dumps({"solve": {}}))
+    return ["--config", str(path), "solve", "--instance", instance], path
+
+
+# a file cut short printed only json's message, e.g. "Expecting ','
+# delimiter: line 1 column 41", with no word of which file it was
+@pytest.mark.parametrize("kind", ["instance", "manifest", "checkpoint", "projection",
+                                  "cache", "spec", "config"])
+def test_truncated_input_file_names_the_file(tmp_path, capsys, kind):
+    args, path = _truncated_file(tmp_path, kind)
+    text = open(path, encoding="utf-8").read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text[: len(text) // 2])
+    capsys.readouterr()
+    assert main(args) == 2
+    assert f"{path}: not valid JSON" in capsys.readouterr().err
+
+
+# with no checkpoint configured, an unknown method was skipped like a
+# missing file and the run exited 0; with one, it raised after the output
+# directory had been made
+@pytest.mark.parametrize("checkpoints", [{}, {"bogus": "bogus.json"}],
+                         ids=["no-checkpoint", "checkpoint"])
+def test_unknown_spec_method_rejected(tmp_path, capsys, checkpoints):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"timing_repeats": 0, "sweeps": [
+        {"type": "k_sweep", "name": "ks", "manifest": str(_regression_data(tmp_path)),
+         "methods": ["bogus", "rand"], "k_values": [2], "checkpoints": checkpoints}]}))
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "exp"), "experiment", "--spec", str(spec)]) == 2
+    assert "sweep 'ks': unknown methods ['bogus']" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
 
 
 def test_non_finite_projection_rejected(tmp_path, capsys):

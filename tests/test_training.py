@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
+from qproj import baselines, training
 from qproj.core import ProjectionMatrix, QpInstance, project
+from qproj.evaluate import (
+    DirectMethod,
+    FixedProjectionMethod,
+    OursMethod,
+    SolutionCache,
+    evaluate_method,
+)
 from qproj.gnn import forward, init_params, backward
 from qproj.solver import SolveStatus, SolverSettings, solve_qp
 from qproj.training import (
+    VALIDATION_PENALTY,
     TrainConfig,
     envelope_grad,
-    penalized_total,
     train,
     validation_loss,
 )
@@ -114,26 +122,53 @@ def test_surrogate_gradient_realizes_chain_rule():
     assert agree >= 9
 
 
-def test_penalized_total_formula():
-    # spec arithmetic: 40 instances, one failure scored 1, others exact
-    assert penalized_total([(1.0, False)] + [(0.0, True)] * 39) == pytest.approx(25001.0)
-    # all errors 0.5, no failures
-    assert penalized_total([(0.5, True)] * 40) == pytest.approx(20.0)
-    assert penalized_total([(0.0, True)] * 10, 1e6) == 0.0
-
-
 def test_validation_loss_counts_failures():
-    # one unbounded instance among solvable ones; K = N so solvable errors ~ 0
-    good = [QpInstance(Q=2 * np.eye(2), c=[-1.0, 0.5], A=np.eye(2), b=[1.0, 1.0])
-            for _ in range(3)]
-    bad = QpInstance(Q=[[1.0, 0.0], [0.0, 0.0]], c=[0.0, -1.0],
-                     A=[[1.0, 0.0]], b=[1.0])
-    params = init_params(0, h=4, l=1, k=2, h_g=4)
-    cfg = TrainConfig(k=2, batch_size=1, max_epochs=1, hidden=4, layers=1,
-                      head_hidden=4)
-    u_stars = [solve_qp(inst).objective for inst in good] + [-123.0]
-    loss = validation_loss(params, good + [bad], cfg, u_stars=u_stars)
+    # every full solve is Solved. The shared 1 x 1 projection is the identity
+    # on the three one-variable instances, so their errors are ~0; on the
+    # two-variable instance it is zero-padded to e1, the projection onto x0,
+    # so the reduced problem cannot meet x1 >= 1 and is infeasible
+    good = [QpInstance(Q=[[2.0]], c=[-1.0], A=[[1.0]], b=[1.0]) for _ in range(3)]
+    bad = QpInstance(Q=np.eye(2), c=[0.0, 0.0], A=[[0.0, -1.0]], b=[-1.0])
+    cache = SolutionCache()
+    assert all(e["status"] == "Solved" for e in cache.warm(good + [bad]))
+    loss = validation_loss(FixedProjectionMethod(np.eye(1), "sharedp"), good + [bad], cache)
     assert loss == pytest.approx(1.0 + 0.25 * 1e6, abs=1e-3)
+
+
+def _recording_fits(monkeypatch):
+    """The (vector, best epoch, losses) of every adam_fit call of a trainer."""
+    fits, adam_fit = [], training.adam_fit
+
+    def recording_fit(*args, **kwargs):
+        fits.append(adam_fit(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(training, "adam_fit", recording_fit)
+    monkeypatch.setattr(baselines, "adam_fit", recording_fit)
+    return fits
+
+
+@pytest.mark.parametrize("trainer", ["ours", "sharedp", "direct"])
+def test_best_validation_loss_is_the_eval_sum(monkeypatch, trainer):
+    # the loss each trainer keeps for its best epoch is, bit for bit, the
+    # summed relative error that evaluate_method reports for the returned
+    # model or projection on the validation split, plus the failure penalty
+    train_set, val_set = _tiny_family(10, 6, n=6), _tiny_family(11, 3, n=6)
+    cfg = TrainConfig(k=1 if trainer == "direct" else 2, batch_size=3, max_epochs=3,
+                      hidden=4, layers=1, head_hidden=4, record_timings=False)
+    fits = _recording_fits(monkeypatch)
+    if trainer == "ours":
+        method = OursMethod(train(train_set, val_set, cfg)[0])
+    elif trainer == "sharedp":
+        method = FixedProjectionMethod(baselines.sharedp_train(train_set, val_set, cfg).P,
+                                       "sharedp")
+    else:
+        method = DirectMethod(baselines.direct_train(train_set, val_set, cfg)[0])
+    best = min(losses[epoch] for _, epoch, losses in fits)
+    records = evaluate_method(method, val_set, timing_repeats=0)
+    failures = sum(not rec.feasible for rec in records)
+    assert best == (sum(rec.relative_error for rec in records)
+                    + (failures / len(records)) * VALIDATION_PENALTY)
 
 
 def _tiny_family(seed, count, n=10, m=3):
@@ -209,7 +244,6 @@ def test_best_validation_loss_is_reproducible_from_the_parameters(family, sizes)
     # before it. It differed by 7e-14 (portfolio) and 7e-16 (control) while
     # training guessed each validation solve from its duals of the last epoch
     from qproj.datasets import generate_instance
-    from qproj.evaluate import SolutionCache
 
     n_train, n_val, epochs = 12, 6, 3
     sets = [generate_instance(family, sizes, seed) for seed in range(n_train + n_val)]
@@ -219,6 +253,5 @@ def test_best_validation_loss_is_reproducible_from_the_parameters(family, sizes)
     params, report = train(train_set, val_set, cfg)
     assert report.failures == [0] * epochs
     assert report.best_epoch > 0
-    cache = SolutionCache(settings=cfg.solver)
-    loss = validation_loss(params, val_set, cfg, [cache.u_star(inst) for inst in val_set])
+    loss = validation_loss(OursMethod(params), val_set, SolutionCache(settings=cfg.solver))
     assert loss == report.val_loss[report.best_epoch]
