@@ -59,6 +59,18 @@ def _path(args, cfg, key):
     return _require(_pick(args, cfg, key, kind=os.fspath), key)
 
 
+BASELINES = ("pca", "sharedp", "direct")
+
+
+def _method(args, cfg, choices, what):
+    """The required --method, flag or config, one of choices: argparse
+    checks the flag against them, but not a config value."""
+    name = _require(_pick(args, cfg, "method"), "method")
+    if name not in choices:
+        raise ValueError(f"unknown {what} {name!r} (expected {'/'.join(choices)})")
+    return name
+
+
 def _solver_settings(cfg):
     from .solver import settings_from_json
 
@@ -141,10 +153,10 @@ def _build_method(args, cfg, name, k):
 
 def cmd_eval(args, cfg):
     from .datasets import DatasetManifest
-    from .evaluate import SolutionCache, evaluate_method, write_records_csv
+    from .evaluate import METHODS, SolutionCache, evaluate_method, write_records_csv
 
+    name = _method(args, cfg, METHODS, "method")
     manifest = DatasetManifest.load(_path(args, cfg, "manifest"))
-    name = _require(_pick(args, cfg, "method"), "method")
     k = _pick(args, cfg, "k", kind=int)
     method = _build_method(args, cfg, name, k)
     settings = _solver_settings(cfg)
@@ -200,8 +212,8 @@ def cmd_baseline(args, cfg):
     from .evaluate import SolutionCache
     from .gnn import save_checkpoint
 
+    name = _method(args, cfg, BASELINES, "baseline")
     manifest = DatasetManifest.load(_path(args, cfg, "manifest"))
-    name = _require(_pick(args, cfg, "method"), "method")
     train_set = manifest.load_split("train")
     val_set = manifest.load_split("val")
     k = _pick(args, cfg, "k", kind=int)
@@ -215,7 +227,7 @@ def cmd_baseline(args, cfg):
         sols = np.array([e["x_star"] for e in cache.warm(train_set)])
         proj = baselines.pca_projection(sols, _require(k, "k"))
         baselines.save_projection(path, proj, "pca")
-    elif name in ("sharedp", "direct"):
+    else:
         config = _train_config(args, cfg, _require(k, "k") if name == "sharedp" else 1,
                                100, solver=settings)
         if name == "sharedp":
@@ -225,8 +237,6 @@ def cmd_baseline(args, cfg):
             params, lambda_pen = baselines.direct_train(train_set, val_set, config)
             save_checkpoint(path, params, seed=config.seed,
                             extra={"method": "direct", "lambda_pen": lambda_pen})
-    else:
-        raise ValueError(f"unknown baseline {name!r} (expected pca/sharedp/direct)")
     print(path)
     return 0
 
@@ -329,7 +339,7 @@ def build_parser():
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("baseline", help="build a baseline projection or direct model")
-    p.add_argument("--method", choices=["pca", "sharedp", "direct"])
+    p.add_argument("--method", choices=BASELINES)
     p.add_argument("--manifest")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)

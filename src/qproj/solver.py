@@ -19,12 +19,20 @@ from the last round's duals: a result depends only on the instance and
 the settings.
 
 An active-set solve holds its active rows as a thin QR factor in the metric
-of Q. The start factors its rows in one QR; after that, a step that makes a
-row active appends the Gram-Schmidt column the step has already computed
-(reorthogonalized when cancellation calls for it: Daniel, Gragg, Kaufman &
-Stewart 1976), and a dropped row is a qr_delete. SolveResult.adds and
-SolveResult.drops count those steps, summed over the proximal rounds: a
-start at the optimum's active set makes neither.
+of Q. The start factors its rows in one QR. When Q itself passes the gate
+(delta = 0), block rounds follow, as in primal-dual active-set methods
+(Hintermuller, Ito & Kunisch 2002) but keeping the start dual feasible: each
+makes every row the current point violates active at once, when there are
+at least 2 and they fit in the free dimensions, and drops every negative
+multiplier; they go on while each round, the start included, drops fewer
+than half of the rows it appends. Below the gate the solves keep single
+steps only: block rounds saved no time there (the full portfolio and
+control problems). After that, a step that makes a row active appends the
+Gram-Schmidt column the step has already computed (reorthogonalized when
+cancellation calls for it: Daniel, Gragg, Kaufman & Stewart 1976), and a
+dropped row is a qr_delete. SolveResult.adds and SolveResult.drops count the
+rows that the block rounds and the steps make active and drop, summed over
+the proximal rounds: a start at the optimum's active set makes neither.
 
 A result is declared Solved only when it satisfies, in infinity norm,
 
@@ -190,26 +198,40 @@ def _crossover_factor(Q):
     return chol if info == 0 and rcond >= CROSSOVER_RCOND else None
 
 
-def _crossover(Q, c, A, b, lam, chol):
+def _crossover(Q, c, A, b, lam, chol, block=True):
     """Goldfarb-Idnani dual active-set solve (Math. Prog. 27, 1983) of
     min 1/2 y'Qy + c'y s.t. Ay <= b for Q = R'R positive definite, with chol
     its upper Cholesky factor R, started from the rows where the dual
     vector lam is positive. Returns (y, lambda, adds, drops): y and lambda
-    exact up to round-off, adds and drops the rows that step 3 made active
-    and dropped. y is None when the solve stops early: then lambda is a
-    Farkas vector e (e >= 0, A'e = 0, b'e < 0) when the problem is
-    infeasible (a step bound is infinite), or None when the step cap is hit.
+    exact up to round-off, adds and drops the rows that the block rounds
+    and step 3 made active and dropped. y is None when the solve stops
+    early: then lambda is a Farkas vector e (e >= 0, A'e = 0, b'e < 0) when
+    the problem is infeasible (a step bound is infinite), or None when the
+    step cap is hit.
 
     The work runs in the metric of Q. With g = R^-T(-c) and the active rows
     W factored as R^-T A_W' = F T (thin QR), the optimum on W held as
-    equalities is y = R^-1 (g - F T u) with T u = F'g - T^-T b_W. A step
-    computes the Gram-Schmidt products F'v and v - F F'v of the row it adds,
-    so a full step appends that column to F in place (with a second pass
-    when cancellation calls for it: Daniel, Gragg, Kaufman & Stewart 1976)
-    and a drop is a qr_delete: a step costs O(n^2 + mn). Before the first
-    step of step 3, F and T move into Fortran-ordered buffers of min(n, m)
-    columns; T is the first k columns of its buffer, whose upper-left k x k
-    block trtrs reads at the buffer's leading dimension without a copy."""
+    equalities is y = R^-1 (g - F T u) with T u = F'g - T^-T b_W. Any
+    linearly independent W with u >= 0 is a valid start, so the start is
+    built in rounds. Round 0 (steps 1-2) factors the starting rows. With
+    block true (solve_qp passes it when Q itself passes the gate), each
+    block round takes every row that y violates beyond step 4's tolerance,
+    when there are at least 2 and they fit in the n - |W| free dimensions:
+    it appends the independent ones to F and T after two block Gram-Schmidt
+    passes and a pivoted QR of the remainder, drops the negative
+    multipliers (by qr_delete, or by refactoring the kept rows when more
+    rows drop than stay), and recomputes y. The rounds go on while each
+    round, round 0 included, drops fewer than half of the rows it appends,
+    and step 3 finishes the solve one row at a time. A step computes the
+    Gram-Schmidt products F'v and v - F F'v of the row it adds, so a full
+    step appends that column to F in place (with a second pass when
+    cancellation calls for it: Daniel, Gragg, Kaufman & Stewart 1976) and a
+    drop is a qr_delete: a step costs O(n^2 + mn). Before the first block
+    round or step, F and T move into Fortran-ordered buffers of min(n, m)
+    columns, which the block rounds also write their rows into; T is the
+    first k columns of its buffer, whose upper-left k x k block trtrs reads
+    at the buffer's leading dimension without a copy. Block rounds count
+    against the step cap like steps."""
     n, m = Q.shape[0], A.shape[0]
     adds = drops = 0
 
@@ -220,6 +242,35 @@ def _crossover(Q, c, A, b, lam, chol):
         F1, T1 = scipy.linalg.qr_delete(F, T[:k + 1], j, which="col", check_finite=False)
         F[:, :k], T[:k, :k] = F1[:, :k], T1[:k, :k]
         return F[:, :k], T[:, :k]
+
+    def append(F, T, rows):
+        """F and T with the rows that are independent of F and of each other
+        appended in the buffers, and those rows: R^-T A_rows' is formed in the
+        free columns of the basis buffer, orthogonalized against F twice and
+        factored by pivoted QR, keeping its independent prefix. LAPACK
+        overwrites the buffer's Fortran-ordered columns in place, so the
+        assignments back copy the columns onto themselves."""
+        k = F.shape[1]
+        M = basis[:, k:k + rows.size]
+        np.take(A, rows, axis=0, mode="clip", out=M.T)
+        M[:] = dtrtrs(chol, M, trans=1, overwrite_b=1)[0]   # chol passed the gate
+        norms = np.linalg.norm(M, axis=0)
+        coef = np.zeros((k, rows.size))
+        for _ in range(2 if k else 0):
+            coef2 = F.T @ M
+            M -= F @ coef2
+            coef += coef2
+        q, S, piv = scipy.linalg.qr(M, mode="economic", pivoting=True, overwrite_a=True,
+                                    check_finite=False)
+        dep = np.abs(np.diag(S)) <= CROSSOVER_DEP_TOL * norms[piv]
+        keep = np.argmax(dep) if dep.any() else dep.size
+        M[:, :keep] = q[:, :keep]
+        tri[:k, k:k + keep] = coef[:, piv[:keep]]
+        tri[k:k + keep, k:k + keep] = S[:keep, :keep]
+        return basis[:, :k + keep], tri[:, :k + keep], rows[piv[:keep]]
+
+    def multipliers(F, T, W):
+        return _tri(T, F.T @ g - _tri(T, b[W], trans=1))
 
     g = _tri(chol, -c, trans=1)
     # 1. a linearly independent prefix of the starting rows (pivoted QR)
@@ -235,13 +286,17 @@ def _crossover(Q, c, A, b, lam, chol):
     # valid start, and one QR per round is cheaper than one update per
     # dropped row
     while True:
-        u = _tri(T, F.T @ g - _tri(T, b[W], trans=1))
+        u = multipliers(F, T, W)
         if not W.size or u.min() >= 0.0:
             break
         W, cols = W[u >= 0.0], cols[u >= 0.0]
         F, T = scipy.linalg.qr(M[:, cols], mode="economic", overwrite_a=True)
     del M
     y = _tri(chol, g - F @ (T @ u))
+    # the block rounds go on while each round, this one included, grows W
+    # and drops fewer than half of the rows it appends: else the rows that
+    # y violates are a poor guess of the optimum's active set
+    block = block and 2 * W.size > keep
     basis = None
     # 3. add the most violated row: partial steps drop a blocking row, a
     # full step makes the added row active
@@ -249,21 +304,51 @@ def _crossover(Q, c, A, b, lam, chol):
     b_max = np.abs(b).max(initial=0.0)
     a_max = np.abs(A).sum(axis=1).max(initial=0.0)
     while m:
-        Ay = A @ y
-        p = int(np.argmax(Ay - b))
-        s_p, u_p = Ay[p] - b[p], 0.0
+        slack = A @ y - b
+        p = int(np.argmax(slack))
+        s_p, u_p = slack[p], 0.0
         # 4. stop when no row is violated beyond round-off
         # (the scale bounds the round-off of A @ y, cancellation included)
-        if s_p <= CROSSOVER_VIOL_TOL * (1.0 + b_max + a_max * np.abs(y).max()):
+        tol = CROSSOVER_VIOL_TOL * (1.0 + b_max + a_max * np.abs(y).max())
+        if s_p <= tol:
             break
-        v = _tri(chol, A[p], trans=1)
-        v2 = v @ v
         if basis is None:
             k = F.shape[1]
             basis = np.empty((n, min(n, m)), order="F")
             tri = np.zeros((min(n, m), min(n, m)), order="F")
             basis[:, :k], tri[:k, :k] = F, T
             F, T = basis[:, :k], tri[:, :k]
+        if block:
+            rows = np.flatnonzero(slack > tol)
+            block = 2 <= rows.size <= basis.shape[1] - F.shape[1]
+        if block:
+            # a block round: append the violated rows, then drop every
+            # negative multiplier, by qr_delete, or by refactoring the kept
+            # rows when more rows drop than stay
+            steps += 1
+            if steps > CROSSOVER_MAX_STEPS * (n + m):
+                return None, None, adds, drops
+            size = W.size
+            F, T, rows = append(F, T, rows)
+            W = np.append(W, rows)
+            adds += rows.size
+            u = multipliers(F, T, W)
+            while W.size and u.min() < 0.0:
+                neg = np.flatnonzero(u < 0.0)
+                kept = np.delete(W, neg)
+                if 2 * neg.size > W.size:
+                    F, T, kept = append(basis[:, :0], tri[:, :0], kept)
+                else:
+                    for j in neg[::-1]:
+                        F, T = delete(F, T, j)
+                drops += W.size - kept.size
+                W = kept
+                u = multipliers(F, T, W)
+            y = _tri(chol, g - F @ (T[:W.size] @ u))
+            block = 2 * (W.size - size) > rows.size
+            continue
+        v = _tri(chol, A[p], trans=1)
+        v2 = v @ v
         while True:
             steps += 1
             if steps > CROSSOVER_MAX_STEPS * (n + m):
@@ -274,8 +359,8 @@ def _crossover(Q, c, A, b, lam, chol):
             w2 = w @ w
             dependent = np.sqrt(w2) <= CROSSOVER_DEP_TOL * np.sqrt(v2)
             t_full = math.inf if dependent else s_p / w2
-            block = np.flatnonzero(r > 0.0)
-            ratios = u[block] / r[block]
+            blocking = np.flatnonzero(r > 0.0)
+            ratios = u[blocking] / r[blocking]
             t_part = ratios.min(initial=math.inf)
             if math.isinf(t_full) and math.isinf(t_part):
                 # a_p = A_W' r with r <= 0, and A_W y = b_W: e_W = -r, e_p = 1
@@ -303,7 +388,7 @@ def _crossover(Q, c, A, b, lam, chol):
                 W, u = np.append(W, p), np.append(u, u_p)
                 adds += 1
                 break
-            drop = block[np.argmin(ratios)]
+            drop = blocking[np.argmin(ratios)]
             W, u = np.delete(W, drop), np.delete(u, drop)
             F, T = delete(F, T, drop)
             drops += 1
@@ -366,7 +451,8 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
     # proximal rounds, 0 when Q passes the gate.
     start = (A @ dpotrs(chol, -c)[0] > b).astype(np.float64)
     for k in range(1, CROSSOVER_PROX_ROUNDS + 1) if delta else [0]:
-        y_k, lam_k, k_adds, k_drops = _crossover(q_prox, c - delta * y, A, b, start, chol)
+        y_k, lam_k, k_adds, k_drops = _crossover(q_prox, c - delta * y, A, b, start, chol,
+                                                   block=not delta)
         adds, drops = adds + k_adds, drops + k_drops
         if y_k is None and lam_k is None:
             return result(y, lam, SolveStatus.MAX_ITER_REACHED, k,

@@ -406,6 +406,25 @@ def test_unknown_spec_method_rejected(tmp_path, capsys, checkpoints):
     assert not (tmp_path / "exp").exists()
 
 
+# argparse checks a --method flag against its choices, but not a method
+# from a config file: there an unknown eval method asked for --artifact,
+# and an unknown baseline was named only after the output directory had
+# been made
+@pytest.mark.parametrize("command, message", [
+    ("eval", "unknown method 'bogus' (expected ours/rand/pca/sharedp/direct/full)"),
+    ("baseline", "unknown baseline 'bogus' (expected pca/sharedp/direct)"),
+])
+def test_unknown_config_method_rejected(tmp_path, capsys, command, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({command: {"method": "bogus"}}))
+    manifest = _regression_data(tmp_path)
+    capsys.readouterr()
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), command,
+                 "--manifest", str(manifest)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_projection_rejected(tmp_path, capsys):
     # a NaN P passed the orthonormality check (NaN > tol is False), and the
     # CLI reported the projected instance's "Q holds NaN" instead

@@ -212,9 +212,9 @@ def test_full_reg500_is_solved_at_iteration_0(seed, u_star):
     # unconstrained minimizer violates is the solve. The optima of seeds 0-2
     # are those of the ADMM-then-crossover solves that finished at iteration
     # 100-1,075; those of seeds 3-7 are those of the active-set finish that
-    # still called qr_insert. Each row added by step 3 is appended to the
-    # active rows' factor in place; seed 1 makes the longest chain, 208
-    # appends to 389 active rows
+    # still called qr_insert. Seed 1 makes the longest chain: its start keeps
+    # 184 rows, and five block rounds append 216 rows and drop 11, which
+    # leaves the optimum's 389 active rows and no single step
     from qproj.datasets import generate_instance
 
     inst = generate_instance("regression", {"n": 500, "m": 50}, seed)
@@ -224,7 +224,7 @@ def test_full_reg500_is_solved_at_iteration_0(seed, u_star):
     scale = 1.0 + np.abs(inst.b).max() + np.abs(inst.c).max()
     assert max(kkt_residuals(inst, res.y_star, res.lambda_star)) <= 1e-12 * scale
     if seed == 1:
-        assert (res.adds, np.count_nonzero(res.lambda_star)) == (208, 389)
+        assert (res.adds, np.count_nonzero(res.lambda_star)) == (216, 389)
 
 
 @pytest.mark.parametrize("family, sizes", [
@@ -254,17 +254,19 @@ def test_crossover_start_refactors_once_per_round():
     # a cold solve of full reg500 seed 0 starts from the 257 rows that the
     # unconstrained minimizer violates; 48 of them get a negative multiplier.
     # Dropping all of those per round and refactoring takes 3 QRs where one
-    # drop per row would take 48, and leaves 49 adds and 2 drops for step 3
-    # (adding the rows one at a time would take about 256 adds)
+    # drop per row would take 48. Two block rounds then append the 43 and 6
+    # rows that the start's point and the next one violate, dropping 2, and
+    # step 3 takes no step (adding the rows one at a time would take about
+    # 256 adds)
     from qproj.datasets import generate_instance
 
     inst = generate_instance("regression", {"n": 500, "m": 50}, 0)
     res = solve_qp(inst)
     assert (res.status, res.iterations) == (SolveStatus.SOLVED, 0)
     assert res.drops <= 5
-    assert res.adds <= 60
+    assert res.adds <= 50
     y, lam = res.y_star, res.lambda_star
-    # the point of the one-row-at-a-time start
+    # the optimum of the one-row-at-a-time start, to round-off
     assert objective(inst, y) == pytest.approx(-84.7949129801243, rel=1e-12, abs=0.0)
     assert np.linalg.norm(y) == pytest.approx(0.5756672761455097, rel=1e-12, abs=0.0)
     assert lam.sum() == pytest.approx(3945.9496333470674, rel=1e-12, abs=0.0)
@@ -480,6 +482,96 @@ def test_a_start_at_the_optimum_active_set_makes_no_update():
         assert objective(inst, y) == pytest.approx(cold.objective, rel=1e-9, abs=1e-12), i
         assert np.count_nonzero(lam) == np.count_nonzero(cold.lambda_star), i
     assert cold_updates > 0
+
+
+def _bound_instance(rng, n):
+    """Strictly convex QP over a box |y_i| <= u_i with a cut row a'y <= h
+    that the box meets, plus an exact duplicate, a scaled copy and a sum of
+    bound rows. The unconstrained minimizer often violates several bound
+    rows; the point on the cut row then violates more of them, duplicates
+    and sums included, so block rounds meet dependent violated rows."""
+    B = rng.normal(size=(n, n))
+    Q = B @ B.T + 0.1 * np.eye(n)
+    u = rng.uniform(0.5, 1.5, size=n)
+    x_u = rng.normal(size=n) * rng.choice([0.3, 3.0])
+    a = rng.normal(size=n)
+    A = np.vstack([np.eye(n), -np.eye(n)])
+    b = np.concatenate([u, u])
+    i, j, k = rng.choice(2 * n, size=3, replace=False)
+    A = np.vstack([a, A, A[i], 2.0 * A[j], A[j] + A[k]])
+    b = np.concatenate([[-np.abs(a) @ u * rng.uniform(0.3, 0.9)], b,
+                        [b[i], 2.0 * b[j], b[j] + b[k]]])
+    return QpInstance(Q=Q, c=-Q @ x_u, A=A, b=b)
+
+
+def test_block_rounds_match_brute_force_oracle(monkeypatch):
+    # Q passes the gate, so after the start the rows that y violates join
+    # the active set together, in block rounds, before single steps finish
+    # the solve. Cold solves of box QPs start from the rows that the
+    # unconstrained minimizer violates; starts from one random row of random
+    # QPs make rounds whose appended rows turn most multipliers negative,
+    # which refactors the kept rows instead of one qr_delete per row. A
+    # block round is the only pivoted QR made in place
+    import scipy.linalg
+
+    counts = {"rounds": 0, "dependent": 0, "qr_delete": 0}
+    qr, qr_delete = scipy.linalg.qr, scipy.linalg.qr_delete
+
+    def counting_qr(a, *args, **kwargs):
+        out = qr(a, *args, **kwargs)
+        if kwargs.get("overwrite_a") and kwargs.get("pivoting"):
+            diag = np.abs(np.diag(out[1]))
+            counts["rounds"] += 1
+            counts["dependent"] += diag.min() <= 1e-12 * diag.max()
+        return out
+
+    def counting_qr_delete(*args, **kwargs):
+        counts["qr_delete"] += 1
+        return qr_delete(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+    monkeypatch.setattr(scipy.linalg, "qr_delete", counting_qr_delete)
+    # min 1/2 |y|^2 - 2 y_3 with rows 1 and 2 equal: the start takes row 0,
+    # whose point (0, 0, 1, 0) violates rows 1-3, and they fit in the 3 free
+    # dimensions. The round appends rows 1 and 3 but not row 2, which would
+    # make the factor singular
+    A = np.array([[0, 0, 1, 0], [1, 0, -1, 0], [1, 0, -1, 0], [0, 1, -1, 0]], float)
+    inst = QpInstance(Q=np.eye(4), c=[0.0, 0.0, -2.0, 0.0], A=A, b=[1.0, -1.5, -1.5, -1.5])
+    res = solve_qp(inst)
+    assert (res.status, res.adds, res.drops) == (SolveStatus.SOLVED, 2, 0)
+    assert counts == {"rounds": 1, "dependent": 1, "qr_delete": 0}
+    np.testing.assert_allclose(res.y_star, [-0.5, -0.5, 1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(res.lambda_star, [2.0, 0.5, 0.0, 0.5], atol=1e-14)
+    refactored = 0
+    for trial in range(120):
+        rng = np.random.default_rng(trial)
+        if trial % 2:
+            inst = random_pd_instance(rng, int(rng.integers(3, 7)), int(rng.integers(6, 14)))
+            inst = QpInstance(Q=inst.Q, c=5.0 * inst.c, A=inst.A, b=inst.b)
+            start = np.eye(inst.n_cons)[rng.integers(inst.n_cons)]
+        else:
+            inst = _bound_instance(rng, int(rng.integers(3, 6)))
+            start = (inst.A @ np.linalg.solve(inst.Q, -inst.c) > inst.b).astype(float)
+        deleted = counts["qr_delete"]
+        y, lam, _, drops = solver._crossover(inst.Q, inst.c, inst.A, inst.b, start,
+                                             solver._crossover_factor(inst.Q))
+        refactored += drops > counts["qr_delete"] - deleted
+        ref, _ = brute_force_min(inst.Q, inst.c, inst.A, inst.b)
+        assert objective(inst, y) == pytest.approx(ref, abs=1e-9 * (1.0 + abs(ref))), trial
+        scale = 1.0 + np.abs(inst.b).max() + np.abs(inst.c).max()
+        assert max(kkt_residuals(inst, y, lam)) <= 1e-12 * scale, trial
+        assert lam.min() >= 0.0
+        # the active rows stay linearly independent: a round appends no
+        # duplicate or sum of rows already in the factor
+        active = inst.A[lam > 0.0]
+        assert np.linalg.matrix_rank(active) == active.shape[0], trial
+        if trial % 2 == 0:
+            res = solve_qp(inst)
+            assert (res.status, res.iterations) == (SolveStatus.SOLVED, 0), trial
+            assert res.y_star.tobytes() == y.tobytes(), trial
+    assert counts["rounds"] >= 30
+    assert counts["dependent"] >= 4
+    assert refactored >= 3 and counts["qr_delete"] > 0
 
 
 def test_crossover_stop_test_scales_with_the_iterate():
