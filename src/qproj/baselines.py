@@ -8,7 +8,8 @@ import warnings
 
 import numpy as np
 
-from .core import ProjectionMatrix, QpInstance, float_array, int_field, project, read_json_object
+from .core import (ProjectionMatrix, QpInstance, array, integer, one_of, project, read_fields,
+                   read_json_object)
 from .gnn import (
     ModelParams,
     backward,
@@ -194,13 +195,13 @@ def save_projection(path, proj: ProjectionMatrix, method: str) -> None:
         fh.write(json.dumps(doc, allow_nan=False))
 
 
+PROJECTION = {"method": one_of(PROJECTION_METHODS), "n_train": integer(1), "k": integer(1),
+              "P": array("n_train", "k")}
+
+
 def load_projection(path) -> ProjectionMatrix:
-    """The projection of a save_projection file. Any other document, or a P
-    that is not an orthonormal n_train x k matrix, raises ValueError."""
-    doc = read_json_object(path, "a projection file")
-    method = doc.get("method")
-    if method not in PROJECTION_METHODS:
-        raise ValueError(f"{path}: not a projection file: method {method!r} is not one "
-                         f"of {PROJECTION_METHODS}")
-    shape = tuple(int_field(doc, name, 1, f"{path}: projection") for name in ("n_train", "k"))
-    return ProjectionMatrix(P=float_array(doc["P"], shape, f"{path}: projection field 'P'"))
+    """The projection of a save_projection file, read by PROJECTION. A P that
+    is not orthonormal raises ValueError."""
+    doc = read_fields(read_json_object(path, "a projection file"), PROJECTION,
+                      f"{path}: projection")
+    return ProjectionMatrix(P=doc["P"])

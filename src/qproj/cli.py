@@ -15,48 +15,41 @@ import sys
 
 import numpy as np
 
-
-def _load_config(path):
-    from .core import read_json_object
-
-    return read_json_object(path, "a config file") if path else {}
+from .core import (FLAG, NUMBER, OBJECT, PATH, REQUIRED, TEXT, integer, one_of, read_fields,
+                   read_json_object)
+from .datasets import FAMILIES, SPLITS
 
 
-def _boolean(val):
-    """val when it is a JSON true or false; bool() would take "false" as true."""
-    if not isinstance(val, bool):
-        raise TypeError(val)
-    return val
+# every option a flag or a config section can set, by name; its flag reads
+# as an int for POSITIVE and NONNEGATIVE, a float for NUMBER and a string otherwise
+POSITIVE, NONNEGATIVE = integer(1), integer(0)
+OPTIONS = {
+    **dict.fromkeys(("manifest", "checkpoint", "artifact", "instance", "spec", "cache-dir"),
+                    PATH),
+    **dict.fromkeys(("n", "t", "s", "v", "k", "train", "val", "test", "epochs", "batch-size",
+                     "hidden", "layers", "head-hidden", "d"), POSITIVE),
+    **dict.fromkeys(("m", "seed", "base-seed", "timing-repeats"), NONNEGATIVE),
+    **dict.fromkeys(("lr", "sigma-q", "sigma-p", "q0", "c0", "b", "epsilon", "delta",
+                     "log-n-cover"), NUMBER),
+    **dict.fromkeys(("record_timings", "validate"), FLAG),
+    "family": one_of(FAMILIES),
+    "method": TEXT,
+    "split": one_of(SPLITS),
+    "solver": OBJECT,
+}
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", os.fspath: "a path",
-               _boolean: "true or false"}
-
-
-def _pick(args, cfg, key, default=None, kind=None):
-    """The flag, else the config value, else default, converted by kind
-    (int, float, _boolean, or os.fspath for a path) when given; a value kind
-    rejects raises ValueError naming the key."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is None:
-        val = cfg.get(key, default)
-    if kind is None or val is None:
-        return val
-    try:
-        return kind(val)
-    except (TypeError, ValueError):
-        raise ValueError(f"option {key!r} must be {_KIND_NAMES[kind]}, got {val!r}") from None
-
-
-def _require(value, name):
-    if value is None:
-        raise ValueError(f"missing required option --{name} (flag or config)")
-    return value
-
-
-def _path(args, cfg, key):
-    """The required path option key, flag or config."""
-    return _require(_pick(args, cfg, key, kind=os.fspath), key)
+def _pick(args, cfg, key, default=REQUIRED):
+    """The flag, else the config value, else default, read by the option's
+    kind in OPTIONS: a value of another kind, or none where there is no
+    default, raises ValueError naming the key."""
+    flag = getattr(args, key.replace("-", "_"), None)
+    doc = cfg if flag is None else {key: flag}
+    if key in doc:
+        return read_fields(doc, {key: OPTIONS[key]}, "option")[key]
+    if default is REQUIRED:
+        raise ValueError(f"missing required option --{key} (flag or config)")
+    return default
 
 
 BASELINES = ("pca", "sharedp", "direct")
@@ -65,50 +58,43 @@ BASELINES = ("pca", "sharedp", "direct")
 def _method(args, cfg, choices, what):
     """The required --method, flag or config, one of choices: argparse
     checks the flag against them, but not a config value."""
-    name = _require(_pick(args, cfg, "method"), "method")
+    name = _pick(args, cfg, "method")
     if name not in choices:
         raise ValueError(f"unknown {what} {name!r} (expected {'/'.join(choices)})")
     return name
 
 
-def _solver_settings(cfg):
+def _solver_settings(args, cfg):
     from .solver import settings_from_json
 
-    return settings_from_json(cfg.get("solver", {}))
+    return settings_from_json(_pick(args, cfg, "solver", {}))
 
 
 def cmd_gen_data(args, cfg):
     from .datasets import gen_split
 
-    family = _require(_pick(args, cfg, "family"), "family")
-    sizes = {}
-    for key in ("n", "m", "t", "s", "v"):
-        val = _pick(args, cfg, key, kind=int)
-        if val is not None:
-            sizes[key] = val
-    counts = {
-        "train": _pick(args, cfg, "train", 120, int),
-        "val": _pick(args, cfg, "val", 40, int),
-        "test": _pick(args, cfg, "test", 40, int),
-    }
-    base_seed = _pick(args, cfg, "base-seed", _seed(args, cfg), int)
-    manifest = gen_split(family, sizes, counts, base_seed, args.out)
+    family = _pick(args, cfg, "family")
+    sizes = {key: val for key in ("n", "m", "t", "s", "v")
+             if (val := _pick(args, cfg, key, None)) is not None}
+    counts = {split: _pick(args, cfg, split, default)
+              for split, default in zip(SPLITS, (120, 40, 40))}
+    gen_split(family, sizes, counts, _pick(args, cfg, "base-seed", _seed(args, cfg)), args.out)
     print(os.path.join(args.out, "manifest.json"))
     return 0
 
 
 def _seed(args, cfg) -> int:
     """The --seed flag, else the config seed, else 0."""
-    return _pick(args, cfg, "seed", 0, int)
+    return _pick(args, cfg, "seed", 0)
 
 
 def _train_config(args, cfg, k, epochs, **fields):
     """The TrainConfig of the flags train and baseline share; fields sets the rest."""
     from .training import TrainConfig
 
-    return TrainConfig(k=k, batch_size=_pick(args, cfg, "batch-size", 8, int),
-                       learning_rate=_pick(args, cfg, "lr", 1e-3, float),
-                       max_epochs=_pick(args, cfg, "epochs", epochs, int),
+    return TrainConfig(k=k, batch_size=_pick(args, cfg, "batch-size", 8),
+                       learning_rate=_pick(args, cfg, "lr", 1e-3),
+                       max_epochs=_pick(args, cfg, "epochs", epochs),
                        seed=_seed(args, cfg), **fields)
 
 
@@ -117,13 +103,13 @@ def cmd_train(args, cfg):
     from .gnn import save_checkpoint
     from .training import train
 
-    manifest = DatasetManifest.load(_path(args, cfg, "manifest"))
-    config = _train_config(args, cfg, _require(_pick(args, cfg, "k", kind=int), "k"), 500,
-                           hidden=_pick(args, cfg, "hidden", 32, int),
-                           layers=_pick(args, cfg, "layers", 4, int),
-                           head_hidden=_pick(args, cfg, "head-hidden", 32, int),
-                           solver=_solver_settings(cfg),
-                           record_timings=_pick(args, cfg, "record_timings", True, _boolean))
+    manifest = DatasetManifest.load(_pick(args, cfg, "manifest"))
+    config = _train_config(args, cfg, _pick(args, cfg, "k"), 500,
+                           hidden=_pick(args, cfg, "hidden", 32),
+                           layers=_pick(args, cfg, "layers", 4),
+                           head_hidden=_pick(args, cfg, "head-hidden", 32),
+                           solver=_solver_settings(args, cfg),
+                           record_timings=_pick(args, cfg, "record_timings", True))
     params, report = train(manifest.load_split("train"),
                            manifest.load_split("val"), config)
     os.makedirs(args.out, exist_ok=True)
@@ -143,11 +129,11 @@ def _build_method(args, cfg, name, k):
 
     path = None
     if name == "rand":
-        _require(k, "k")
+        _pick(args, cfg, "k")
     elif name == "ours":
-        path = _path(args, cfg, "checkpoint")
+        path = _pick(args, cfg, "checkpoint")
     elif name != "full":
-        path = _path(args, cfg, "artifact")
+        path = _pick(args, cfg, "artifact")
     return load_method(name, path, k, rand_seed=_seed(args, cfg))
 
 
@@ -156,18 +142,18 @@ def cmd_eval(args, cfg):
     from .evaluate import METHODS, SolutionCache, evaluate_method, write_records_csv
 
     name = _method(args, cfg, METHODS, "method")
-    manifest = DatasetManifest.load(_path(args, cfg, "manifest"))
-    k = _pick(args, cfg, "k", kind=int)
+    manifest = DatasetManifest.load(_pick(args, cfg, "manifest"))
+    k = _pick(args, cfg, "k", None)
     method = _build_method(args, cfg, name, k)
-    settings = _solver_settings(cfg)
+    settings = _solver_settings(args, cfg)
     records = evaluate_method(
         method,
         manifest.load_split(_pick(args, cfg, "split", "test")),
         k=k,
         settings=settings,
-        cache=SolutionCache(cache_dir=_pick(args, cfg, "cache-dir", kind=os.fspath),
+        cache=SolutionCache(cache_dir=_pick(args, cfg, "cache-dir", None),
                             settings=settings),
-        timing_repeats=_pick(args, cfg, "timing-repeats", 3, int),
+        timing_repeats=_pick(args, cfg, "timing-repeats", 3),
     )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "records.csv")
@@ -180,8 +166,8 @@ def cmd_solve(args, cfg):
     from .core import load_instance
     from .solver import solve_qp
 
-    inst = load_instance(_path(args, cfg, "instance"))
-    settings = _solver_settings(cfg)
+    inst = load_instance(_pick(args, cfg, "instance"))
+    settings = _solver_settings(args, cfg)
     res = solve_qp(inst, settings)
     doc = {
         "status": res.status.value,
@@ -213,22 +199,22 @@ def cmd_baseline(args, cfg):
     from .gnn import save_checkpoint
 
     name = _method(args, cfg, BASELINES, "baseline")
-    manifest = DatasetManifest.load(_path(args, cfg, "manifest"))
+    manifest = DatasetManifest.load(_pick(args, cfg, "manifest"))
     train_set = manifest.load_split("train")
     val_set = manifest.load_split("val")
-    k = _pick(args, cfg, "k", kind=int)
-    settings = _solver_settings(cfg)
+    k = _pick(args, cfg, "k", None)
+    settings = _solver_settings(args, cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{name}_artifact.json")
 
     if name == "pca":
-        cache = SolutionCache(cache_dir=_pick(args, cfg, "cache-dir", kind=os.fspath),
+        cache = SolutionCache(cache_dir=_pick(args, cfg, "cache-dir", None),
                               settings=settings)
         sols = np.array([e["x_star"] for e in cache.warm(train_set)])
-        proj = baselines.pca_projection(sols, _require(k, "k"))
+        proj = baselines.pca_projection(sols, _pick(args, cfg, "k"))
         baselines.save_projection(path, proj, "pca")
     else:
-        config = _train_config(args, cfg, _require(k, "k") if name == "sharedp" else 1,
+        config = _train_config(args, cfg, _pick(args, cfg, "k") if name == "sharedp" else 1,
                                100, solver=settings)
         if name == "sharedp":
             proj = baselines.sharedp_train(train_set, val_set, config)
@@ -244,15 +230,15 @@ def cmd_baseline(args, cfg):
 def cmd_theory(args, cfg):
     from .theory import AssumptionConstants, gen_bound, lipschitz_consts, y_max
 
-    if _pick(args, cfg, "validate", kind=_boolean):
+    if _pick(args, cfg, "validate", None):
         from .datasets import DatasetManifest
         from .gnn import load_checkpoint
         from .theory import validate_norm_bound
 
-        manifest = DatasetManifest.load(_path(args, cfg, "manifest"))
-        params = load_checkpoint(_path(args, cfg, "checkpoint"))
+        manifest = DatasetManifest.load(_pick(args, cfg, "manifest"))
+        params = load_checkpoint(_pick(args, cfg, "checkpoint"))
         report = validate_norm_bound(manifest.load_split("test"), params,
-                                     params.k, settings=_solver_settings(cfg))
+                                     params.k, settings=_solver_settings(args, cfg))
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "norm_bound.csv")
         report.to_csv(path)
@@ -262,36 +248,32 @@ def cmd_theory(args, cfg):
         return 0
 
     consts = AssumptionConstants(
-        sigma_q=_require(_pick(args, cfg, "sigma-q", kind=float), "sigma-q"),
-        sigma_p=_pick(args, cfg, "sigma-p", 1.0, float),
-        q0=_require(_pick(args, cfg, "q0", kind=float), "q0"),
-        c0=_require(_pick(args, cfg, "c0", kind=float), "c0"),
-        b=_require(_pick(args, cfg, "b", kind=float), "b"),
-        n=_require(_pick(args, cfg, "n", kind=int), "n"),
-        k=_require(_pick(args, cfg, "k", kind=int), "k"),
-    )
+        sigma_p=_pick(args, cfg, "sigma-p", 1.0),
+        **{key.replace("-", "_"): _pick(args, cfg, key)
+           for key in ("sigma-q", "q0", "c0", "b", "n", "k")})
     c_prime, c = lipschitz_consts(consts)
     doc = {"y_max": y_max(consts), "c_prime": c_prime, "c": c}
-    epsilon = _pick(args, cfg, "epsilon", kind=float)
+    epsilon = _pick(args, cfg, "epsilon", None)
     if epsilon is not None:
         doc["bound"] = gen_bound(
             epsilon,
-            _pick(args, cfg, "delta", 0.05, float),
-            _pick(args, cfg, "d", 100, int),
+            _pick(args, cfg, "delta", 0.05),
+            _pick(args, cfg, "d", 100),
             consts.b,
-            _pick(args, cfg, "log-n-cover", 0.0, float),
+            _pick(args, cfg, "log-n-cover", 0.0),
             c,
         )
     else:
         doc["bound"] = None
-    print(json.dumps(doc))
+    # an overflow to infinity is an error, not an Infinity token
+    print(json.dumps(doc, allow_nan=False))
     return 0
 
 
 def cmd_experiment(args, cfg):
     from .evaluate import run_experiment
 
-    spec = _path(args, cfg, "spec")
+    spec = _pick(args, cfg, "spec")
     out = run_experiment(spec, args.out)
     print(out["records"])
     return 0
@@ -305,70 +287,31 @@ def build_parser():
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a dataset split")
-    p.add_argument("--family", choices=["regression", "portfolio", "control"])
-    for key in ("n", "m", "t", "s", "v", "train", "val", "test", "base-seed"):
-        p.add_argument(f"--{key}", type=int, default=None)
-    p.set_defaults(fn=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train the projection generator")
-    p.add_argument("--manifest")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--head-hidden", type=int, default=None)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a method on a test split")
-    p.add_argument("--manifest")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--checkpoint")
-    p.add_argument("--artifact")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--split", default=None)
-    p.add_argument("--timing-repeats", type=int, default=None)
-    p.add_argument("--cache-dir", default=None)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("solve", help="solve one QP instance file")
-    p.add_argument("--instance")
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("baseline", help="build a baseline projection or direct model")
-    p.add_argument("--method", choices=BASELINES)
-    p.add_argument("--manifest")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--cache-dir", default=None)
-    p.set_defaults(fn=cmd_baseline)
-
-    p = sub.add_parser("theory", help="evaluate theory formulas / validate bound")
-    p.add_argument("--sigma-q", type=float, default=None)
-    p.add_argument("--sigma-p", type=float, default=None)
-    p.add_argument("--q0", type=float, default=None)
-    p.add_argument("--c0", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--log-n-cover", type=float, default=None)
-    p.add_argument("--validate", action="store_true", default=None)
-    p.add_argument("--manifest")
-    p.add_argument("--checkpoint")
-    p.set_defaults(fn=cmd_theory)
-
-    p = sub.add_parser("experiment", help="run an experiment spec")
-    p.add_argument("--spec")
-    p.set_defaults(fn=cmd_experiment)
-
+    for command, fn, text, keys in [
+            ("gen-data", cmd_gen_data, "generate a dataset split",
+             "family n m t s v train val test base-seed"),
+            ("train", cmd_train, "train the projection generator",
+             "manifest k epochs batch-size lr hidden layers head-hidden"),
+            ("eval", cmd_eval, "evaluate a method on a test split",
+             "manifest method checkpoint artifact k split timing-repeats cache-dir"),
+            ("solve", cmd_solve, "solve one QP instance file", "instance"),
+            ("baseline", cmd_baseline, "build a baseline projection or direct model",
+             "method manifest k epochs batch-size lr cache-dir"),
+            ("theory", cmd_theory, "evaluate theory formulas / validate bound",
+             "sigma-q sigma-p q0 c0 b n k epsilon delta d log-n-cover validate manifest "
+             "checkpoint"),
+            ("experiment", cmd_experiment, "run an experiment spec", "spec")]:
+        p = sub.add_parser(command, help=text)
+        choices = {"family": FAMILIES, "split": SPLITS,
+                   "method": METHODS if command == "eval" else BASELINES}
+        for key in keys.split():
+            kind = OPTIONS[key]
+            if kind is FLAG:
+                p.add_argument(f"--{key}", action="store_true", default=None)
+            else:
+                p.add_argument(f"--{key}", choices=choices.get(key), type=(
+                    int if kind in (POSITIVE, NONNEGATIVE) else float if kind is NUMBER else None))
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -376,7 +319,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg_all = _load_config(args.config)
+        cfg_all = read_json_object(args.config, "a config file") if args.config else {}
         section = args.command.replace("-", "_")
         section = section if section in cfg_all else args.command
         cfg = cfg_all.get(section, {})

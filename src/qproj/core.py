@@ -7,10 +7,15 @@ All matrices are dense float64. Instances are immutable after construction
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import os
+import reprlib
+import sys
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -321,47 +326,96 @@ def instance_to_dict(inst: QpInstance) -> dict:
     }
 
 
-def int_field(doc: dict, name: str, least: int, source: str) -> int:
-    """doc[name] as an integer of at least `least`. Any other value (a bool,
-    a float, a string) raises ValueError naming the source and the field."""
-    value = doc[name]
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{source} field {name!r} must be an integer >= {least}, "
-                         f"got {value!r}")
-    return value
+# ---------------------------------------------------------------------------
+# Input documents. Each JSON document the CLI reads has one table, field name
+# -> Kind, next to the code that owns it; read_fields applies a table.
+
+REQUIRED = object()
 
 
-def float_array(value, shape: tuple, source: str) -> np.ndarray:
-    """A JSON list of numbers as a float64 array of the given shape; a value
-    numpy cannot convert, or one with another number of entries, raises
-    ValueError naming the source."""
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{source} must be a list of numbers ({exc})") from None
-    if arr.size != math.prod(shape):
-        raise ValueError(f"{source} has {arr.size} entries, expected shape {shape}")
-    return arr.reshape(shape)
+class Kind(NamedTuple):
+    """The kind of a field in a read_fields table. test(value, fields) is the
+    value to keep, or None when value is not of the kind, which `what`
+    names; fields holds the fields read before it. JSON null is of no kind.
+    An absent field takes default, unless that is REQUIRED."""
+
+    what: str
+    test: Callable
+    default: object = REQUIRED
+
+    def otherwise(self, default) -> "Kind":
+        """This kind for an optional field that is default when absent."""
+        return self._replace(default=default)
 
 
-def instance_from_dict(d: dict) -> QpInstance:
-    """The instance of an instance_to_dict document. A document that is not a
-    mapping, a size that is not a non-negative integer, an array or constant
-    that is not numeric or has the wrong number of entries, or a meta that is
-    not a mapping raises ValueError naming the field."""
-    if not isinstance(d, dict):
-        raise ValueError(f"an instance must be a JSON object, got {type(d).__name__}")
-    n, m = (int_field(d, name, 0, "instance") for name in ("n", "m"))
-    if not isinstance(d.get("meta", {}), dict):
-        raise ValueError(f"instance field 'meta' must be a JSON object, got {d['meta']!r}")
-    try:
-        constant = float(d.get("constant", 0.0))
-    except (TypeError, ValueError):
-        raise ValueError("instance field 'constant' must be a number, "
-                         f"got {d['constant']!r}") from None
-    arrays = {name: float_array(d[name], shape, f"instance field {name!r}")
-              for name, shape in (("Q", (n, n)), ("c", (n,)), ("A", (m, n)), ("b", (m,)))}
-    return QpInstance(**arrays, constant=constant, meta=dict(d.get("meta", {})))
+def integer(least: int) -> Kind:
+    # bool is a subclass of int, so test the exact type
+    return Kind(f"an integer >= {least}",
+                lambda v, f: v if type(v) is int and v >= least else None)
+
+
+# a NaN fails the comparison, and so does an integer beyond the float range
+NUMBER = Kind("a finite number", lambda v, f: v if type(v) in (int, float)
+              and abs(v) <= sys.float_info.max else None)
+FLAG = Kind("true or false", lambda v, f: v if type(v) is bool else None)
+# open() would read an integer as a file descriptor
+PATH = Kind("a path", lambda v, f: os.fspath(v) if isinstance(v, (str, os.PathLike)) else None)
+TEXT = Kind("a string", lambda v, f: v if isinstance(v, str) else None)
+OBJECT = Kind("a JSON object", lambda v, f: v if isinstance(v, dict) else None)
+LIST = Kind("a list", lambda v, f: v if isinstance(v, list) else None)
+
+
+def one_of(names: tuple) -> Kind:
+    return Kind(f"one of {'/'.join(names)}", lambda v, f: v if v in names else None)
+
+
+def each(container: type, item: Kind, what: str) -> Kind:
+    """A list, or with container dict a JSON object, whose entries are all of
+    kind item."""
+    return Kind(what, lambda v, f: v if isinstance(v, container) and all(
+        item.test(x, f) is not None for x in (v.values() if container is dict else v)) else None)
+
+
+def array(*dims: str) -> Kind:
+    """A list of numbers, row-major, as a float64 array whose shape is the
+    fields dims. It is one numpy conversion and a dtype test, with no loop
+    over the entries: strings or booleans are not numbers, but a boolean
+    among numbers converts with them."""
+    def test(value, fields):
+        try:
+            arr = np.asarray(value)
+        except ValueError:          # ragged nesting
+            return None
+        shape = tuple(fields[d] for d in dims)
+        if arr.dtype.kind not in "if" or arr.size != math.prod(shape):
+            return None
+        return arr.astype(np.float64, copy=False).reshape(shape)
+    return Kind(f"a list of {' x '.join(dims)} numbers", test)
+
+
+def read_fields(doc, table: dict, source: str, closed: bool = False, **given) -> dict:
+    """The fields of the JSON object doc that table (name -> Kind) names, read
+    in table order; given holds other values that array shapes name. A doc
+    that is not an object, a field that is absent with no default or not of
+    its kind, or, when closed, a key the table does not name, raises
+    ValueError naming source and the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{source} must be a JSON object, got {type(doc).__name__}")
+    if closed and not set(doc) <= set(table):
+        raise ValueError(f"{source} has unknown fields {sorted(set(doc) - set(table))}")
+    fields = dict(given)
+    for name, kind in table.items():
+        absent = name not in doc and kind.default is not REQUIRED
+        fields[name] = copy.copy(kind.default) if absent else kind.test(doc.get(name), fields)
+        if fields[name] is None and not absent:
+            raise ValueError(f"{source} field {name!r}: {name} {reprlib.repr(doc.get(name))} "
+                             f"is not {kind.what}")
+    return {name: fields[name] for name in table}
+
+
+INSTANCE = {"n": integer(0), "m": integer(0), "Q": array("n", "n"), "c": array("n"),
+            "A": array("m", "n"), "b": array("m"), "constant": NUMBER.otherwise(0.0),
+            "meta": OBJECT.otherwise({})}
 
 
 def read_json_object(path, what: str) -> dict:
@@ -385,4 +439,7 @@ def save_instance(inst: QpInstance, path) -> None:
 
 
 def load_instance(path) -> QpInstance:
-    return instance_from_dict(read_json_object(path, "an instance"))
+    """The instance of a save_instance file, read by INSTANCE."""
+    fields = read_fields(read_json_object(path, "an instance"), INSTANCE, f"{path}: instance")
+    del fields["n"], fields["m"]
+    return QpInstance(**fields)

@@ -16,10 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    LIST,
+    OBJECT,
+    PATH,
+    TEXT,
     EqQpInstance,
     QpInstance,
     eliminate_eq_nullspace,
+    integer,
     load_instance,
+    one_of,
+    read_fields,
     read_json_object,
     save_instance,
 )
@@ -27,6 +34,7 @@ from .core import (
 RNG_NAME = "numpy-philox4x64"
 GENERATOR_VERSION = 1
 FAMILIES = ("regression", "portfolio", "control")
+SPLITS = ("train", "val", "test")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -200,37 +208,33 @@ class DatasetManifest:
         return [f for f in self.files if f["split"] == split]
 
     def load_split(self, split: str) -> list:
-        return [load_instance(os.path.join(self.root, f["path"]))
-                for f in self.split_files(split)]
+        """The instances of split; a split with none raises ValueError, as
+        every caller would train or score on nothing."""
+        files = self.split_files(split)
+        if not files:
+            raise ValueError(f"{self.root}: the manifest lists no {split!r} instances")
+        return [load_instance(os.path.join(self.root, f["path"])) for f in files]
 
     def save(self, path) -> None:
-        doc = {
-            "family": self.family,
-            "sizes": self.sizes,
-            "counts": self.counts,
-            "base_seed": self.base_seed,
-            "rng_name": self.rng_name,
-            "generator_version": self.generator_version,
-            "files": self.files,
-        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, allow_nan=False)
+            json.dump({name: getattr(self, name) for name in MANIFEST}, fh, indent=1,
+                      allow_nan=False)
 
     @staticmethod
     def load(path) -> "DatasetManifest":
-        """The manifest of a save() file. A document that is not a mapping, or
-        whose 'files' are not objects with a string 'path', raises ValueError."""
-        doc = read_json_object(path, "a manifest")
-        if not isinstance(doc["files"], list) or not all(
-                isinstance(f, dict) and isinstance(f.get("path"), str) for f in doc["files"]):
-            raise ValueError(f"{path}: manifest field 'files' must be a list of objects "
-                             "with a string 'path'")
-        return DatasetManifest(
-            family=doc["family"], sizes=doc["sizes"], counts=doc["counts"],
-            base_seed=doc["base_seed"], root=os.path.dirname(os.path.abspath(path)),
-            files=doc["files"], rng_name=doc.get("rng_name", RNG_NAME),
-            generator_version=doc.get("generator_version", GENERATOR_VERSION),
-        )
+        """The manifest of a save() file, read by MANIFEST and, for each entry
+        of its files, MANIFEST_FILE."""
+        doc = read_fields(read_json_object(path, "a manifest"), MANIFEST, f"{path}: manifest")
+        for i, entry in enumerate(doc["files"]):
+            read_fields(entry, MANIFEST_FILE, f"{path}: manifest field 'files' item {i}")
+        return DatasetManifest(**doc, root=os.path.dirname(os.path.abspath(path)))
+
+
+# the fields of a manifest, in the order save() writes them
+MANIFEST = {"family": one_of(FAMILIES), "sizes": OBJECT, "counts": OBJECT,
+            "base_seed": integer(0), "rng_name": TEXT.otherwise(RNG_NAME),
+            "generator_version": integer(1).otherwise(GENERATOR_VERSION), "files": LIST}
+MANIFEST_FILE = {"path": PATH, "split": one_of(SPLITS)}
 
 
 def gen_split(family: str, sizes: dict, counts: dict, base_seed: int,
@@ -243,7 +247,7 @@ def gen_split(family: str, sizes: dict, counts: dict, base_seed: int,
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         if counts.get(split, 0) < 1:
             raise ValueError("all split counts must be positive")
     os.makedirs(out_dir, exist_ok=True)
@@ -251,7 +255,7 @@ def gen_split(family: str, sizes: dict, counts: dict, base_seed: int,
                                counts=dict(counts), base_seed=base_seed,
                                root=str(out_dir))
     d = 0
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         for _ in range(counts[split]):
             seed = base_seed + d
             inst = generate_instance(family, sizes, seed)

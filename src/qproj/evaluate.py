@@ -26,13 +26,22 @@ from functools import cache, partial
 import numpy as np
 
 from .core import (
+    LIST,
+    NUMBER,
+    OBJECT,
+    PATH,
+    TEXT,
+    Kind,
     ProjectionMatrix,
     QpInstance,
-    float_array,
-    int_field,
+    array,
+    each,
+    integer,
     is_feasible,
     objective,
+    one_of,
     project,
+    read_fields,
     read_json_object,
     recover,
 )
@@ -90,18 +99,17 @@ def write_records_csv(path, records, extra_columns=None) -> None:
             writer.writerow(row)
 
 
+CACHE_ENTRY = {"u_star": NUMBER, "x_star": array("n"),
+               "status": one_of(tuple(status.value for status in SolveStatus))}
+
+
 def _read_cache_entry(path, n: int) -> dict:
-    """The SolutionCache entry in file path, of an instance with n variables.
-    A document that is not such an entry raises ValueError naming the file."""
-    entry = read_json_object(path, "a cache entry")
-    u_star = entry.get("u_star")
-    x_star = float_array(entry.get("x_star"), (n,), f"{path}: cache field 'x_star'")
-    for key, ok, expected in (
-            ("u_star", type(u_star) in (int, float) and math.isfinite(u_star), "a finite number"),
-            ("x_star", np.isfinite(x_star).all(), "finite"),
-            ("status", isinstance(entry.get("status"), str), "a string")):
-        if not ok:
-            raise ValueError(f"{path}: cache field {key!r} must be {expected}")
+    """The SolutionCache entry in file path, of an instance with n variables,
+    read by CACHE_ENTRY; a NaN or infinite x_star raises ValueError too."""
+    entry = read_fields(read_json_object(path, "a cache entry"), CACHE_ENTRY,
+                        f"{path}: cache", n=n)
+    if not np.isfinite(entry["x_star"]).all():
+        raise ValueError(f"{path}: cache field 'x_star' holds NaN or infinite entries")
     return entry
 
 
@@ -396,22 +404,6 @@ def load_method(name, spec_entry, k, rand_seed=0):
     raise ValueError(f"unknown method {name!r}")
 
 
-def _spec_path(value, where):
-    """value as a path (os.fspath); anything else raises ValueError naming
-    where. open() would read an integer as a file descriptor."""
-    try:
-        return os.fspath(value)
-    except TypeError:
-        raise ValueError(f"{where} must be a path, got {value!r}") from None
-
-
-def _spec_object(value, key, sname):
-    """value, sweep sname's key, if it is a JSON object; else ValueError."""
-    if not isinstance(value, dict):
-        raise ValueError(f"sweep {sname!r}: key {key!r} must be an object, got {value!r}")
-    return value
-
-
 def _checkpoint_for(checkpoints, sweep, method, setting=None):
     """The checkpoint path of method (or train family) at setting; a
     per-setting map where the sweep has no setting is a ValueError."""
@@ -424,49 +416,55 @@ def _checkpoint_for(checkpoints, sweep, method, setting=None):
     return entry
 
 
-def _sweep_cells(spec):
-    """The cells of the spec's sweeps, in run order. A cell is (load, skip
-    label, targets): load() builds the method once, which is then evaluated
-    on each (context, test set) of targets; if its checkpoint is missing the
-    cell is skipped with one line that starts with the label. The list is
-    built whole, so a misconfigured sweep raises ValueError before any cell
-    runs; sweeps that name the same manifest share its test set."""
+SPEC = {"solver": OBJECT.otherwise({}), "timing_repeats": integer(0).otherwise(3),
+        "cache_dir": PATH.otherwise(None), "sweeps": LIST.otherwise([])}
+PATHS = each(dict, PATH, "an object of paths")
+# the checkpoint of a method (or train family): one path, or paths by setting
+_CHECKPOINT = Kind("a path or an object of paths",
+                   lambda v, f: (PATHS if isinstance(v, dict) else PATH).test(v, f))
+_SWEEP_COMMON = {
+    "methods": LIST.otherwise([]), "rand_seed": integer(0).otherwise(0),
+    "checkpoints": each(dict, _CHECKPOINT, "an object of checkpoints").otherwise({})}
+# the fields of a sweep of each type
+SWEEP_FIELDS = {
+    "k_sweep": {"manifest": PATH, "k_values": each(list, integer(1), "a list of integers >= 1"),
+                **_SWEEP_COMMON},
+    "d_sweep": {"manifest": PATH, "k": integer(1), **_SWEEP_COMMON},
+    "generalization_sweep": {"axis": TEXT.otherwise("n"), "manifests": PATHS, "k": integer(1),
+                             **_SWEEP_COMMON},
+    "cross_dataset": {"manifests": PATHS, "k": integer(1), **_SWEEP_COMMON},
+}
+SWEEP = {"type": one_of(tuple(SWEEP_FIELDS)), "name": TEXT.otherwise("")}
+
+
+def _sweep_cells(sweeps):
+    """The cells of the sweeps, in run order. A cell is (load, skip label,
+    targets): load() builds the method once, which is then evaluated on each
+    (context, test set) of targets; if its checkpoint is missing the cell is
+    skipped with one line that starts with the label. The list is built
+    whole, so a misconfigured sweep raises ValueError before any cell runs;
+    sweeps that name the same manifest share its test set."""
     from .datasets import DatasetManifest
 
     @cache
-    def load_test_split(path):
+    def test_split(path):
         manifest = DatasetManifest.load(path)
         return manifest.family, manifest.load_split("test")
 
-    def test_split(path, key):
-        """load_test_split of the path under the current sweep's key."""
-        return load_test_split(_spec_path(path, f"sweep {sname!r}: key {key!r}"))
-
-    sweeps = spec.get("sweeps", [])
-    if not isinstance(sweeps, list):
-        raise ValueError(f"experiment spec key 'sweeps' must be a list, got {sweeps!r}")
     out = []
-    for si, sweep in enumerate(sweeps):
-        if not isinstance(sweep, dict):
-            raise ValueError(f"experiment spec sweeps[{si}] must be an object, got {sweep!r}")
-        stype = sweep["type"]
-        sname = sweep.get("name", f"{stype}-{si}")
-        methods = sweep.get("methods", [])
-        if not isinstance(methods, list):
-            raise ValueError(f"sweep {sname!r}: key 'methods' must be a list, got {methods!r}")
+    for si, raw in enumerate(sweeps):
+        head = read_fields(raw, SWEEP, f"experiment spec sweeps[{si}]")
+        stype = head["type"]
+        sname = head["name"] or f"{stype}-{si}"
+        sweep = read_fields(raw, SWEEP_FIELDS[stype], f"sweep {sname!r}")
+        methods, ckpts, k = sweep["methods"], sweep["checkpoints"], sweep.get("k")
         unknown = [mname for mname in methods if mname not in METHODS]
         if unknown:
             raise ValueError(f"sweep {sname!r}: unknown methods {unknown}, "
                              f"expected names from {list(METHODS)}")
-        ckpts = _spec_object(sweep.get("checkpoints", {}), "checkpoints", sname)
-        for entry in ckpts.values():
-            for path in entry.values() if isinstance(entry, dict) else [entry]:
-                _spec_path(path, f"sweep {sname!r}: key 'checkpoints'")
         # (method, checkpoint, K, label, [(setting, train tag, test tag, test set)])
         if stype == "cross_dataset":
-            k = int_field(sweep, "k", 1, f"sweep {sname!r}")
-            manifests = _spec_object(sweep["manifests"], "manifests", sname)
-            splits = {fam: test_split(p, "manifests")[1] for fam, p in manifests.items()}
+            splits = {fam: test_split(p)[1] for fam, p in sweep["manifests"].items()}
             cells = [(mname, _checkpoint_for(ckpts, sname, train), k,
                       f"train={train}",
                       [(f"{train}->{test}", train, test, split)
@@ -475,38 +473,29 @@ def _sweep_cells(spec):
         else:
             # one test split per setting: (setting, label, checkpoint key, K, split)
             if stype == "k_sweep":
-                k_values = sweep["k_values"]
-                if not (isinstance(k_values, list)
-                        and all(type(k) is int and k >= 1 for k in k_values)):
-                    raise ValueError(f"sweep {sname!r}: 'k_values' must be a list of "
-                                     f"integers >= 1, got {k_values!r}")
-                split = test_split(sweep["manifest"], "manifest")
-                points = [(k, f"k={k}", k, k, split) for k in k_values]
+                split = test_split(sweep["manifest"])
+                points = [(k, f"k={k}", k, k, split) for k in sweep["k_values"]]
             elif stype == "d_sweep":
                 plain = sorted(mname for mname, entry in ckpts.items()
                                if not isinstance(entry, dict))
                 if plain:
                     raise ValueError(f"sweep {sname!r}: a d_sweep takes the checkpoints of "
                                      f"{plain} as per-setting maps, not one path")
-                k = int_field(sweep, "k", 1, f"sweep {sname!r}")
-                split = test_split(sweep["manifest"], "manifest")
-                d_values = sorted({d for entry in ckpts.values() for d in entry},
-                                  key=int)
-                points = [(f"d={d}", f"d={d}", d, k, split) for d in d_values]
-            elif stype == "generalization_sweep":
-                axis = sweep.get("axis", "n")
-                k = int_field(sweep, "k", 1, f"sweep {sname!r}")
-                manifests = _spec_object(sweep["manifests"], "manifests", sname)
-                points = [(f"{axis}={v}", f"{axis}={v}", None, k, test_split(p, "manifests"))
-                          for v, p in manifests.items()]
+                d_values = {d for entry in ckpts.values() for d in entry}
+                bad = sorted(d for d in d_values if not d.isdecimal())
+                if bad:
+                    raise ValueError(f"sweep {sname!r}: checkpoint keys {bad} are not "
+                                     "training-set sizes (integers)")
+                split = test_split(sweep["manifest"])
+                points = [(f"d={d}", f"d={d}", d, k, split) for d in sorted(d_values, key=int)]
             else:
-                raise ValueError(f"unknown sweep type {stype!r}")
+                points = [(f"{sweep['axis']}={v}", f"{sweep['axis']}={v}", None, k,
+                           test_split(p)) for v, p in sweep["manifests"].items()]
             cells = [(mname, _checkpoint_for(ckpts, sname, mname, key), k,
                       f"method={mname} {label}",
                       [(setting, fam, fam, split)])
                      for setting, label, key, k, (fam, split) in points for mname in methods]
-        rand_seed = int_field({"rand_seed": 0} | sweep, "rand_seed", 0, f"sweep {sname!r}")
-        out += [(partial(load_method, mname, ckpt, k, rand_seed), f"{sname}: {label}",
+        out += [(partial(load_method, mname, ckpt, k, sweep["rand_seed"]), f"{sname}: {label}",
                  [({"sweep": sname, "sweep_type": stype, "setting": setting,
                     "train_tag": train_tag, "test_tag": test_tag}, split)
                   for setting, train_tag, test_tag, split in targets])
@@ -515,22 +504,16 @@ def _sweep_cells(spec):
 
 
 def run_experiment(spec, out_dir) -> dict:
-    """Run the sweeps of an experiment spec; emits records.csv (long format),
-    summary.csv, and diagnostics.txt under out_dir. Returns paths and the
-    in-memory rows."""
+    """Run the sweeps of an experiment spec, read by SPEC, SWEEP and
+    SWEEP_FIELDS; emits records.csv (long format), summary.csv, and
+    diagnostics.txt under out_dir. Returns paths and the in-memory rows."""
     if isinstance(spec, (str, os.PathLike)):
         spec = read_json_object(spec, "an experiment spec")
-    unknown = sorted(set(spec) - {"solver", "timing_repeats", "cache_dir", "sweeps"})
-    if unknown:
-        raise ValueError(f"unknown experiment spec keys {unknown}")
-    settings = settings_from_json(spec.get("solver", {}))
-    timing_repeats = int_field({"timing_repeats": 3} | spec, "timing_repeats", 0,
-                               "experiment spec")
-    cache_dir = spec.get("cache_dir")
-    if cache_dir is not None:
-        cache_dir = _spec_path(cache_dir, "experiment spec key 'cache_dir'")
-    cells = _sweep_cells(spec)
-    cache = SolutionCache(cache_dir=cache_dir, settings=settings)
+    spec = read_fields(spec, SPEC, "experiment spec", closed=True)
+    settings = settings_from_json(spec["solver"])
+    timing_repeats = spec["timing_repeats"]
+    cells = _sweep_cells(spec["sweeps"])
+    cache = SolutionCache(cache_dir=spec["cache_dir"], settings=settings)
     os.makedirs(out_dir, exist_ok=True)
 
     context_cols = ["sweep", "sweep_type", "setting", "train_tag", "test_tag"]

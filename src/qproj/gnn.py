@@ -20,11 +20,21 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import ProjectionMatrix, QpInstance, float_array, int_field, read_json_object
+from .core import (OBJECT, ProjectionMatrix, QpInstance, array, integer, one_of, read_fields,
+                   read_json_object)
 
 LEAKY_SLOPE = 0.01
 RANK_RTOL = 1e-10          # |R_ii| below this (times ||P_raw||_F) is deficient
 JITTER_SCALE = 1e-6
+
+
+# the parameter arrays of a model, by the sizes that shape them; a
+# checkpoint's "params" object holds them flat
+PARAMS = {**dict.fromkeys(("w0v", "s0v", "w0c", "s0c"), array("hidden")),
+          **dict.fromkeys(("Wv", "Wvv", "Wcv", "Wc", "Wvc"), array("layers", "hidden", "hidden")),
+          "g1": array("head_hidden", "hidden"), "b1": array("head_hidden"),
+          "g2": array("head_hidden", "head_hidden"), "b2": array("head_hidden"),
+          "g3": array("k", "head_hidden"), "b3": array("k")}
 
 
 @dataclass
@@ -64,11 +74,7 @@ class ModelParams:
     def head_hidden(self) -> int:
         return self.g1.shape[0]
 
-    _FIELDS = (
-        "w0v", "s0v", "w0c", "s0c",
-        "Wv", "Wvv", "Wcv", "Wc", "Wvc",
-        "g1", "b1", "g2", "b2", "g3", "b3",
-    )
+    _FIELDS = tuple(PARAMS)
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([getattr(self, f).ravel() for f in self._FIELDS])
@@ -334,26 +340,18 @@ def save_checkpoint(path, params: ModelParams, seed=None, extra=None) -> None:
         fh.write(json.dumps(doc, allow_nan=False))
 
 
+CHECKPOINT = {"format": one_of((CHECKPOINT_FORMAT,)),
+              **dict.fromkeys(("hidden", "layers", "k", "head_hidden"), integer(1)),
+              "params": OBJECT}
+
+
 def load_checkpoint(path) -> ModelParams:
-    """Read a checkpoint written by save_checkpoint. A file with another
-    format tag, sizes that are not positive integers, parameters that are
-    not numeric arrays of their sizes, or NaN/infinite parameters (json
-    accepts NaN tokens) raises ValueError naming the file."""
-    doc = read_json_object(path, "a checkpoint")
-    fmt = doc.get("format")
-    if fmt != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: format {fmt!r} is not {CHECKPOINT_FORMAT!r}")
-    # checked before init_params allocates L x H x H floats from them
-    h, l, k, h_g = (int_field(doc, name, 1, f"{path}: checkpoint")
-                    for name in ("hidden", "layers", "k", "head_hidden"))
-    stored = doc["params"]
-    if not isinstance(stored, dict):
-        raise ValueError(f"{path}: checkpoint field 'params' must be a JSON object")
-    template = init_params(0, h=h, l=l, k=k, h_g=h_g)
-    fields = {}
-    for f in ModelParams._FIELDS:
-        fields[f] = float_array(stored[f], getattr(template, f).shape,
-                                f"{path}: parameter {f!r}")
-        if not np.isfinite(fields[f]).all():
+    """Read a checkpoint written by save_checkpoint, by CHECKPOINT and PARAMS.
+    NaN or infinite parameters (json accepts NaN tokens) raise ValueError
+    naming the file."""
+    doc = read_fields(read_json_object(path, "a checkpoint"), CHECKPOINT, f"{path}: checkpoint")
+    params = read_fields(doc.pop("params"), PARAMS, f"{path}: checkpoint params", **doc)
+    for f, arr in params.items():
+        if not np.isfinite(arr).all():
             raise ValueError(f"{path}: parameter {f!r} has NaN or infinite entries")
-    return ModelParams(**fields)
+    return ModelParams(**params)

@@ -56,13 +56,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs, dtrtrs
 
-from .core import QpInstance, objective
+from .core import NUMBER, QpInstance, objective, read_fields
 
 CROSSOVER_RCOND = 1e-10     # Q better conditioned than this crosses over
 CROSSOVER_DEP_TOL = 1e-10   # relative norm below which a row is dependent
@@ -94,20 +94,13 @@ class SolverSettings:
                                  f"got {value!r}")
 
 
+SOLVER = {f.name: NUMBER.otherwise(f.default) for f in fields(SolverSettings)}
+
+
 def settings_from_json(section) -> SolverSettings:
-    """SolverSettings from the "solver" mapping of a config file or an
-    experiment spec. A section that is not a mapping, an unknown key or a
-    value that is not a number raises ValueError naming the key: the
-    settings class itself would raise TypeError."""
-    if not isinstance(section, dict):
-        raise ValueError(f"key 'solver' must be an object, got {section!r}")
-    fields = vars(SolverSettings())
-    for key, value in section.items():
-        if key not in fields:
-            raise ValueError(f"unknown solver setting {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"solver setting {key!r} must be a number, got {value!r}")
-    return SolverSettings(**section)
+    """SolverSettings from the "solver" object of a config file or an
+    experiment spec, read by SOLVER: an unknown key is an error too."""
+    return SolverSettings(**read_fields(section, SOLVER, "solver section", closed=True))
 
 
 @dataclass

@@ -8,6 +8,7 @@ Covering numbers are inputs, not computed here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +34,14 @@ class AssumptionConstants:
     k: int
 
     def __post_init__(self):
-        if self.sigma_q <= 0 or self.sigma_p <= 0:
-            raise ValueError("sigma_q and sigma_p must be positive")
-        if self.q0 < 0 or self.c0 < 0 or self.b < 0:
-            raise ValueError("q0, c0, b must be nonnegative")
-        if self.n < 1 or self.k < 1 or self.k > self.n:
-            raise ValueError("need 1 <= k <= n")
+        # a NaN fails every comparison, so test for the good case
+        if not all(math.isfinite(x) and x > 0 for x in (self.sigma_q, self.sigma_p)):
+            raise ValueError("sigma_q and sigma_p must be finite and positive")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.q0, self.c0, self.b)):
+            raise ValueError("q0, c0, b must be finite and nonnegative")
+        # the formulas take square roots of n and n k as floats
+        if not (1 <= self.k <= self.n and self.n * self.k <= sys.float_info.max):
+            raise ValueError("need 1 <= k <= n, with n k in the float range")
 
 
 def y_max(consts: AssumptionConstants) -> float:
@@ -62,14 +65,15 @@ def gen_bound(epsilon: float, delta: float, d: int, b: float,
     """Uniform-convergence bound C eps + sqrt(8 b^2 logN / d)
     + sqrt(2 b^2 log(2/delta) / d). The log covering number is supplied by
     the caller."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    # a NaN fails every comparison, so test for the good case
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be finite and positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if d < 1:
+    if not d >= 1:
         raise ValueError("d must be at least 1")
-    if b < 0 or log_n_cover < 0 or c < 0:
-        raise ValueError("b, log_n_cover, c must be nonnegative")
+    if not all(math.isfinite(x) and x >= 0 for x in (b, log_n_cover, c)):
+        raise ValueError("b, log_n_cover, c must be finite and nonnegative")
     return (c * epsilon
             + math.sqrt(8.0 * b * b * log_n_cover / d)
             + math.sqrt(2.0 * b * b * math.log(2.0 / delta) / d))

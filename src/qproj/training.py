@@ -14,6 +14,7 @@ gradient.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -45,8 +46,10 @@ class TrainConfig:
         if min(self.k, self.batch_size, self.max_epochs, self.hidden,
                self.layers, self.head_hidden) < 1:
             raise ValueError("k, batch_size, max_epochs and widths must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # a NaN fails every comparison, so test for the good case
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
 
 
 @dataclass

@@ -337,8 +337,18 @@ def _malformed_file(tmp_path, kind, edit, seed):
     ("manifest", lambda d: {**d, "files": [1]}, "manifest field 'files'"),
     ("checkpoint", lambda d: {**d, "hidden": "4"}, "checkpoint field 'hidden'"),
     ("checkpoint", lambda d: {**d, "params": [1]}, "checkpoint field 'params'"),
+    # these loaded and solved: true as 1.0, "5" as 5.0, and a Q of strings or
+    # of trues as numbers; a manifest without its family said only "error: 'family'"
+    ("instance", lambda d: {**d, "constant": True}, "instance field 'constant'"),
+    ("instance", lambda d: {**d, "constant": "5"}, "instance field 'constant'"),
+    ("instance", lambda d: {**d, "Q": [str(x) for x in d["Q"]]}, "instance field 'Q'"),
+    ("instance", lambda d: {**d, "Q": [True] * len(d["Q"])}, "instance field 'Q'"),
+    ("manifest", lambda d: {k: v for k, v in d.items() if k != "family"},
+     "manifest field 'family'"),
 ], ids=["instance-Q-object", "instance-constant-list", "manifest-list",
-        "manifest-files-number", "checkpoint-hidden-string", "checkpoint-params-list"])
+        "manifest-files-number", "checkpoint-hidden-string", "checkpoint-params-list",
+        "instance-constant-bool", "instance-constant-string", "instance-Q-strings",
+        "instance-Q-bools", "manifest-no-family"])
 def test_malformed_input_file_rejected(tmp_path, capsys, kind, edit, message):
     args = _malformed_file(tmp_path, kind, edit, seed=35)
     capsys.readouterr()
@@ -464,10 +474,17 @@ def test_non_finite_projection_rejected(tmp_path, capsys):
     ({"record_timings": "false"}, ["train", "--k", "2"], "'record_timings'"),
     ({"train": {"record_timings": 0}}, ["train", "--k", "2"], "'record_timings'"),
     ({"theory": {"validate": "no"}}, ["theory"], "'validate'"),
+    # int() took these as K=3, one epoch and K=2, and trained; a misnamed
+    # split evaluated nothing and wrote a records.csv of the header alone
+    ({"train": {"k": 3.7}}, ["train"], "'k'"),
+    ({"train": {"epochs": True}}, ["train", "--k", "2"], "'epochs'"),
+    ({"train": {"k": "2"}}, ["train"], "'k'"),
+    ({"eval": {"split": "tset"}}, ["eval", "--method", "rand", "--k", "2"], "'split'"),
 ], ids=["eval-section-list", "eval-timing-repeats-list", "train-epochs-list",
         "eval-cache-dir-list", "eval-manifest-list", "eval-checkpoint-list",
         "eval-artifact-list", "solve-instance-list", "experiment-spec-list",
-        "record-timings-string", "train-record-timings-number", "theory-validate-string"])
+        "record-timings-string", "train-record-timings-number", "theory-validate-string",
+        "train-k-float", "train-epochs-bool", "train-k-string", "eval-split-misnamed"])
 def test_malformed_config_rejected(tmp_path, capsys, config, argv, message):
     section = config.get(argv[0])
     if argv[0] in ("eval", "train") and not (isinstance(section, dict) and "manifest" in section):
@@ -478,3 +495,67 @@ def test_malformed_config_rejected(tmp_path, capsys, config, argv, message):
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), *argv]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# a sweep without its type or its manifest stopped with the key alone
+# ("error: 'type'"), and a d_sweep key that is not a training-set size with
+# "invalid literal for int() with base 10: 'abc'"
+@pytest.mark.parametrize("sweep, message", [
+    ({"name": "ks", "manifest": "<manifest>", "methods": ["rand"], "k_values": [2]},
+     "sweeps[0] field 'type'"),
+    ({"type": "k_sweep", "name": "ks", "methods": ["rand"], "k_values": [2]},
+     "sweep 'ks' field 'manifest'"),
+    ({"type": "d_sweep", "name": "ds", "manifest": "<manifest>", "methods": ["ours"], "k": 2,
+      "checkpoints": {"ours": {"abc": "c.json"}}}, "sweep 'ds': checkpoint keys ['abc']"),
+], ids=["no-type", "no-manifest", "d-key-not-integer"])
+def test_misnamed_sweep_field_rejected(tmp_path, capsys, sweep, message):
+    manifest = str(_regression_data(tmp_path))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"timing_repeats": 0, "sweeps": [
+        {key: manifest if value == "<manifest>" else value for key, value in sweep.items()}]}))
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "exp"), "experiment", "--spec", str(spec)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_misnamed_split_flag_rejected(tmp_path, capsys):
+    # --split tset evaluated nothing, wrote a records.csv of the header alone
+    # and exited 0; argparse now exits 2 naming the choices
+    manifest = _regression_data(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "eval"), "eval", "--manifest", str(manifest),
+              "--method", "rand", "--k", "2", "--split", "tset"])
+    assert exc.value.code == 2
+    assert "'tset'" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+# a manifest whose files list no validation instance ended baseline sharedp
+# and direct in a ZeroDivisionError (exit code 1)
+@pytest.mark.parametrize("method", ["sharedp", "direct"])
+def test_manifest_without_a_split_rejected(tmp_path, capsys, method):
+    manifest = _regression_data(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["files"] = [entry for entry in doc["files"] if entry["split"] != "val"]
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "out"), "baseline", "--manifest", str(manifest),
+                 "--method", method, "--k", "2", "--epochs", "1"]) == 2
+    assert "lists no 'val' instances" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# a NaN or infinite learning rate passed TrainConfig, as NaN <= 0 is False:
+# training warned, then stopped at the first validation on "P holds NaN"
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_learning_rate_rejected(tmp_path, capsys, value):
+    with pytest.raises(ValueError, match="learning_rate must be finite"):
+        TrainConfig(k=2, learning_rate=float(value))
+    manifest = _regression_data(tmp_path)
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "model"), "train", "--manifest", str(manifest),
+                 "--k", "2", "--epochs", "1", "--lr", value]) == 2
+    assert "'lr'" in capsys.readouterr().err
+    assert not (tmp_path / "model").exists()

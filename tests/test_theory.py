@@ -135,3 +135,45 @@ def test_validate_norm_bound_needs_a_solved_reference():
     assert solve_qp(instances[3]).status is SolveStatus.DUAL_INFEASIBLE
     with pytest.raises(ValueError, match="DualInfeasible, not Solved"):
         validate_norm_bound(instances, params, 2)
+
+
+# a NaN passed every `<= 0` test, so theory printed NaN and Infinity
+# tokens, which are not JSON, and exited 0
+@pytest.mark.parametrize("name", ["sigma_q", "sigma_p", "q0", "c0", "b"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_constants_reject_non_finite_values(name, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        _consts(**{name: value})
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_gen_bound_rejects_non_finite_values(index):
+    args = list(np.random.default_rng(42).uniform(0.1, 0.9, size=6))
+    args[2] = 10
+    args[[0, 3, 4, 5][index]] = math.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        gen_bound(*args)
+
+
+@pytest.mark.parametrize("flags", [
+    {"--sigma-q": "nan"}, {"--epsilon": "nan"}, {"--b": "inf"}, {"--c0": "inf"},
+    # y_max overflows to infinity: with epsilon the bound rejects C, without
+    # it the JSON encoder rejects y_max
+    {"--b": "1e308", "--sigma-q": "1e308"},
+    {"--b": "1e308", "--sigma-q": "1e308", "--epsilon": None},
+    # an n beyond the float range escaped as an OverflowError (exit code 1)
+    {"--n": "1" + "0" * 400},
+], ids=["sigma-q-nan", "epsilon-nan", "b-inf", "c0-inf", "overflow-bound",
+        "overflow-y-max", "n-beyond-float"])
+def test_theory_command_never_prints_nan_or_infinity(capsys, flags):
+    from qproj.cli import main
+
+    rng = np.random.default_rng(43)
+    values = {"--sigma-q": rng.uniform(1, 3), "--q0": rng.uniform(0, 2),
+              "--c0": rng.uniform(0, 2), "--b": rng.uniform(1, 5), "--n": 4, "--k": 2,
+              "--epsilon": rng.uniform(0.01, 0.1)} | flags
+    argv = [str(x) for key, value in values.items() if value is not None
+            for x in (key, value)]
+    assert main(["theory", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
