@@ -19,20 +19,21 @@ from the last round's duals: a result depends only on the instance and
 the settings.
 
 An active-set solve holds its active rows as a thin QR factor in the metric
-of Q. The start factors its rows in one QR. When Q itself passes the gate
-(delta = 0), block rounds follow, as in primal-dual active-set methods
-(Hintermuller, Ito & Kunisch 2002) but keeping the start dual feasible: each
+of Q, and grows it in block rounds, as in primal-dual active-set methods
+(Hintermuller, Ito & Kunisch 2002) but keeping the start dual feasible.
+Round 0 appends the starting rows to the empty factor; each later round
 makes every row the current point violates active at once, when there are
-at least 2 and they fit in the free dimensions, and drops every negative
-multiplier; they go on while each round, the start included, drops fewer
-than half of the rows it appends. Below the gate the solves keep single
-steps only: block rounds saved no time there (the full portfolio and
-control problems). After that, a step that makes a row active appends the
-Gram-Schmidt column the step has already computed (reorthogonalized when
-cancellation calls for it: Daniel, Gragg, Kaufman & Stewart 1976), and a
-dropped row is a qr_delete. SolveResult.adds and SolveResult.drops count the
-rows that the block rounds and the steps make active and drop, summed over
-the proximal rounds: a start at the optimum's active set makes neither.
+at least 2 and they fit in the free dimensions. A round then drops every
+negative multiplier at once, refactoring only the factor's columns after
+the first dropped one, through the triangular factor. The rounds go on
+while each drops fewer than half of the rows it appends, for every Q, in
+every proximal round. After that, a step that makes a row active appends
+the Gram-Schmidt column the step has already computed (reorthogonalized
+when cancellation calls for it: Daniel, Gragg, Kaufman & Stewart 1976), and
+a dropped row is a qr_delete. SolveResult.adds and SolveResult.drops count
+the rows that the block rounds after round 0 and the steps make active and
+drop, summed over the proximal rounds: a start at the optimum's active set
+makes neither.
 
 A result is declared Solved only when it satisfies, in infinity norm,
 
@@ -191,42 +192,47 @@ def _crossover_factor(Q):
     return chol if info == 0 and rcond >= CROSSOVER_RCOND else None
 
 
-def _crossover(Q, c, A, b, lam, chol, block=True):
+def _crossover(Q, c, A, b, lam, chol):
     """Goldfarb-Idnani dual active-set solve (Math. Prog. 27, 1983) of
     min 1/2 y'Qy + c'y s.t. Ay <= b for Q = R'R positive definite, with chol
     its upper Cholesky factor R, started from the rows where the dual
     vector lam is positive. Returns (y, lambda, adds, drops): y and lambda
     exact up to round-off, adds and drops the rows that the block rounds
-    and step 3 made active and dropped. y is None when the solve stops
-    early: then lambda is a Farkas vector e (e >= 0, A'e = 0, b'e < 0) when
-    the problem is infeasible (a step bound is infinite), or None when the
-    step cap is hit.
+    after round 0 and step 3 made active and dropped. y is None when the
+    solve stops early: then lambda is a Farkas vector e (e >= 0, A'e = 0,
+    b'e < 0) when the problem is infeasible (a step bound is infinite), or
+    None when the step cap is hit.
 
     The work runs in the metric of Q. With g = R^-T(-c) and the active rows
     W factored as R^-T A_W' = F T (thin QR), the optimum on W held as
     equalities is y = R^-1 (g - F T u) with T u = F'g - T^-T b_W. Any
     linearly independent W with u >= 0 is a valid start, so the start is
-    built in rounds. Round 0 (steps 1-2) factors the starting rows. With
-    block true (solve_qp passes it when Q itself passes the gate), each
-    block round takes every row that y violates beyond step 4's tolerance,
-    when there are at least 2 and they fit in the n - |W| free dimensions:
-    it appends the independent ones to F and T after two block Gram-Schmidt
-    passes and a pivoted QR of the remainder, drops the negative
-    multipliers (by qr_delete, or by refactoring the kept rows when more
-    rows drop than stay), and recomputes y. The rounds go on while each
-    round, round 0 included, drops fewer than half of the rows it appends,
-    and step 3 finishes the solve one row at a time. A step computes the
-    Gram-Schmidt products F'v and v - F F'v of the row it adds, so a full
-    step appends that column to F in place (with a second pass when
-    cancellation calls for it: Daniel, Gragg, Kaufman & Stewart 1976) and a
-    drop is a qr_delete: a step costs O(n^2 + mn). Before the first block
-    round or step, F and T move into Fortran-ordered buffers of min(n, m)
-    columns, which the block rounds also write their rows into; T is the
-    first k columns of its buffer, whose upper-left k x k block trtrs reads
-    at the buffer's leading dimension without a copy. Block rounds count
-    against the step cap like steps."""
+    built in block rounds. A block round appends rows to F and T (R^-T A'
+    of the rows, orthogonalized against F by two block Gram-Schmidt passes,
+    then a pivoted QR of the remainder whose independent prefix is kept)
+    and drops every negative multiplier until none is left. A bulk drop
+    keeps the columns before the first dropped one, j0, and refactors the
+    kept columns after it through T: T[j0:k, kept] = q S gives F[:, j0:]
+    the columns F[:, j0:k] q and T their S, the many-column form of
+    qr_delete. Round 0 appends the starting rows to the empty factor. Each
+    later round takes every row that y violates beyond step 4's tolerance,
+    when there are at least 2 and they fit in the min(n, m) - |W| free
+    dimensions; the rounds go on while each round, round 0 included, drops
+    fewer than half of the rows it appends, and step 3 finishes the solve
+    one row at a time. A step computes the Gram-Schmidt products F'v and
+    v - F F'v of the row it adds, so a full step appends that column to F
+    in place (with a second pass when cancellation calls for it: Daniel,
+    Gragg, Kaufman & Stewart 1976) and a drop is a qr_delete: a step costs
+    O(n^2 + mn). F and T are the first k columns of Fortran-ordered buffers
+    allocated once, and trtrs reads T's upper-left k x k block at the
+    buffer's leading dimension without a copy. Block rounds after round 0
+    count against the step cap like steps."""
     n, m = Q.shape[0], A.shape[0]
     adds = drops = 0
+    start = np.flatnonzero(lam > 0)
+    # round 0 writes every starting row into the basis buffer before its QR
+    basis = np.empty((n, max(min(n, m), start.size)), order="F")
+    tri = np.zeros((min(n, m), min(n, m)), order="F")
 
     def delete(F, T, j):
         """Thin QR without column j, written back into the buffers (at
@@ -235,6 +241,18 @@ def _crossover(Q, c, A, b, lam, chol, block=True):
         F1, T1 = scipy.linalg.qr_delete(F, T[:k + 1], j, which="col", check_finite=False)
         F[:, :k], T[:k, :k] = F1[:, :k], T1[:k, :k]
         return F[:, :k], T[:, :k]
+
+    def bulk_delete(F, T, kept):
+        """Thin QR of the columns where the mask kept is true, written back
+        into the buffers: the kept columns after the first dropped one are
+        refactored."""
+        j0, k = int(np.argmin(kept)), F.shape[1]
+        tail = j0 + np.flatnonzero(kept[j0:])
+        k1 = j0 + tail.size
+        q, S = scipy.linalg.qr(T[j0:k, tail], mode="economic", check_finite=False)
+        tri[:j0, j0:k1], tri[j0:k1, j0:k1] = T[:j0, tail], S
+        basis[:, j0:k1] = F[:, j0:k] @ q
+        return basis[:, :k1], tri[:, :k1]
 
     def append(F, T, rows):
         """F and T with the rows that are independent of F and of each other
@@ -255,7 +273,8 @@ def _crossover(Q, c, A, b, lam, chol, block=True):
             coef += coef2
         q, S, piv = scipy.linalg.qr(M, mode="economic", pivoting=True, overwrite_a=True,
                                     check_finite=False)
-        dep = np.abs(np.diag(S)) <= CROSSOVER_DEP_TOL * norms[piv]
+        # round 0 may bring more rows than n, and S then fewer rows than M
+        dep = np.abs(np.diag(S)) <= CROSSOVER_DEP_TOL * norms[piv[:S.shape[0]]]
         keep = np.argmax(dep) if dep.any() else dep.size
         M[:, :keep] = q[:, :keep]
         tri[:k, k:k + keep] = coef[:, piv[:keep]]
@@ -265,32 +284,26 @@ def _crossover(Q, c, A, b, lam, chol, block=True):
     def multipliers(F, T, W):
         return _tri(T, F.T @ g - _tri(T, b[W], trans=1))
 
-    g = _tri(chol, -c, trans=1)
-    # 1. a linearly independent prefix of the starting rows (pivoted QR)
-    W = np.flatnonzero(lam > 0)
-    M = _tri(chol, A[W].T, trans=1)
-    F, T, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
-    dep = np.abs(np.diag(T)) <= CROSSOVER_DEP_TOL * np.linalg.norm(M, axis=0)[piv[:T.shape[0]]]
-    keep = np.argmax(dep) if dep.any() else dep.size
-    cols = piv[:keep]
-    W, F, T = W[cols], F[:, :keep], T[:keep, :keep]
-    # 2. drop every negative multiplier and refactor the kept columns of M,
-    # until the start is dual feasible: any independent set with u >= 0 is a
-    # valid start, and one QR per round is cheaper than one update per
-    # dropped row
-    while True:
+    def block_round(F, T, W, rows):
+        """Append rows, then drop every negative multiplier at once until
+        none is left: returns F, T, W, u, y and the number of rows appended."""
+        F, T, rows = append(F, T, rows)
+        W = np.concatenate((W, rows))
         u = multipliers(F, T, W)
-        if not W.size or u.min() >= 0.0:
-            break
-        W, cols = W[u >= 0.0], cols[u >= 0.0]
-        F, T = scipy.linalg.qr(M[:, cols], mode="economic", overwrite_a=True)
-    del M
-    y = _tri(chol, g - F @ (T @ u))
-    # the block rounds go on while each round, this one included, grows W
-    # and drops fewer than half of the rows it appends: else the rows that
-    # y violates are a poor guess of the optimum's active set
-    block = block and 2 * W.size > keep
-    basis = None
+        while W.size and u.min() < 0.0:
+            kept = u >= 0.0
+            F, T = bulk_delete(F, T, kept)
+            W = W[kept]
+            u = multipliers(F, T, W)
+        return F, T, W, u, _tri(chol, g - F @ (T[:W.size] @ u)), rows.size
+
+    g = _tri(chol, -c, trans=1)
+    # 1-2. round 0: the independent starting rows with u >= 0. The block
+    # rounds go on while each round, this one included, grows W and drops
+    # fewer than half of the rows it appends: else the rows that y violates
+    # are a poor guess of the optimum's active set
+    F, T, W, u, y, added = block_round(basis[:, :0], tri[:, :0], start[:0], start)
+    block = 2 * W.size > added
     # 3. add the most violated row: partial steps drop a blocking row, a
     # full step makes the added row active
     steps = 0
@@ -305,40 +318,18 @@ def _crossover(Q, c, A, b, lam, chol, block=True):
         tol = CROSSOVER_VIOL_TOL * (1.0 + b_max + a_max * np.abs(y).max())
         if s_p <= tol:
             break
-        if basis is None:
-            k = F.shape[1]
-            basis = np.empty((n, min(n, m)), order="F")
-            tri = np.zeros((min(n, m), min(n, m)), order="F")
-            basis[:, :k], tri[:k, :k] = F, T
-            F, T = basis[:, :k], tri[:, :k]
         if block:
             rows = np.flatnonzero(slack > tol)
-            block = 2 <= rows.size <= basis.shape[1] - F.shape[1]
+            block = 2 <= rows.size <= min(n, m) - W.size
         if block:
-            # a block round: append the violated rows, then drop every
-            # negative multiplier, by qr_delete, or by refactoring the kept
-            # rows when more rows drop than stay
             steps += 1
             if steps > CROSSOVER_MAX_STEPS * (n + m):
                 return None, None, adds, drops
             size = W.size
-            F, T, rows = append(F, T, rows)
-            W = np.append(W, rows)
-            adds += rows.size
-            u = multipliers(F, T, W)
-            while W.size and u.min() < 0.0:
-                neg = np.flatnonzero(u < 0.0)
-                kept = np.delete(W, neg)
-                if 2 * neg.size > W.size:
-                    F, T, kept = append(basis[:, :0], tri[:, :0], kept)
-                else:
-                    for j in neg[::-1]:
-                        F, T = delete(F, T, j)
-                drops += W.size - kept.size
-                W = kept
-                u = multipliers(F, T, W)
-            y = _tri(chol, g - F @ (T[:W.size] @ u))
-            block = 2 * (W.size - size) > rows.size
+            F, T, W, u, y, added = block_round(F, T, W, rows)
+            adds += added
+            drops += size + added - W.size
+            block = 2 * (W.size - size) > added
             continue
         v = _tri(chol, A[p], trans=1)
         v2 = v @ v
@@ -444,8 +435,7 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
     # proximal rounds, 0 when Q passes the gate.
     start = (A @ dpotrs(chol, -c)[0] > b).astype(np.float64)
     for k in range(1, CROSSOVER_PROX_ROUNDS + 1) if delta else [0]:
-        y_k, lam_k, k_adds, k_drops = _crossover(q_prox, c - delta * y, A, b, start, chol,
-                                                   block=not delta)
+        y_k, lam_k, k_adds, k_drops = _crossover(q_prox, c - delta * y, A, b, start, chol)
         adds, drops = adds + k_adds, drops + k_drops
         if y_k is None and lam_k is None:
             return result(y, lam, SolveStatus.MAX_ITER_REACHED, k,

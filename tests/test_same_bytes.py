@@ -93,7 +93,9 @@ def test_cache_entry_matches_the_python_encoder(tmp_path):
 
 def _triangles():
     """Upper-triangular R: C-ordered, F-ordered, and a slice of a larger
-    factor (neither), as the crossover meets them."""
+    factor (neither). The crossover passes only Fortran-ordered factors
+    (Cholesky's, and the leading columns of its T buffer); the other two
+    orders are part of _tri's contract all the same."""
     rng = np.random.default_rng(5)
     R = np.triu(rng.normal(size=(7, 7))) + 3.0 * np.eye(7)
     big = np.triu(rng.normal(size=(9, 9))) + 3.0 * np.eye(9)

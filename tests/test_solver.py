@@ -253,11 +253,11 @@ def test_cold_reduced_solves_are_solved_at_iteration_0(family, sizes):
 def test_crossover_start_refactors_once_per_round():
     # a cold solve of full reg500 seed 0 starts from the 257 rows that the
     # unconstrained minimizer violates; 48 of them get a negative multiplier.
-    # Dropping all of those per round and refactoring takes 3 QRs where one
-    # drop per row would take 48. Two block rounds then append the 43 and 6
-    # rows that the start's point and the next one violate, dropping 2, and
-    # step 3 takes no step (adding the rows one at a time would take about
-    # 256 adds)
+    # Dropping all of those per round and refactoring the columns after the
+    # first dropped one takes 3 QRs where one drop per row would take 48.
+    # Two more block rounds then append the 43 and 6 rows that round 0's
+    # point and the next one violate, dropping 2, and step 3 takes no step
+    # (adding the rows one at a time would take about 256 adds)
     from qproj.datasets import generate_instance
 
     inst = generate_instance("regression", {"n": 500, "m": 50}, 0)
@@ -271,6 +271,41 @@ def test_crossover_start_refactors_once_per_round():
     assert np.linalg.norm(y) == pytest.approx(0.5756672761455097, rel=1e-12, abs=0.0)
     assert lam.sum() == pytest.approx(3945.9496333470674, rel=1e-12, abs=0.0)
     assert np.count_nonzero(lam) == 256
+
+
+@pytest.mark.parametrize("seed, u_star", [
+    (0, -1.32848689470285), (8, -3.6633905104109736), (14, -0.965007635252624),
+])
+def test_block_rounds_run_below_the_gate(monkeypatch, seed, u_star):
+    # full control solves fail the gate and take proximal rounds on
+    # Q + delta I. These three also take a block round: they make more
+    # pivoted QRs in place (one round 0 per proximal round, and the block
+    # rounds) than they take proximal rounds. The optima are those of the
+    # single steps that finished these solves before
+    import scipy.linalg
+
+    from qproj.datasets import generate_instance
+
+    pivoted = 0
+    qr = scipy.linalg.qr
+
+    def counting_qr(a, *args, **kwargs):
+        nonlocal pivoted
+        pivoted += bool(kwargs.get("overwrite_a") and kwargs.get("pivoting"))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+    inst = generate_instance("control", {"s": 10, "v": 10, "t": 5}, seed)
+    res = solve_qp(inst)
+    assert (res.status, res.iterations) == (SolveStatus.SOLVED, 2)
+    assert pivoted > res.iterations
+    assert res.objective == pytest.approx(u_star, rel=1e-12, abs=0.0)
+    # the dual residual is the last proximal term delta (y_2 - y_1), about
+    # 1e-11 here, not round-off
+    scale = 1.0 + np.abs(inst.b).max() + np.abs(inst.c).max()
+    viol, dual, compl_res = kkt_residuals(inst, res.y_star, res.lambda_star)
+    assert max(viol, compl_res) <= 1e-12 * scale
+    assert dual <= 1e-10 * scale
 
 
 def _wedge_instance(rng, n, eps):
@@ -505,24 +540,31 @@ def _bound_instance(rng, n):
 
 
 def test_block_rounds_match_brute_force_oracle(monkeypatch):
-    # Q passes the gate, so after the start the rows that y violates join
-    # the active set together, in block rounds, before single steps finish
-    # the solve. Cold solves of box QPs start from the rows that the
+    # Q passes the gate, so after round 0 the rows that y violates join the
+    # active set together, in block rounds, before single steps finish the
+    # solve. Cold solves of box QPs start from the rows that the
     # unconstrained minimizer violates; starts from one random row of random
-    # QPs make rounds whose appended rows turn most multipliers negative,
-    # which refactors the kept rows instead of one qr_delete per row. A
-    # block round is the only pivoted QR made in place
+    # QPs make rounds whose appended rows turn multipliers negative, which
+    # the round drops at once. Round 0 and the block rounds are the only
+    # pivoted QRs made in place, a bulk drop the only QR without pivoting,
+    # and a single step's drop the only qr_delete
     import scipy.linalg
 
-    counts = {"rounds": 0, "dependent": 0, "qr_delete": 0}
-    qr, qr_delete = scipy.linalg.qr, scipy.linalg.qr_delete
+    counts = {"solves": 0, "rounds": 0, "dependent": 0, "bulk": 0, "qr_delete": 0}
+    qr, qr_delete, crossover = scipy.linalg.qr, scipy.linalg.qr_delete, solver._crossover
+
+    def counting_crossover(*args):
+        counts["solves"] += 1
+        return crossover(*args)
 
     def counting_qr(a, *args, **kwargs):
         out = qr(a, *args, **kwargs)
         if kwargs.get("overwrite_a") and kwargs.get("pivoting"):
             diag = np.abs(np.diag(out[1]))
             counts["rounds"] += 1
-            counts["dependent"] += diag.min() <= 1e-12 * diag.max()
+            counts["dependent"] += diag.min(initial=np.inf) <= 1e-12 * diag.max(initial=0.0)
+        elif not kwargs.get("pivoting"):
+            counts["bulk"] += 1
         return out
 
     def counting_qr_delete(*args, **kwargs):
@@ -531,18 +573,19 @@ def test_block_rounds_match_brute_force_oracle(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
     monkeypatch.setattr(scipy.linalg, "qr_delete", counting_qr_delete)
-    # min 1/2 |y|^2 - 2 y_3 with rows 1 and 2 equal: the start takes row 0,
+    monkeypatch.setattr(solver, "_crossover", counting_crossover)
+    # min 1/2 |y|^2 - 2 y_3 with rows 1 and 2 equal: round 0 takes row 0,
     # whose point (0, 0, 1, 0) violates rows 1-3, and they fit in the 3 free
-    # dimensions. The round appends rows 1 and 3 but not row 2, which would
-    # make the factor singular
+    # dimensions. The next round appends rows 1 and 3 but not row 2, which
+    # would make the factor singular
     A = np.array([[0, 0, 1, 0], [1, 0, -1, 0], [1, 0, -1, 0], [0, 1, -1, 0]], float)
     inst = QpInstance(Q=np.eye(4), c=[0.0, 0.0, -2.0, 0.0], A=A, b=[1.0, -1.5, -1.5, -1.5])
     res = solve_qp(inst)
     assert (res.status, res.adds, res.drops) == (SolveStatus.SOLVED, 2, 0)
-    assert counts == {"rounds": 1, "dependent": 1, "qr_delete": 0}
+    assert counts == {"solves": 1, "rounds": 2, "dependent": 1, "bulk": 0, "qr_delete": 0}
     np.testing.assert_allclose(res.y_star, [-0.5, -0.5, 1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(res.lambda_star, [2.0, 0.5, 0.0, 0.5], atol=1e-14)
-    refactored = 0
+    bulk_dropped = 0
     for trial in range(120):
         rng = np.random.default_rng(trial)
         if trial % 2:
@@ -552,10 +595,10 @@ def test_block_rounds_match_brute_force_oracle(monkeypatch):
         else:
             inst = _bound_instance(rng, int(rng.integers(3, 6)))
             start = (inst.A @ np.linalg.solve(inst.Q, -inst.c) > inst.b).astype(float)
-        deleted = counts["qr_delete"]
+        before = dict(counts)
         y, lam, _, drops = solver._crossover(inst.Q, inst.c, inst.A, inst.b, start,
                                              solver._crossover_factor(inst.Q))
-        refactored += drops > counts["qr_delete"] - deleted
+        bulk_dropped += counts["bulk"] > before["bulk"]
         ref, _ = brute_force_min(inst.Q, inst.c, inst.A, inst.b)
         assert objective(inst, y) == pytest.approx(ref, abs=1e-9 * (1.0 + abs(ref))), trial
         scale = 1.0 + np.abs(inst.b).max() + np.abs(inst.c).max()
@@ -569,9 +612,10 @@ def test_block_rounds_match_brute_force_oracle(monkeypatch):
             res = solve_qp(inst)
             assert (res.status, res.iterations) == (SolveStatus.SOLVED, 0), trial
             assert res.y_star.tobytes() == y.tobytes(), trial
-    assert counts["rounds"] >= 30
+    # every solve's first pivoted QR is its round 0
+    assert counts["rounds"] - counts["solves"] >= 30
     assert counts["dependent"] >= 4
-    assert refactored >= 3 and counts["qr_delete"] > 0
+    assert bulk_dropped >= 3 and counts["qr_delete"] > 0
 
 
 def test_crossover_stop_test_scales_with_the_iterate():
