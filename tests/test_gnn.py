@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from qproj.core import QpInstance
+from qproj import gnn
+from qproj.core import QpInstance, project
+from qproj.datasets import gen_regression
 from qproj.gnn import (
     backward,
     forward,
@@ -10,6 +12,10 @@ from qproj.gnn import (
     load_checkpoint,
     save_checkpoint,
 )
+from qproj.solver import SolveStatus, SolverSettings, solve_qp
+from qproj.training import envelope_grad
+
+from oracles import dense_gnn
 
 
 def _unconstrained(q, c):
@@ -119,6 +125,25 @@ def test_constraint_permutation_invariance_bitwise():
     np.testing.assert_array_equal(proj.P, proj_p.P)
 
 
+def test_constraint_permutation_invariance_bitwise_with_bound_rows(monkeypatch):
+    # dyadic bound rows in pairs per column (boxes) keep every column degree
+    # at 2 or 4; the split sorts them by column, so a row permutation changes
+    # only the order of exact sums
+    monkeypatch.setattr(gnn, "SPLIT_MIN_ENTRIES", 0)
+    inst = _dyadic_instance(0)
+    e = np.eye(4)
+    A = np.vstack([inst.A, 0.5 * e[[1]], -2.5 * e[[1]], 0.25 * e[[3]], -e[[3]],
+                   0.75 * e[[0]], -0.5 * e[[0]]])
+    b = np.concatenate([inst.b, [0.5, 0.25, 0.125, 0.5, 0.75, 0.25]])
+    params = _dyadic_params(5, k=2)
+    proj, tape = forward(params, QpInstance(Q=inst.Q, c=inst.c, A=A, b=b), 2)
+    assert tape.rows.split == 2
+    for seed in range(5):
+        perm = np.random.default_rng(seed).permutation(len(b))
+        proj_p, _ = forward(params, QpInstance(Q=inst.Q, c=inst.c, A=A[perm], b=b[perm]), 2)
+        np.testing.assert_array_equal(proj.P, proj_p.P)
+
+
 def test_variable_permutation_equivariance():
     inst = _dyadic_instance(3)
     params = _dyadic_params(7, k=2)
@@ -141,6 +166,102 @@ def test_empty_neighbor_sets_contribute_zero():
     proj, tape = forward(params, inst, 2)
     assert np.all(np.isfinite(proj.P))
     assert np.all(tape.agg_cv[0] == 0.0)
+
+
+# --- bound rows -----------------------------------------------------------
+# A row of A with one nonzero passes its messages by a gather and a
+# scatter-add; tests.oracles.dense_gnn is the same network with every row
+# in one dense product. SPLIT_MIN_ENTRIES = 0 puts these small instances on
+# the split path.
+
+def _bound_instance(case, n=6):
+    rng = np.random.default_rng(20)
+    B = rng.normal(size=(n, n))
+    e, dense = np.eye(n), rng.normal(size=(2, n))
+    A = {"regression": np.vstack([dense, -e]),                # [A'; -I]
+         "box": np.vstack([e[[1]], dense, -e[[1]], -e[[4]]]),  # two rows on x_1
+         "coefficient": np.vstack([dense, 2.5 * e[[3]], -e[[0]]]),
+         "zero_row": np.vstack([dense[:1], np.zeros((1, n)), -e[[2]], dense[1:]]),
+         "all_bounds": np.vstack([-e[[5, 0, 2]], e[[0]]]),
+         "no_rows": np.zeros((0, n))}[case]
+    return QpInstance(Q=B @ B.T + np.eye(n), c=rng.normal(size=n), A=A,
+                      b=rng.uniform(0.5, 2.0, len(A)))
+
+
+def _assert_matches_dense(params, inst, k):
+    G = np.random.default_rng(5).normal(size=(inst.n_vars, k))
+    proj, tape = forward(params, inst, k)
+    assert not tape.fallback
+    P_ref, grad_ref = dense_gnn(params, inst, G)
+    np.testing.assert_allclose(proj.P, P_ref, rtol=0, atol=1e-12)
+    grad = backward(tape, params, G).to_vector()
+    assert np.abs(grad - grad_ref).max() <= 1e-10 * np.abs(grad_ref).max()
+    return tape
+
+
+@pytest.mark.parametrize("case", ["regression", "box", "coefficient", "zero_row",
+                                  "all_bounds", "no_rows"])
+def test_bound_rows_match_dense_reference(case, monkeypatch):
+    monkeypatch.setattr(gnn, "SPLIT_MIN_ENTRIES", 0)
+    inst = _bound_instance(case)
+    tape = _assert_matches_dense(init_params(3, h=8, l=2, k=3, h_g=8), inst, 3)
+    n_bound = int((np.count_nonzero(inst.A, axis=1) == 1).sum())
+    assert tape.rows.split == inst.n_cons - n_bound
+
+
+def test_split_size_rule():
+    # regression N=100 (s * N = 10^4) stays on the dense path, N=200
+    # (4 * 10^4) splits its 200 bound rows off
+    params = init_params(1, h=8, l=2, k=3, h_g=8)
+    _, tape = forward(params, gen_regression(n=100, m=10, seed=0), 3)
+    assert tape.rows.split == 110 and tape.rows.val is None
+    tape = _assert_matches_dense(params, gen_regression(n=200, m=20, seed=0), 3)
+    assert tape.rows.split == 20
+
+
+def test_end_to_end_theta_gradient_with_bound_rows(monkeypatch):
+    # criterion 3 on an instance whose bound rows include a box on x_1, so
+    # the finite differences pass through the gather and the scatter-add
+    monkeypatch.setattr(gnn, "SPLIT_MIN_ENTRIES", 0)
+    fd_settings = SolverSettings(eps_abs=1e-10, eps_rel=1e-10)
+    rng = np.random.default_rng(11)
+    n, k = 8, 3
+    B, e = rng.normal(size=(n, n)), np.eye(n)
+    A = np.vstack([rng.normal(size=(3, n)), e[[1]], -e[[1]], 2.5 * e[[4]], -e[[6]]])
+    inst = QpInstance(Q=B @ B.T + np.eye(n), c=2 * rng.normal(size=n), A=A,
+                      b=np.concatenate([rng.uniform(0.5, 2.0, 3), [0.3, 0.2, 1.0, 0.1]]))
+    params = None
+    for seed in range(60):
+        cand = init_params(seed, h=4, l=2, k=k, h_g=4)
+        _, tape = forward(cand, inst, k)
+        s = np.linalg.svd(tape.p_raw, compute_uv=False)
+        if s[-1] > 0.05 * s[0]:
+            params = cand
+            break
+    assert params is not None and tape.rows.split == 3
+
+    proj0, tape0 = forward(params, inst, k)
+    res0 = solve_qp(project(inst, proj0), fd_settings)
+    assert res0.status is SolveStatus.SOLVED
+    assert (res0.lambda_star > 1e-8).any()
+    grad = backward(tape0, params, envelope_grad(inst, proj0.P, res0.y_star,
+                                                 res0.lambda_star)).to_vector()
+
+    def u_of(vec):
+        proj, _ = forward(params.from_vector(vec), inst, k)
+        res = solve_qp(project(inst, proj), fd_settings)
+        assert res.status is SolveStatus.SOLVED
+        return res.objective
+
+    vec, h = params.to_vector(), 1e-6
+    for trial in range(20):
+        d = rng.normal(size=vec.size)
+        d /= np.linalg.norm(d)
+        fd = (u_of(vec + h * d) - u_of(vec - h * d)) / (2 * h)
+        an = float(grad @ d)
+        # 2.5e-7 at worst here; criterion 3's 1e-2 would let a scatter that
+        # drops one row of the box through (7e-3)
+        assert abs(fd - an) / max(abs(fd), abs(an), 1e-10) <= 1e-4, f"direction {trial}"
 
 
 # --- gradients ------------------------------------------------------------
