@@ -29,7 +29,8 @@ RANK_RTOL = 1e-10          # |R_ii| below this (times ||P_raw||_F) is deficient
 JITTER_SCALE = 1e-6
 # bound-row entries s * N below which A stays dense: with the split, forward
 # plus backward took 1.11x the dense time on regression N=100 (s * N = 10^4),
-# 1.00x at N=160 (25,600), 0.85x at N=175 (30,625), 0.62x at N=500 (2.5 * 10^5)
+# 1.00x at N=160 (25,600), 0.85x at N=175 (30,625), 0.62x at N=500 (2.5 * 10^5);
+# A stays dense too when bounds are under half its rows (1.03x on control s = v = 40)
 SPLIT_MIN_ENTRIES = 30_000
 
 
@@ -183,7 +184,7 @@ class _Rows:
 
     def __init__(self, A, nz, bound):
         s = int(bound.sum())
-        s = s if s * A.shape[1] >= SPLIT_MIN_ENTRIES else 0     # small A stays dense
+        s = s if s * A.shape[1] >= SPLIT_MIN_ENTRIES and 2 * s >= len(bound) else 0
         self.split, self.order, self.dense, self.val = len(bound) - s, slice(None), A, None
         if s:
             col = np.argmax(nz, axis=1) * bound

@@ -33,7 +33,8 @@ when cancellation calls for it: Daniel, Gragg, Kaufman & Stewart 1976), and
 a dropped row is a qr_delete. SolveResult.adds and SolveResult.drops count
 the rows that the block rounds after round 0 and the steps make active and
 drop, summed over the proximal rounds: a start at the optimum's active set
-makes neither.
+makes neither. The factor, the active rows and their multipliers live in
+buffers allocated once per solve, and each QR is a direct LAPACK call.
 
 A result is declared Solved only when it satisfies, in infinity norm,
 
@@ -61,7 +62,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dpocon, dpotrf, dpotrs, dtrtrs
 
 from .core import NUMBER, QpInstance, objective, read_fields
 
@@ -181,6 +182,32 @@ def _tri(R, v, trans=0):
     return x
 
 
+def _qr(a, lwork, pivoting):
+    """scipy.linalg.qr(a, mode="economic", pivoting=pivoting) bitwise, as
+    (Q, R, piv), piv None without pivoting: LAPACK geqp3 or geqrf, then
+    orgqr, without that function's per-call wrapper cost. Q overwrites the
+    leading columns of a Fortran-ordered a. lwork is _qr_lwork's."""
+    k = min(a.shape)
+    if not a.size:
+        piv = np.arange(a.shape[1], dtype=np.int32) if pivoting else None
+        return a[:, :k], np.empty((k, a.shape[1])), piv
+    if pivoting:
+        a, piv, tau, _, _ = dgeqp3(a, lwork, overwrite_a=1)
+        piv -= 1
+    else:
+        (a, tau, _, _), piv = dgeqrf(a, lwork, overwrite_a=1), None
+    R = np.triu(a[:k])              # before orgqr overwrites the factored a
+    return dorgqr(a[:, :k], tau, lwork, overwrite_a=1)[0], R, piv
+
+
+def _qr_lwork(a):
+    """The largest optimal workspace of _qr's routines on a, enough for any
+    QR of fewer rows or columns; a smaller one changes LAPACK's blocking."""
+    q = a[:, :min(a.shape)]
+    return int(max(dgeqp3(a, -1, 1)[3][0], dgeqrf(a, -1, 1)[2][0],
+                   dorgqr(q, np.empty(q.shape[1]), -1, 1)[1][0]))
+
+
 def _crossover_factor(Q):
     """Upper Cholesky factor of Q when Q passes the crossover gate: LAPACK
     potrf succeeds and the pocon estimate of the reciprocal 1-norm condition
@@ -225,14 +252,18 @@ def _crossover(Q, c, A, b, lam, chol):
     Gragg, Kaufman & Stewart 1976) and a drop is a qr_delete: a step costs
     O(n^2 + mn). F and T are the first k columns of Fortran-ordered buffers
     allocated once, and trtrs reads T's upper-left k x k block at the
-    buffer's leading dimension without a copy. Block rounds after round 0
-    count against the step cap like steps."""
+    buffer's leading dimension without a copy; W and u are the first k
+    entries of two more buffers (a full step writes entry k, a drop shifts
+    the tail), and every QR is one of _qr's direct LAPACK calls. Block
+    rounds after round 0 count against the step cap like steps."""
     n, m = Q.shape[0], A.shape[0]
     adds = drops = 0
-    start = np.flatnonzero(lam > 0)
+    start = (lam > 0).nonzero()[0]
     # round 0 writes every starting row into the basis buffer before its QR
     basis = np.empty((n, max(min(n, m), start.size)), order="F")
     tri = np.zeros((min(n, m), min(n, m)), order="F")
+    W_buf, u_buf = np.empty(min(n, m), dtype=np.intp), np.empty(min(n, m))
+    lwork = _qr_lwork(basis)          # every QR of the solve fits in the basis buffer
 
     def delete(F, T, j):
         """Thin QR without column j, written back into the buffers (at
@@ -243,117 +274,113 @@ def _crossover(Q, c, A, b, lam, chol):
         return F[:, :k], T[:, :k]
 
     def bulk_delete(F, T, kept):
-        """Thin QR of the columns where the mask kept is true, written back
-        into the buffers: the kept columns after the first dropped one are
-        refactored."""
-        j0, k = int(np.argmin(kept)), F.shape[1]
-        tail = j0 + np.flatnonzero(kept[j0:])
+        """F, T and W without the columns where the mask kept is false, in the
+        buffers: the kept columns after the first dropped one are refactored."""
+        j0, k = int(kept.argmin()), F.shape[1]
+        tail = j0 + kept[j0:].nonzero()[0]
         k1 = j0 + tail.size
-        q, S = scipy.linalg.qr(T[j0:k, tail], mode="economic", check_finite=False)
+        q, S, _ = _qr(T[j0:k, tail], lwork, False)
         tri[:j0, j0:k1], tri[j0:k1, j0:k1] = T[:j0, tail], S
         basis[:, j0:k1] = F[:, j0:k] @ q
+        W_buf[j0:k1] = W_buf[tail]
         return basis[:, :k1], tri[:, :k1]
 
     def append(F, T, rows):
         """F and T with the rows that are independent of F and of each other
-        appended in the buffers, and those rows: R^-T A_rows' is formed in the
-        free columns of the basis buffer, orthogonalized against F twice and
-        factored by pivoted QR, keeping its independent prefix. LAPACK
-        overwrites the buffer's Fortran-ordered columns in place, so the
-        assignments back copy the columns onto themselves."""
+        appended in the buffers, and their number: R^-T A_rows' is formed in
+        the free columns of the basis buffer, orthogonalized against F twice
+        and factored there by a pivoted _qr, whose Q's prefix is F's new columns."""
         k = F.shape[1]
         M = basis[:, k:k + rows.size]
         np.take(A, rows, axis=0, mode="clip", out=M.T)
         M[:] = dtrtrs(chol, M, trans=1, overwrite_b=1)[0]   # chol passed the gate
-        norms = np.linalg.norm(M, axis=0)
+        norms = np.sqrt(np.add.reduce(M * M, axis=0))     # np.linalg.norm(M, axis=0)
         coef = np.zeros((k, rows.size))
         for _ in range(2 if k else 0):
             coef2 = F.T @ M
             M -= F @ coef2
             coef += coef2
-        q, S, piv = scipy.linalg.qr(M, mode="economic", pivoting=True, overwrite_a=True,
-                                    check_finite=False)
+        _, S, piv = _qr(M, lwork, True)
         # round 0 may bring more rows than n, and S then fewer rows than M
-        dep = np.abs(np.diag(S)) <= CROSSOVER_DEP_TOL * norms[piv[:S.shape[0]]]
-        keep = np.argmax(dep) if dep.any() else dep.size
-        M[:, :keep] = q[:, :keep]
-        tri[:k, k:k + keep] = coef[:, piv[:keep]]
-        tri[k:k + keep, k:k + keep] = S[:keep, :keep]
-        return basis[:, :k + keep], tri[:, :k + keep], rows[piv[:keep]]
+        dep = np.abs(S.diagonal()) <= CROSSOVER_DEP_TOL * norms[piv[:S.shape[0]]]
+        keep = int(dep.argmax()) if dep.any() else dep.size
+        tri[:k, k:k + keep], tri[k:k + keep, k:k + keep] = coef[:, piv[:keep]], S[:keep, :keep]
+        W_buf[k:k + keep] = rows[piv[:keep]]
+        return basis[:, :k + keep], tri[:, :k + keep], keep
 
-    def multipliers(F, T, W):
-        return _tri(T, F.T @ g - _tri(T, b[W], trans=1))
+    def multipliers(F, T):
+        return _tri(T, F.T @ g - _tri(T, b[W_buf[:F.shape[1]]], trans=1))
 
-    def block_round(F, T, W, rows):
+    def block_round(F, T, rows):
         """Append rows, then drop every negative multiplier at once until
-        none is left: returns F, T, W, u, y and the number of rows appended."""
-        F, T, rows = append(F, T, rows)
-        W = np.concatenate((W, rows))
-        u = multipliers(F, T, W)
-        while W.size and u.min() < 0.0:
-            kept = u >= 0.0
-            F, T = bulk_delete(F, T, kept)
-            W = W[kept]
-            u = multipliers(F, T, W)
-        return F, T, W, u, _tri(chol, g - F @ (T[:W.size] @ u)), rows.size
+        none is left: returns F, T, y and the number of rows appended."""
+        F, T, added = append(F, T, rows)
+        u = multipliers(F, T)
+        while u.size and u.min() < 0.0:
+            F, T = bulk_delete(F, T, u >= 0.0)
+            u = multipliers(F, T)
+        u_buf[:u.size] = u
+        return F, T, _tri(chol, g - F @ (T[:u.size] @ u)), added
 
     g = _tri(chol, -c, trans=1)
     # 1-2. round 0: the independent starting rows with u >= 0. The block
     # rounds go on while each round, this one included, grows W and drops
     # fewer than half of the rows it appends: else the rows that y violates
     # are a poor guess of the optimum's active set
-    F, T, W, u, y, added = block_round(basis[:, :0], tri[:, :0], start[:0], start)
-    block = 2 * W.size > added
+    F, T, y, added = block_round(basis[:, :0], tri[:, :0], start)
+    block = 2 * F.shape[1] > added
     # 3. add the most violated row: partial steps drop a blocking row, a
     # full step makes the added row active
     steps = 0
-    b_max = np.abs(b).max(initial=0.0)
-    a_max = np.abs(A).sum(axis=1).max(initial=0.0)
+    b_max = float(np.abs(b).max(initial=0.0))
+    a_max = float(np.abs(A).sum(axis=1).max(initial=0.0))
     while m:
         slack = A @ y - b
-        p = int(np.argmax(slack))
-        s_p, u_p = slack[p], 0.0
+        p = int(slack.argmax())
+        s_p, u_p, k = float(slack[p]), 0.0, F.shape[1]
         # 4. stop when no row is violated beyond round-off
         # (the scale bounds the round-off of A @ y, cancellation included)
-        tol = CROSSOVER_VIOL_TOL * (1.0 + b_max + a_max * np.abs(y).max())
+        tol = CROSSOVER_VIOL_TOL * (1.0 + b_max + a_max * float(np.abs(y).max()))
         if s_p <= tol:
             break
         if block:
-            rows = np.flatnonzero(slack > tol)
-            block = 2 <= rows.size <= min(n, m) - W.size
+            rows = (slack > tol).nonzero()[0]
+            block = 2 <= rows.size <= min(n, m) - k
         if block:
             steps += 1
             if steps > CROSSOVER_MAX_STEPS * (n + m):
                 return None, None, adds, drops
-            size = W.size
-            F, T, W, u, y, added = block_round(F, T, W, rows)
+            F, T, y, added = block_round(F, T, rows)
             adds += added
-            drops += size + added - W.size
-            block = 2 * (W.size - size) > added
+            drops += k + added - F.shape[1]
+            block = 2 * (F.shape[1] - k) > added
             continue
         v = _tri(chol, A[p], trans=1)
-        v2 = v @ v
+        v2 = float(v @ v)
         while True:
             steps += 1
             if steps > CROSSOVER_MAX_STEPS * (n + m):
                 return None, None, adds, drops
+            k = F.shape[1]
             coef = F.T @ v
             r = _tri(T, coef)              # rate at which the multipliers fall
             w = v - F @ coef               # R times the primal step direction
-            w2 = w @ w
-            dependent = np.sqrt(w2) <= CROSSOVER_DEP_TOL * np.sqrt(v2)
+            w2 = float(w @ w)
+            dependent = math.sqrt(w2) <= CROSSOVER_DEP_TOL * math.sqrt(v2)
             t_full = math.inf if dependent else s_p / w2
-            blocking = np.flatnonzero(r > 0.0)
-            ratios = u[blocking] / r[blocking]
-            t_part = ratios.min(initial=math.inf)
+            ratios = np.full(k + 1, math.inf)      # entry k: no r_j > 0
+            np.divide(u_buf[:k], r, out=ratios[:k], where=r > 0.0)
+            j = int(ratios.argmin())
+            t_part = float(ratios[j])
             if math.isinf(t_full) and math.isinf(t_part):
                 # a_p = A_W' r with r <= 0, and A_W y = b_W: e_W = -r, e_p = 1
                 # gives A'e = 0 and b'e = b_p - r'b_W = -s_p < 0
                 e = np.zeros(m)
-                e[W], e[p] = -r, 1.0
+                e[W_buf[:k]], e[p] = -r, 1.0
                 return None, e, adds, drops
             t = min(t_full, t_part)
-            u, u_p = u - t * r, u_p + t
+            u_buf[:k] -= t * r
+            u_p += t
             if not dependent:
                 y = y - t * _tri(chol, w)
                 s_p -= t * w2
@@ -364,20 +391,18 @@ def _crossover(Q, c, A, b, lam, chol):
                     coef2 = F.T @ w
                     w -= F @ coef2
                     coef += coef2
-                    w2 = w @ w
-                k = F.shape[1]
-                basis[:, k] = w / np.sqrt(w2)
-                tri[:k, k], tri[k, k] = coef, np.sqrt(w2)
+                    w2 = float(w @ w)
+                basis[:, k] = w / math.sqrt(w2)
+                tri[:k, k], tri[k, k] = coef, math.sqrt(w2)
                 F, T = basis[:, :k + 1], tri[:, :k + 1]
-                W, u = np.append(W, p), np.append(u, u_p)
+                W_buf[k], u_buf[k] = p, u_p
                 adds += 1
                 break
-            drop = blocking[np.argmin(ratios)]
-            W, u = np.delete(W, drop), np.delete(u, drop)
-            F, T = delete(F, T, drop)
+            W_buf[j:k - 1], u_buf[j:k - 1] = W_buf[j + 1:k], u_buf[j + 1:k]
+            F, T = delete(F, T, j)
             drops += 1
     lam_out = np.zeros(m)
-    lam_out[W] = np.maximum(u, 0.0)
+    lam_out[W_buf[:F.shape[1]]] = np.maximum(u_buf[:F.shape[1]], 0.0)
     return y, lam_out, adds, drops
 
 

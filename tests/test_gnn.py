@@ -172,7 +172,7 @@ def test_empty_neighbor_sets_contribute_zero():
 # A row of A with one nonzero passes its messages by a gather and a
 # scatter-add; tests.oracles.dense_gnn is the same network with every row
 # in one dense product. SPLIT_MIN_ENTRIES = 0 puts these small instances on
-# the split path.
+# the split path; in each, at least half of the rows are bounds.
 
 def _bound_instance(case, n=6):
     rng = np.random.default_rng(20)
@@ -181,7 +181,8 @@ def _bound_instance(case, n=6):
     A = {"regression": np.vstack([dense, -e]),                # [A'; -I]
          "box": np.vstack([e[[1]], dense, -e[[1]], -e[[4]]]),  # two rows on x_1
          "coefficient": np.vstack([dense, 2.5 * e[[3]], -e[[0]]]),
-         "zero_row": np.vstack([dense[:1], np.zeros((1, n)), -e[[2]], dense[1:]]),
+         "zero_row": np.vstack([dense[:1], np.zeros((1, n)), -e[[2]], e[[5]], dense[1:],
+                                e[[0]]]),
          "all_bounds": np.vstack([-e[[5, 0, 2]], e[[0]]]),
          "no_rows": np.zeros((0, n))}[case]
     return QpInstance(Q=B @ B.T + np.eye(n), c=rng.normal(size=n), A=A,
@@ -211,12 +212,23 @@ def test_bound_rows_match_dense_reference(case, monkeypatch):
 
 def test_split_size_rule():
     # regression N=100 (s * N = 10^4) stays on the dense path, N=200
-    # (4 * 10^4) splits its 200 bound rows off
+    # (4 * 10^4) splits its 200 bound rows (91% of A's) off. Control
+    # s = v = 40 has 80 bound rows of 800 (s * N = 32,000): too few of the
+    # rows for the split to pay for copying the other rows out of A
+    from qproj.datasets import gen_control
+
     params = init_params(1, h=8, l=2, k=3, h_g=8)
     _, tape = forward(params, gen_regression(n=100, m=10, seed=0), 3)
     assert tape.rows.split == 110 and tape.rows.val is None
     tape = _assert_matches_dense(params, gen_regression(n=200, m=20, seed=0), 3)
     assert tape.rows.split == 20
+    inst = gen_control(s=40, v=40, t=5, seed=0)
+    nz = inst.A != 0.0
+    bound = nz.sum(axis=1) == 1
+    assert (inst.A.shape, int(bound.sum())) == ((800, 400), 80)
+    assert int(bound.sum()) * inst.A.shape[1] >= gnn.SPLIT_MIN_ENTRIES
+    _, tape = forward(params, inst, 3)
+    assert tape.rows.split == 800 and tape.rows.val is None
 
 
 def test_end_to_end_theta_gradient_with_bound_rows(monkeypatch):

@@ -2,9 +2,9 @@
 
 The JSON writers encode with json.dumps (the C encoder); each file must
 equal what json.dump (the pure-Python encoder) writes for the same document
-with the same options. The crossover's direct LAPACK trtrs call must equal
-scipy.linalg.solve_triangular bitwise. Everything is compared in
-process, so the tests hold on any machine."""
+with the same options. The crossover's direct LAPACK calls must equal
+scipy.linalg.solve_triangular and scipy.linalg.qr bitwise. Everything is
+compared in process, so the tests hold on any machine."""
 
 import io
 import json
@@ -19,7 +19,7 @@ from qproj.core import instance_to_dict
 from qproj.datasets import gen_split, generate_instance
 from qproj.evaluate import SolutionCache
 from qproj.gnn import init_params, load_checkpoint, save_checkpoint
-from qproj.solver import _tri, solve_qp
+from qproj.solver import _qr, _qr_lwork, _tri, solve_qp
 
 
 def python_encoded(doc, **options) -> bytes:
@@ -133,3 +133,40 @@ def test_tri_empty_operands_and_singular_factor():
             _tri(R, np.ones(3), trans=trans)
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.solve_triangular(R, np.ones(3), trans=trans)
+
+
+# tall as a paper-scale bulk drop or block round, wide as round 0 of a
+# reduced K=30 solve (more starting rows than variables), one column, empty
+@pytest.mark.parametrize("shape", [(500, 270), (30, 250), (9, 1), (7, 0), (0, 0)])
+@pytest.mark.parametrize("pivoting", [False, True])
+def test_qr_matches_scipy_qr(shape, pivoting):
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=shape)
+    if shape[1] > 5:
+        a[:, 5] = 2.0 * a[:, 1] - a[:, 3]      # a dependent column
+    want = scipy.linalg.qr(a, mode="economic", pivoting=pivoting, check_finite=False)
+    buf = np.asfortranarray(a.copy())
+    got = _qr(buf, _qr_lwork(buf) if buf.size else 1, pivoting)
+    if not pivoting:
+        assert got[2] is None
+        got = got[:2]
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+    if buf.size:     # Q overwrites the leading columns of the buffer
+        assert np.shares_memory(got[0], buf)
+
+
+def test_qr_workspace_covers_smaller_blocks():
+    # a bulk drop factors a block of the triangular buffer with the
+    # workspace of the whole basis buffer: a larger one than LAPACK's optimum
+    # for that block gives the same bytes
+    rng = np.random.default_rng(9)
+    lwork = _qr_lwork(np.empty((500, 550), order="F"))
+    for shape in [(40, 33), (250, 249), (500, 270)]:
+        a = rng.normal(size=shape)
+        for pivoting in (False, True):
+            want = scipy.linalg.qr(a, mode="economic", pivoting=pivoting, check_finite=False)
+            got = _qr(np.asfortranarray(a.copy()), lwork, pivoting)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))

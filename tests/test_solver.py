@@ -279,22 +279,20 @@ def test_crossover_start_refactors_once_per_round():
 def test_block_rounds_run_below_the_gate(monkeypatch, seed, u_star):
     # full control solves fail the gate and take proximal rounds on
     # Q + delta I. These three also take a block round: they make more
-    # pivoted QRs in place (one round 0 per proximal round, and the block
-    # rounds) than they take proximal rounds. The optima are those of the
-    # single steps that finished these solves before
-    import scipy.linalg
-
+    # pivoted QRs (one round 0 per proximal round, and the block rounds)
+    # than they take proximal rounds. The optima are those of the single
+    # steps that finished these solves before
     from qproj.datasets import generate_instance
 
     pivoted = 0
-    qr = scipy.linalg.qr
+    qr = solver._qr
 
-    def counting_qr(a, *args, **kwargs):
+    def counting_qr(a, lwork, pivoting):
         nonlocal pivoted
-        pivoted += bool(kwargs.get("overwrite_a") and kwargs.get("pivoting"))
-        return qr(a, *args, **kwargs)
+        pivoted += pivoting
+        return qr(a, lwork, pivoting)
 
-    monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+    monkeypatch.setattr(solver, "_qr", counting_qr)
     inst = generate_instance("control", {"s": 10, "v": 10, "t": 5}, seed)
     res = solve_qp(inst)
     assert (res.status, res.iterations) == (SolveStatus.SOLVED, 2)
@@ -546,24 +544,24 @@ def test_block_rounds_match_brute_force_oracle(monkeypatch):
     # unconstrained minimizer violates; starts from one random row of random
     # QPs make rounds whose appended rows turn multipliers negative, which
     # the round drops at once. Round 0 and the block rounds are the only
-    # pivoted QRs made in place, a bulk drop the only QR without pivoting,
+    # pivoted QRs (solver._qr), a bulk drop the only QR without pivoting,
     # and a single step's drop the only qr_delete
     import scipy.linalg
 
     counts = {"solves": 0, "rounds": 0, "dependent": 0, "bulk": 0, "qr_delete": 0}
-    qr, qr_delete, crossover = scipy.linalg.qr, scipy.linalg.qr_delete, solver._crossover
+    qr, qr_delete, crossover = solver._qr, scipy.linalg.qr_delete, solver._crossover
 
     def counting_crossover(*args):
         counts["solves"] += 1
         return crossover(*args)
 
-    def counting_qr(a, *args, **kwargs):
-        out = qr(a, *args, **kwargs)
-        if kwargs.get("overwrite_a") and kwargs.get("pivoting"):
+    def counting_qr(a, lwork, pivoting):
+        out = qr(a, lwork, pivoting)
+        if pivoting:
             diag = np.abs(np.diag(out[1]))
             counts["rounds"] += 1
             counts["dependent"] += diag.min(initial=np.inf) <= 1e-12 * diag.max(initial=0.0)
-        elif not kwargs.get("pivoting"):
+        else:
             counts["bulk"] += 1
         return out
 
@@ -571,7 +569,7 @@ def test_block_rounds_match_brute_force_oracle(monkeypatch):
         counts["qr_delete"] += 1
         return qr_delete(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+    monkeypatch.setattr(solver, "_qr", counting_qr)
     monkeypatch.setattr(scipy.linalg, "qr_delete", counting_qr_delete)
     monkeypatch.setattr(solver, "_crossover", counting_crossover)
     # min 1/2 |y|^2 - 2 y_3 with rows 1 and 2 equal: round 0 takes row 0,
@@ -661,3 +659,120 @@ def test_lp_status_matches_highs():
             assert "certificate" in res.message, trial
         seen.add(lp.status)
     assert seen == set(want)
+
+
+def _recorded_qr_deletes(monkeypatch):
+    """(column, columns) of every qr_delete, which only a single step's drop
+    makes, recorded in a list that the caller may clear."""
+    import scipy.linalg
+
+    calls, qr_delete = [], scipy.linalg.qr_delete
+
+    def recording(Q, R, j, *args, **kwargs):
+        calls.append((j, Q.shape[1]))
+        return qr_delete(Q, R, j, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr_delete", recording)
+    return calls
+
+
+def test_single_step_drops_then_full_steps_match_brute_force_oracle(monkeypatch):
+    # W and u live in buffers: a full step writes entry k, and a single
+    # step's drop shifts the entries after the dropped one. Random starts
+    # make drops of rows inside W, not only its last one; a solve that
+    # returns a point ends every step loop with a full step
+    calls = _recorded_qr_deletes(monkeypatch)
+    inner = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(3, 7)), int(rng.integers(4, 10))
+        inst = random_pd_instance(rng, n, m)
+        inst = QpInstance(Q=inst.Q, c=5.0 * inst.c, A=inst.A, b=inst.b)
+        start = (rng.uniform(size=m) < 0.5).astype(float)
+        calls.clear()
+        y, lam, adds, drops = solver._crossover(inst.Q, inst.c, inst.A, inst.b, start,
+                                                solver._crossover_factor(inst.Q))
+        assert y is not None and drops >= len(calls), seed
+        ref, _ = brute_force_min(inst.Q, inst.c, inst.A, inst.b)
+        assert objective(inst, y) == pytest.approx(ref, rel=1e-9, abs=1e-9), seed
+        scale = 1.0 + np.abs(inst.b).max() + np.abs(inst.c).max()
+        assert max(kkt_residuals(inst, y, lam)) <= 1e-12 * scale, seed
+        assert lam.min() >= 0.0
+        inner += any(j < k - 1 for j, k in calls)
+    assert inner >= 8
+
+
+def _farkas_instance(rng):
+    """Strictly convex QP whose last row contradicts a positive combination
+    of the others: infeasible."""
+    n, m = int(rng.integers(2, 6)), int(rng.integers(2, 8))
+    B = rng.normal(size=(n, n))
+    A, b, c = rng.normal(size=(m, n)), rng.normal(size=m), 5.0 * rng.normal(size=n)
+    w = rng.uniform(0.1, 1.0, size=m)
+    return QpInstance(Q=B @ B.T + np.eye(n), c=c, A=np.vstack([A, -w @ A]),
+                      b=np.append(b, -w @ b - rng.uniform(0.1, 1.0)))
+
+
+def test_farkas_vector_after_a_single_step_drop(monkeypatch):
+    # from an empty start a single step drops a row inside W, and a later
+    # step meets a violated row that depends on W with no multiplier to
+    # block it: the Farkas vector is -r on the buffered W and 1 on that row
+    calls = _recorded_qr_deletes(monkeypatch)
+    inner = 0
+    for seed in range(40):
+        inst = _farkas_instance(np.random.default_rng(seed))
+        calls.clear()
+        y, e, _, drops = solver._crossover(inst.Q, inst.c, inst.A, inst.b, np.zeros(inst.n_cons),
+                                           solver._crossover_factor(inst.Q))
+        assert y is None and e is not None, seed
+        assert solver._is_farkas(inst.A, inst.b, e), seed
+        assert solve_qp(inst).status is SolveStatus.PRIMAL_INFEASIBLE, seed
+        inner += any(j < k - 1 for j, k in calls)
+    assert inner >= 5
+
+
+def test_step_cap_exit_after_some_steps(monkeypatch):
+    # a cap of s steps (block rounds count too) ends the solve at step s + 1
+    # with neither a point nor a vector, after the steps before it wrote the
+    # buffers; the smallest cap that lets it finish gives the oracle's optimum
+    rng = np.random.default_rng(3)
+    inst = random_pd_instance(rng, 6, 12)
+    inst = QpInstance(Q=inst.Q, c=5.0 * inst.c, A=inst.A, b=inst.b)
+    chol = solver._crossover_factor(inst.Q)
+    cols = inst.n_vars + inst.n_cons
+    capped = []
+    for s in range(0, 40):
+        monkeypatch.setattr(solver, "CROSSOVER_MAX_STEPS", (s + 0.5) / cols)
+        y, lam, adds, drops = solver._crossover(inst.Q, inst.c, inst.A, inst.b,
+                                                np.zeros(inst.n_cons), chol)
+        if y is not None:
+            break
+        assert lam is None
+        capped.append(adds + drops)
+    assert len(capped) >= 4 and capped[-1] > capped[0]
+    ref, _ = brute_force_min(inst.Q, inst.c, inst.A, inst.b)
+    assert objective(inst, y) == pytest.approx(ref, rel=1e-9, abs=1e-9)
+    monkeypatch.setattr(solver, "CROSSOVER_MAX_STEPS", 1.5 / cols)
+    res = solve_qp(inst)
+    assert (res.status, res.iterations) == (SolveStatus.MAX_ITER_REACHED, 0)
+    assert "step cap" in res.message
+
+
+def test_no_rows_leave_the_buffers_empty():
+    # m = 0: the buffers of W and u hold nothing, round 0 factors an empty
+    # block, and the step loop never runs, above the gate and below it
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        B = rng.normal(size=(n, n))
+        inst = QpInstance(Q=B @ B.T + 0.1 * np.eye(n), c=rng.normal(size=n),
+                          A=np.zeros((0, n)), b=np.zeros(0))
+        res = solve_qp(inst)
+        assert (res.status, res.iterations, res.adds, res.drops) == (SolveStatus.SOLVED, 0, 0, 0)
+        assert res.lambda_star.shape == (0,)
+        ref, _ = brute_force_min(inst.Q, inst.c, inst.A, inst.b)
+        assert res.objective == pytest.approx(ref, rel=1e-9, abs=1e-9), seed
+    inst = QpInstance(Q=[[1.0, 0.0], [0.0, 0.0]], c=[-1.0, 0.0], A=np.zeros((0, 2)), b=[])
+    res = solve_qp(inst)
+    assert res.status is SolveStatus.SOLVED and res.iterations > 0
+    assert res.objective == pytest.approx(-0.5, rel=1e-9)
