@@ -11,7 +11,7 @@ Run:  python demos/02_train_generator.py          (about a minute)
 import numpy as np
 
 from qproj.datasets import gen_regression
-from qproj.evaluate import OursMethod, RandMethod, SolutionCache, evaluate_method
+from qproj.evaluate import SolutionCache, evaluate_method, ours_method, rand_method
 from qproj.training import TrainConfig, train
 
 N, M, T, K = 60, 12, 120, 8
@@ -28,8 +28,8 @@ for i, (tr, vl) in enumerate(zip(report.train_loss, report.val_loss)):
     print(f"{i:5d}  {tr:20.4f}   {vl:15.4f}{marker}")
 
 cache = SolutionCache()
-ours = evaluate_method(OursMethod(params), test_set, cache=cache, timing_repeats=0)
-rand = evaluate_method(RandMethod(K, base_seed=0), test_set, cache=cache,
+ours = evaluate_method(ours_method(params), test_set, cache=cache, timing_repeats=0)
+rand = evaluate_method(rand_method(K, base_seed=0), test_set, cache=cache,
                        timing_repeats=0)
 e_ours = np.mean([r.relative_error for r in ours])
 e_rand = np.mean([r.relative_error for r in rand])

@@ -11,13 +11,13 @@ import numpy as np
 from qproj.baselines import direct_train, pca_projection, sharedp_train
 from qproj.datasets import gen_regression
 from qproj.evaluate import (
-    DirectMethod,
-    FixedProjectionMethod,
-    FullMethod,
-    OursMethod,
-    RandMethod,
+    FULL,
     SolutionCache,
+    direct_method,
     evaluate_method,
+    fixed_method,
+    ours_method,
+    rand_method,
 )
 from qproj.training import TrainConfig, train
 
@@ -35,15 +35,15 @@ shared_cfg = TrainConfig(k=K, batch_size=8, max_epochs=25, learning_rate=2e-2,
                          seed=0)
 shared = sharedp_train(train_set, val_set, shared_cfg)
 direct_cfg = TrainConfig(k=1, batch_size=8, max_epochs=10, seed=0)
-direct_params, _ = direct_train(train_set, val_set, direct_cfg, cache=cache)
+direct_params, _ = direct_train(train_set, val_set, direct_cfg)
 
 methods = [
-    OursMethod(ours_params),
-    RandMethod(K, base_seed=0),
-    FixedProjectionMethod(pca_projection(sols, K).P, "pca"),
-    FixedProjectionMethod(shared.P, "sharedp"),
-    DirectMethod(direct_params),
-    FullMethod(),
+    ours_method(ours_params),
+    rand_method(K, base_seed=0),
+    fixed_method(pca_projection(sols, K).P, "pca"),
+    fixed_method(shared.P, "sharedp"),
+    direct_method(direct_params),
+    FULL,
 ]
 
 print(f"{'method':9s} {'mean err':>9s} {'feasible':>9s} {'median time':>12s}")

@@ -34,7 +34,7 @@ for d in (10, 100, 1000, 10000):
 print("\nempirical norm-bound check (per-instance constants):")
 instances = [gen_regression(n=40, m=8, t=80, seed=s) for s in range(20)]
 params = init_params(0, h=8, l=2, k=4, h_g=8)
-report = validate_norm_bound(instances, params, 4)
+report = validate_norm_bound(instances, params)
 margins = np.array([r.margin for r in report.rows])
 print(f"instances checked: {len(report.rows)}, violations: {report.violations}")
 print(f"margin (Y_max - |y*|_1): min {margins.min():.3f}, "
@@ -47,8 +47,8 @@ from qproj.core import QpInstance
 
 pinned = QpInstance(Q=[[1.0]], c=[0.0], A=[[-1.0]], b=[-1.0])
 tiny_net = init_params(0, h=4, l=1, k=1, h_g=4)
-honest = validate_norm_bound([pinned], tiny_net, 1)
-forced = validate_norm_bound([pinned], tiny_net, 1, b_override=0.1)
+honest = validate_norm_bound([pinned], tiny_net)
+forced = validate_norm_bound([pinned], tiny_net, b_override=0.1)
 print(f"honest b:      margin {honest.rows[0].margin:+.4f} "
       f"({honest.violations} violations)")
 print(f"b forced low:  margin {forced.rows[0].margin:+.4f} "

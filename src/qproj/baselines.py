@@ -19,7 +19,7 @@ from .gnn import (
 )
 from .solver import SolveStatus, solve_qp
 from .training import TrainConfig, adam_fit, envelope_grad, validation_loss
-from .evaluate import DirectMethod, FixedProjectionMethod, SolutionCache
+from .evaluate import SolutionCache, direct_method, fixed_method
 
 
 def rand_projection(n: int, k: int, seed: int) -> ProjectionMatrix:
@@ -114,8 +114,7 @@ def sharedp_train(train_set, val_set, config: TrainConfig) -> ProjectionMatrix:
         return _orthonormal_columns(vec.reshape(n, k)).ravel()
 
     def val_loss(vec):
-        return validation_loss(FixedProjectionMethod(vec.reshape(n, k), "sharedp"),
-                               val_set, cache)
+        return validation_loss(fixed_method(vec.reshape(n, k), "sharedp"), val_set, cache)
 
     # start from a coordinate selection: on families with sign-constrained
     # variables a dense random subspace pins the reduced optimum at zero,
@@ -145,20 +144,19 @@ def direct_loss_grad(inst: QpInstance, x, x_star, lambda_pen: float):
     return loss, grad
 
 
-def direct_train(train_set, val_set, config: TrainConfig,
-                 cache: SolutionCache | None = None) -> tuple[ModelParams, float]:
+def direct_train(train_set, val_set, config: TrainConfig) -> tuple[ModelParams, float]:
     """Supervised training on precomputed optima of a GNN backbone with a
     single-output head, whose raw column is the predicted solution (no
     feasibility repair). The penalty weight is selected from a fixed grid by
     validation loss; returns (params, penalty weight)."""
-    cache = cache or SolutionCache(settings=config.solver)
+    cache = SolutionCache(settings=config.solver)
     x_stars = [np.asarray(e["x_star"]) for e in cache.warm(train_set)]
     cache.warm(val_set)
     template = init_params(config.seed, h=config.hidden, l=config.layers,
                            k=1, h_g=config.head_hidden)
 
     def val_loss(vec):
-        return validation_loss(DirectMethod(template.from_vector(vec)), val_set, cache)
+        return validation_loss(direct_method(template.from_vector(vec)), val_set, cache)
 
     best = (np.inf, None, None)
     for lambda_pen in DIRECT_PENALTY_GRID:

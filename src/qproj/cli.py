@@ -150,7 +150,6 @@ def cmd_eval(args, cfg):
         method,
         manifest.load_split(_pick(args, cfg, "split", "test")),
         k=k,
-        settings=settings,
         cache=SolutionCache(cache_dir=_pick(args, cfg, "cache-dir", None),
                             settings=settings),
         timing_repeats=_pick(args, cfg, "timing-repeats", 3),
@@ -238,7 +237,7 @@ def cmd_theory(args, cfg):
         manifest = DatasetManifest.load(_pick(args, cfg, "manifest"))
         params = load_checkpoint(_pick(args, cfg, "checkpoint"))
         report = validate_norm_bound(manifest.load_split("test"), params,
-                                     params.k, settings=_solver_settings(args, cfg))
+                                     settings=_solver_settings(args, cfg))
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "norm_bound.csv")
         report.to_csv(path)

@@ -22,6 +22,7 @@ import tempfile
 import time
 from dataclasses import astuple, dataclass, fields as dc_fields
 from functools import cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .core import (
     PATH,
     TEXT,
     Kind,
-    ProjectionMatrix,
     QpInstance,
     array,
     each,
@@ -170,73 +170,45 @@ class SolutionCache:
 
 
 # ---------------------------------------------------------------------------
-# Method wrappers. Each exposes a name and either a projection per instance
-# or a direct solution estimate.
+# Methods. A method has a name, the K it emits (0: none), and makes its point
+# from projection(inst, index), a ProjectionMatrix for a reduced solve, or
+# predict(inst), the point itself; a method with neither is the full solve.
 
-class ProjectionMethod:
-    kind = "projection"
-
-    def make_projection(self, inst: QpInstance, index: int) -> ProjectionMatrix:
-        raise NotImplementedError
-
-
-class OursMethod(ProjectionMethod):
-    name = "ours"
-
-    def __init__(self, params: ModelParams):
-        self.params = params
-        self.k = params.k
-
-    def make_projection(self, inst, index):
-        proj, _ = forward(self.params, inst, self.k)
-        return proj
+class Method(NamedTuple):
+    name: str
+    k: int = 0
+    projection: Callable | None = None
+    predict: Callable | None = None
 
 
-class RandMethod(ProjectionMethod):
+FULL = Method("full")
+
+
+def ours_method(params: ModelParams) -> Method:
+    return Method("ours", params.k, lambda inst, index: forward(params, inst, params.k)[0])
+
+
+def rand_method(k: int, base_seed: int = 0) -> Method:
     """Uniformly selects K coordinates; instance d uses seed base_seed + d."""
-
-    name = "rand"
-
-    def __init__(self, k: int, base_seed: int = 0):
-        self.k = k
-        self.base_seed = base_seed
-
-    def make_projection(self, inst, index):
+    def projection(inst, index):
         from .baselines import rand_projection
-        return rand_projection(inst.n_vars, self.k, self.base_seed + index)
+        return rand_projection(inst.n_vars, k, base_seed + index)
+    return Method("rand", k, projection)
 
 
-class FixedProjectionMethod(ProjectionMethod):
+def fixed_method(P, name: str) -> Method:
     """Shared projection matrix (PCA / SharedP), adapted by zero-padding or
     truncation when the test dimension differs."""
+    P = np.asarray(P, dtype=np.float64)
 
-    def __init__(self, P: np.ndarray, name: str):
-        self.P = np.asarray(P, dtype=np.float64)
-        self.k = self.P.shape[1]
-        self.name = name
-
-    def make_projection(self, inst, index):
+    def projection(inst, index):
         from .baselines import adapt_projection
-        return adapt_projection(self.P, inst.n_vars)
+        return adapt_projection(P, inst.n_vars)
+    return Method(name, P.shape[1], projection)
 
 
-class DirectMethod:
-    kind = "direct"
-    name = "direct"
-    k = 0
-
-    def __init__(self, params: ModelParams):
-        self.params = params
-
-    def predict(self, inst):
-        x, _ = forward_raw(self.params, inst)
-        return x[:, 0]
-
-
-class FullMethod:
-    kind = "full"
-    name = "full"
-    k = 0
+def direct_method(params: ModelParams) -> Method:
+    return Method("direct", predict=lambda inst: forward_raw(params, inst)[0][:, 0])
 
 
 def _timed(fn, repeats: int):
@@ -250,8 +222,7 @@ def _timed(fn, repeats: int):
     return value, float(np.median(times)) if repeats else 0.0
 
 
-def evaluate_method(method, test_set, k: int | None = None,
-                    settings: SolverSettings | None = None,
+def evaluate_method(method: Method, test_set, k: int | None = None,
                     cache: SolutionCache | None = None,
                     timing_repeats: int = 3) -> list:
     """One EvalRecord per test instance.
@@ -260,16 +231,13 @@ def evaluate_method(method, test_set, k: int | None = None,
     non-Solved reduced problems or infeasible recovered points -- are data,
     scored with relative error 1. Feasibility is always recomputed from the
     raw lifted point, against core.feasibility_tol of the instance. A
-    reference that is not Solved raises ValueError. The full method reports
-    the cache's reference solve, which must use the same settings.
+    reference that is not Solved raises ValueError. Every solve uses the
+    cache's settings; the full method reports the cache's reference solve.
     """
-    settings = settings or SolverSettings()
-    cache = cache or SolutionCache(settings=settings)
-    if method.kind == "full" and cache.settings != settings:
-        raise ValueError("the full method needs a cache with the same solver settings")
-    method_k = getattr(method, "k", None)
-    if k is not None and method_k not in (None, 0) and method_k != k:
-        raise ValueError(f"method emits K={method_k}, caller expects K={k}")
+    cache = cache or SolutionCache()
+    settings = cache.settings
+    if k is not None and method.k and method.k != k:
+        raise ValueError(f"method emits K={method.k}, caller expects K={k}")
     entries = cache.warm(test_set)
 
     records = []
@@ -278,24 +246,21 @@ def evaluate_method(method, test_set, k: int | None = None,
         u_star = entry["u_star"]
         t_proj = t_solve = 0.0
         solved = True
-        if method.kind == "projection":
-            proj, t_proj = _timed(lambda: method.make_projection(inst, index),
-                                  timing_repeats)
+        if method.projection:
+            proj, t_proj = _timed(lambda: method.projection(inst, index), timing_repeats)
             reduced = project(inst, proj)
             res, t_solve = _timed(lambda: solve_qp(reduced, settings), timing_repeats)
             x = recover(proj, res.y_star)
             solved = res.status is SolveStatus.SOLVED
             rec_k = proj.k
-        elif method.kind == "direct":
+        elif method.predict:
             x, t_proj = _timed(lambda: method.predict(inst), timing_repeats)
             rec_k = 0
-        elif method.kind == "full":
+        else:
             x = np.asarray(entry["x_star"])
             if timing_repeats:
                 _, t_solve = _timed(lambda: solve_qp(inst, settings), timing_repeats)
             rec_k = inst.n_vars
-        else:
-            raise ValueError(f"unknown method kind {method.kind!r}")
         u_hat = objective(inst, x)
         err, feasible = score(inst, x, u_hat, u_star, solved)
         records.append(EvalRecord(
@@ -387,20 +352,20 @@ def load_method(name, spec_entry, k, rand_seed=0):
     from .gnn import load_checkpoint
 
     if name == "rand":
-        return RandMethod(k, base_seed=rand_seed)
+        return rand_method(k, base_seed=rand_seed)
     if name == "full":
-        return FullMethod()
+        return FULL
     if spec_entry is None:
         raise FileNotFoundError(f"no checkpoint configured for method {name!r}")
     if name == "ours":
-        return OursMethod(load_checkpoint(spec_entry))
+        return ours_method(load_checkpoint(spec_entry))
     if name == "direct":
         params = load_checkpoint(spec_entry)
         if params.k != 1:
             raise ValueError(f"{spec_entry}: a direct model has K=1, not K={params.k}")
-        return DirectMethod(params)
+        return direct_method(params)
     if name in ("pca", "sharedp"):
-        return FixedProjectionMethod(load_projection(spec_entry).P, name)
+        return fixed_method(load_projection(spec_entry).P, name)
     raise ValueError(f"unknown method {name!r}")
 
 
@@ -526,7 +491,7 @@ def run_experiment(spec, out_dir) -> dict:
             skipped.append(f"{label}: {exc}")
             continue
         for ctx, test_set in targets:
-            recs = evaluate_method(method, test_set, settings=settings, cache=cache,
+            recs = evaluate_method(method, test_set, cache=cache,
                                    timing_repeats=timing_repeats)
             rows.extend((ctx, rec) for rec in recs)
 

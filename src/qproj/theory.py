@@ -104,7 +104,7 @@ class NormBoundReport:
                 fh.write(f"{r.instance_id},{r.l1_norm!r},{r.y_max!r},{r.margin!r}\n")
 
 
-def validate_norm_bound(instances, params: ModelParams, k: int,
+def validate_norm_bound(instances, params: ModelParams,
                         settings: SolverSettings | None = None,
                         b_override: float | None = None) -> NormBoundReport:
     """Check ||y*||_1 <= Y_max on solved reduced problems, instantiating the
@@ -119,7 +119,7 @@ def validate_norm_bound(instances, params: ModelParams, k: int,
     skipped = 0
     for index, inst in enumerate(instances):
         inst_id = inst.meta.get("id", f"instance-{index:04d}")
-        proj, _ = forward(params, inst, k)
+        proj, _ = forward(params, inst, params.k)
         reduced = project(inst, proj)
         res = solve_qp(reduced, settings)
         if res.status is not SolveStatus.SOLVED:
@@ -135,7 +135,7 @@ def validate_norm_bound(instances, params: ModelParams, k: int,
         else:
             b = abs(cache.u_star(inst))
         ym = y_max(AssumptionConstants(sigma_q=sigma_q, sigma_p=1.0, q0=1.0,
-                                       c0=c0, b=b, n=inst.n_vars, k=k))
+                                       c0=c0, b=b, n=inst.n_vars, k=params.k))
         l1 = float(np.abs(res.y_star).sum())
         rows.append(NormBoundRow(instance_id=inst_id, l1_norm=l1, y_max=ym,
                                  margin=ym - l1, violated=l1 > ym))

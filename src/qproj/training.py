@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import QpInstance, ProjectionMatrix, project
-from .evaluate import OursMethod, SolutionCache, evaluate_method
+from .evaluate import SolutionCache, evaluate_method, ours_method
 from .gnn import backward, forward, init_params
 from .solver import SolveStatus, SolverSettings, solve_qp
 
@@ -112,8 +112,7 @@ def validation_loss(method, val_set, cache: SolutionCache) -> float:
     reports on the validation split, with each failure (a reduced solve that
     is not Solved, or an infeasible point) scored 1 and penalized. The
     references come from cache."""
-    records = evaluate_method(method, val_set, settings=cache.settings, cache=cache,
-                              timing_repeats=0)
+    records = evaluate_method(method, val_set, cache=cache, timing_repeats=0)
     failures = sum(not rec.feasible for rec in records)
     return (float(sum(rec.relative_error for rec in records))
             + (failures / len(records)) * VALIDATION_PENALTY)
@@ -177,7 +176,7 @@ def train(train_set, val_set, config: TrainConfig):
         return grad_acc
 
     def end_epoch(vec):
-        val = validation_loss(OursMethod(template.from_vector(vec)), val_set, cache)
+        val = validation_loss(ours_method(template.from_vector(vec)), val_set, cache)
         report.train_loss.append(tally["u"] / max(tally["solved"], 1))
         report.failures.append(tally["failures"])
         now = time.perf_counter()

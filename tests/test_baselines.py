@@ -12,7 +12,7 @@ from qproj.baselines import (
     sharedp_train,
 )
 from qproj.core import ProjectionMatrix, QpInstance, project
-from qproj.evaluate import DirectMethod
+from qproj.evaluate import direct_method
 from qproj.solver import solve_qp
 from qproj.training import TrainConfig
 
@@ -162,7 +162,7 @@ def test_direct_train_and_predict():
     params, lambda_pen = direct_train(train_set, val_set, cfg)
     assert params.k == 1
     assert lambda_pen in (0.1, 1.0, 10.0, 100.0)
-    x = DirectMethod(params).predict(val_set[0])
+    x = direct_method(params).predict(val_set[0])
     assert x.shape == (6,)
 
 

@@ -18,6 +18,7 @@ from qproj.core import QpInstance  # noqa: E402
 EXPECTED_SPANS = {
     "training.validation", "training.envelope_grad", "gnn.forward", "gnn.backward",
     "solver.reduced", "solver.full", "evaluate.eval_pass", "evaluate.cache_entry",
+    "baselines.rand_projection",
 }
 
 
@@ -48,7 +49,8 @@ def test_tracer_records_every_hooked_span_and_uninstalls():
         config = training.TrainConfig(k=2, batch_size=2, max_epochs=1, hidden=4,
                                       layers=1, head_hidden=4, record_timings=False)
         training.train(data[:2], data[2:], config)
-        evaluate.evaluate_method(evaluate.FullMethod(), data[2:], timing_repeats=0)
+        evaluate.evaluate_method(evaluate.FULL, data[2:], timing_repeats=0)
+        evaluate.evaluate_method(evaluate.rand_method(2), data[2:], timing_repeats=0)
     finally:
         tracer.uninstall()
     recorded = {span["name"] for span in tracer.spans}

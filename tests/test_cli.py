@@ -221,7 +221,7 @@ def test_baseline_sharedp_and_direct_round_trip(tmp_path, capsys):
     # the objects read back from it
     from qproj.baselines import load_projection
     from qproj.datasets import DatasetManifest
-    from qproj.evaluate import (DirectMethod, FixedProjectionMethod, evaluate_method,
+    from qproj.evaluate import (direct_method, evaluate_method, fixed_method,
                                 write_records_csv)
     from qproj.gnn import init_params, load_checkpoint, save_checkpoint
 
@@ -241,9 +241,9 @@ def test_baseline_sharedp_and_direct_round_trip(tmp_path, capsys):
     extra = json.loads(direct.read_text())["extra"]
     assert extra["method"] == "direct" and extra["lambda_pen"] in (0.1, 1.0, 10.0, 100.0)
     for name, method in [
-            ("sharedp", FixedProjectionMethod(
+            ("sharedp", fixed_method(
                 load_projection(art / "sharedp_artifact.json").P, "sharedp")),
-            ("direct", DirectMethod(load_checkpoint(direct)))]:
+            ("direct", direct_method(load_checkpoint(direct)))]:
         out = tmp_path / f"ev_{name}"
         assert run_cli(["--out", str(out), "eval", "--manifest", manifest, "--method", name,
                         "--artifact", str(art / f"{name}_artifact.json"),

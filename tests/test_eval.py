@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from qproj import evaluate
+from qproj.baselines import rand_projection, save_projection
 from qproj.core import QpInstance
 from qproj.datasets import gen_split
 from qproj.evaluate import (
     EVAL_COLUMNS,
+    FULL,
     EvalRecord,
-    FixedProjectionMethod,
-    FullMethod,
-    OursMethod,
-    RandMethod,
     SolutionCache,
     evaluate_method,
+    fixed_method,
     mean_stderr,
+    ours_method,
+    rand_method,
     relative_error,
     run_experiment,
     summarize,
@@ -49,7 +50,7 @@ def small_dataset(tmp_path_factory):
 
 def test_full_method_error_zero(small_dataset):
     test_set = small_dataset.load_split("test")
-    records = evaluate_method(FullMethod(), test_set, timing_repeats=0)
+    records = evaluate_method(FULL, test_set, timing_repeats=0)
     assert len(records) == 3
     for rec in records:
         assert rec.feasible
@@ -60,7 +61,7 @@ def test_full_method_error_zero(small_dataset):
 
 def test_identity_projection_error_tiny(small_dataset):
     test_set = small_dataset.load_split("test")
-    method = FixedProjectionMethod(np.eye(8), "identity")
+    method = fixed_method(np.eye(8), "identity")
     records = evaluate_method(method, test_set, timing_repeats=0)
     for rec in records:
         assert rec.feasible
@@ -69,8 +70,8 @@ def test_identity_projection_error_tiny(small_dataset):
 
 def test_rand_method_deterministic(small_dataset):
     test_set = small_dataset.load_split("test")
-    a = evaluate_method(RandMethod(3, base_seed=0), test_set, timing_repeats=0)
-    b = evaluate_method(RandMethod(3, base_seed=0), test_set, timing_repeats=0)
+    a = evaluate_method(rand_method(3, base_seed=0), test_set, timing_repeats=0)
+    b = evaluate_method(rand_method(3, base_seed=0), test_set, timing_repeats=0)
     assert [r.relative_error for r in a] == [r.relative_error for r in b]
     assert all(r.k == 3 for r in a)
     assert all(0.0 <= r.relative_error <= 1.0 + 1e-12 for r in a)
@@ -79,7 +80,7 @@ def test_rand_method_deterministic(small_dataset):
 def test_ours_method_untrained_feasible(small_dataset):
     test_set = small_dataset.load_split("test")
     params = init_params(0, h=4, l=2, k=3, h_g=4)
-    records = evaluate_method(OursMethod(params), test_set, timing_repeats=1)
+    records = evaluate_method(ours_method(params), test_set, timing_repeats=1)
     for rec in records:
         assert rec.feasible
         assert rec.total_time_s == pytest.approx(
@@ -88,7 +89,7 @@ def test_ours_method_untrained_feasible(small_dataset):
 
 def test_timing_fields_zero_when_disabled(small_dataset):
     test_set = small_dataset.load_split("test")
-    records = evaluate_method(RandMethod(2), test_set, timing_repeats=0)
+    records = evaluate_method(rand_method(2), test_set, timing_repeats=0)
     assert all(r.projection_time_s == 0.0 and r.solve_time_s == 0.0
                for r in records)
 
@@ -106,9 +107,9 @@ def test_timed_runs_are_the_scored_runs(monkeypatch, small_dataset):
         return real_solve(inst, settings)
 
     monkeypatch.setattr(evaluate, "solve_qp", counting_solve)
-    timed = evaluate_method(RandMethod(2), test_set, cache=cache, timing_repeats=2)
+    timed = evaluate_method(rand_method(2), test_set, cache=cache, timing_repeats=2)
     assert len(solves) == 2 * len(test_set)
-    untimed = evaluate_method(RandMethod(2), test_set, cache=cache, timing_repeats=0)
+    untimed = evaluate_method(rand_method(2), test_set, cache=cache, timing_repeats=0)
     times = ("projection_time_s", "solve_time_s", "total_time_s")
     for a, b in zip(timed, untimed):
         assert {**vars(a), **dict.fromkeys(times)} == {**vars(b), **dict.fromkeys(times)}
@@ -117,7 +118,7 @@ def test_timed_runs_are_the_scored_runs(monkeypatch, small_dataset):
 
 def test_write_records_csv_columns(tmp_path, small_dataset):
     test_set = small_dataset.load_split("test")
-    records = evaluate_method(RandMethod(2), test_set, timing_repeats=0)
+    records = evaluate_method(rand_method(2), test_set, timing_repeats=0)
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
     with open(path) as fh:
@@ -145,7 +146,7 @@ def test_full_eval_solves_each_instance_once(monkeypatch, small_dataset):
         return real_solve(inst, settings)
 
     monkeypatch.setattr(evaluate, "solve_qp", counting_solve)
-    records = evaluate_method(FullMethod(), test_set, timing_repeats=0)
+    records = evaluate_method(FULL, test_set, timing_repeats=0)
     assert len(test_set) == 3
     assert len(solves) == 3
     assert all(rec.feasible and rec.relative_error == 0.0 for rec in records)
@@ -160,7 +161,7 @@ def test_eval_computes_each_cache_key_once(monkeypatch, small_dataset):
         return real_key(self, inst)
 
     monkeypatch.setattr(SolutionCache, "key", counting_key)
-    evaluate_method(RandMethod(3), test_set, timing_repeats=0)
+    evaluate_method(rand_method(3), test_set, timing_repeats=0)
     assert len(keys) == len(test_set)
 
 
@@ -268,7 +269,26 @@ def test_run_experiment_k_sweep_and_empty_methods(tmp_path, small_dataset):
 def test_evaluate_method_k_consistency(small_dataset):
     test_set = small_dataset.load_split("test")
     with pytest.raises(ValueError, match="emits K"):
-        evaluate_method(RandMethod(3), test_set, k=5, timing_repeats=0)
+        evaluate_method(rand_method(3), test_set, k=5, timing_repeats=0)
+
+
+@pytest.mark.parametrize("name", evaluate.METHODS)
+def test_every_method_checks_the_caller_k(tmp_path, small_dataset, name):
+    # ours, rand, pca and sharedp emit K=2 and reject K=3; direct and full
+    # emit no K and take any
+    test_set = small_dataset.load_split("test")
+    path = tmp_path / "artifact.json"
+    if name in ("ours", "direct"):
+        save_checkpoint(path, init_params(0, h=4, l=1, k=2 if name == "ours" else 1, h_g=4),
+                        seed=0)
+    elif name in ("pca", "sharedp"):
+        save_projection(path, rand_projection(8, 2, 0), name)
+    method = evaluate.load_method(name, str(path), 2)
+    if name in ("direct", "full"):
+        assert len(evaluate_method(method, test_set, k=3, timing_repeats=0)) == 3
+    else:
+        with pytest.raises(ValueError, match="emits K=2, caller expects K=3"):
+            evaluate_method(method, test_set, k=3, timing_repeats=0)
 
 
 @pytest.mark.parametrize("stype, key", [("generalization_sweep", "ours"),

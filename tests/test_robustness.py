@@ -20,7 +20,7 @@ from qproj.core import (
     save_instance,
 )
 from qproj.datasets import gen_regression, generate_instance
-from qproj.evaluate import FullMethod, RandMethod, evaluate_method, score
+from qproj.evaluate import FULL, evaluate_method, rand_method, score
 from qproj.gnn import forward, init_params, load_checkpoint, save_checkpoint
 from qproj.solver import SolveStatus, solve_qp
 from qproj.training import TrainConfig, train
@@ -103,7 +103,7 @@ def test_eval_scores_trivial_optimum_zero():
     # x = 0 is optimal (u* = 0); relative_error raised on the zero
     # denominator and aborted the whole eval
     inst = QpInstance(Q=np.eye(3), c=np.ones(3), A=-np.eye(3), b=np.zeros(3))
-    [rec] = evaluate_method(FullMethod(), [inst], timing_repeats=0)
+    [rec] = evaluate_method(FULL, [inst], timing_repeats=0)
     assert rec.u_star == 0.0
     assert rec.feasible
     assert rec.relative_error == 0.0
@@ -147,7 +147,7 @@ def test_reference_optimum_must_be_solved(tmp_path, capsys):
     inst = _made_infeasible(generate_instance("control", {"s": 5, "v": 5, "t": 3}, 0))
     assert solve_qp(inst).status is SolveStatus.PRIMAL_INFEASIBLE
     with pytest.raises(ValueError, match="PrimalInfeasible, not Solved"):
-        evaluate_method(RandMethod(5), [inst], timing_repeats=0)
+        evaluate_method(rand_method(5), [inst], timing_repeats=0)
     # training read the validation u* from the same unchecked solve
     config = TrainConfig(k=2, batch_size=1, max_epochs=1, hidden=4, layers=1,
                          head_hidden=4)

@@ -92,7 +92,7 @@ def test_constants_validation():
 def test_validate_norm_bound_zero_violations():
     instances = [gen_regression(n=10, m=3, t=20, seed=s) for s in range(8)]
     params = init_params(0, h=4, l=2, k=3, h_g=4)
-    report = validate_norm_bound(instances, params, 3)
+    report = validate_norm_bound(instances, params)
     assert report.skipped == 0
     assert len(report.rows) == 8
     assert report.violations == 0
@@ -104,9 +104,9 @@ def test_validate_norm_bound_controlled_falsification():
     # b the bound is tight, and an understated b breaks it
     inst = QpInstance(Q=[[1.0]], c=[0.0], A=[[-1.0]], b=[-1.0])
     params = init_params(0, h=4, l=1, k=1, h_g=4)
-    honest = validate_norm_bound([inst], params, 1)
+    honest = validate_norm_bound([inst], params)
     assert honest.violations == 0
-    forced = validate_norm_bound([inst], params, 1, b_override=0.1)
+    forced = validate_norm_bound([inst], params, b_override=0.1)
     assert forced.violations == 1
     assert forced.rows[0].margin < 0
 
@@ -114,7 +114,7 @@ def test_validate_norm_bound_controlled_falsification():
 def test_norm_bound_csv(tmp_path):
     instances = [gen_regression(n=8, m=2, t=16, seed=s) for s in range(3)]
     params = init_params(1, h=4, l=1, k=2, h_g=4)
-    report = validate_norm_bound(instances, params, 2)
+    report = validate_norm_bound(instances, params)
     path = tmp_path / "bound.csv"
     report.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -134,7 +134,7 @@ def test_validate_norm_bound_needs_a_solved_reference():
     params = init_params(0, h=4, l=1, k=2, h_g=4)
     assert solve_qp(instances[3]).status is SolveStatus.DUAL_INFEASIBLE
     with pytest.raises(ValueError, match="DualInfeasible, not Solved"):
-        validate_norm_bound(instances, params, 2)
+        validate_norm_bound(instances, params)
 
 
 # a NaN passed every `<= 0` test, so theory printed NaN and Infinity

@@ -4,11 +4,11 @@ import pytest
 from qproj import baselines, training
 from qproj.core import ProjectionMatrix, QpInstance, project
 from qproj.evaluate import (
-    DirectMethod,
-    FixedProjectionMethod,
-    OursMethod,
     SolutionCache,
+    direct_method,
     evaluate_method,
+    fixed_method,
+    ours_method,
 )
 from qproj.gnn import forward, init_params, backward
 from qproj.solver import SolveStatus, SolverSettings, solve_qp
@@ -131,7 +131,7 @@ def test_validation_loss_counts_failures():
     bad = QpInstance(Q=np.eye(2), c=[0.0, 0.0], A=[[0.0, -1.0]], b=[-1.0])
     cache = SolutionCache()
     assert all(e["status"] == "Solved" for e in cache.warm(good + [bad]))
-    loss = validation_loss(FixedProjectionMethod(np.eye(1), "sharedp"), good + [bad], cache)
+    loss = validation_loss(fixed_method(np.eye(1), "sharedp"), good + [bad], cache)
     assert loss == pytest.approx(1.0 + 0.25 * 1e6, abs=1e-3)
 
 
@@ -158,12 +158,12 @@ def test_best_validation_loss_is_the_eval_sum(monkeypatch, trainer):
                       hidden=4, layers=1, head_hidden=4, record_timings=False)
     fits = _recording_fits(monkeypatch)
     if trainer == "ours":
-        method = OursMethod(train(train_set, val_set, cfg)[0])
+        method = ours_method(train(train_set, val_set, cfg)[0])
     elif trainer == "sharedp":
-        method = FixedProjectionMethod(baselines.sharedp_train(train_set, val_set, cfg).P,
+        method = fixed_method(baselines.sharedp_train(train_set, val_set, cfg).P,
                                        "sharedp")
     else:
-        method = DirectMethod(baselines.direct_train(train_set, val_set, cfg)[0])
+        method = direct_method(baselines.direct_train(train_set, val_set, cfg)[0])
     best = min(losses[epoch] for _, epoch, losses in fits)
     records = evaluate_method(method, val_set, timing_repeats=0)
     failures = sum(not rec.feasible for rec in records)
@@ -253,5 +253,5 @@ def test_best_validation_loss_is_reproducible_from_the_parameters(family, sizes)
     params, report = train(train_set, val_set, cfg)
     assert report.failures == [0] * epochs
     assert report.best_epoch > 0
-    loss = validation_loss(OursMethod(params), val_set, SolutionCache(settings=cfg.solver))
+    loss = validation_loss(ours_method(params), val_set, SolutionCache(settings=cfg.solver))
     assert loss == report.val_loss[report.best_epoch]
