@@ -15,13 +15,16 @@ import reprlib
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf
 
 SYM_RTOL = 1e-12          # relative symmetry tolerance for Q
-PSD_RTOL = 1e-8           # smallest eigenvalue >= -PSD_RTOL * ||Q||_2
+PSD_RTOL = 1e-8           # Q is PSD when lambda_min(Q) >= -PSD_RTOL * ||Q||_2,
+                          # shown by a factor of a shifted Q when one exists
 PINV_RCOND = 1e-10        # singular value cutoff for pseudo-inverses
 ORTHO_TOL = 1e-8          # ||P'P - I||_F tolerance for projection matrices
 
@@ -30,6 +33,14 @@ def _frozen(a, dtype=np.float64):
     a = np.array(a, dtype=dtype, copy=True, order="C")
     a.flags.writeable = False
     return a
+
+
+def cholesky_exists(a: np.ndarray, shift: float) -> bool:
+    """Whether a + shift I has a Cholesky factor (LAPACK dpotrf), for a
+    C-ordered square array a that the call overwrites. dpotrf reads one
+    triangle, so it takes the Fortran-ordered a.T without a copy."""
+    a.flat[:: a.shape[0] + 1] += shift
+    return dpotrf(a.T, overwrite_a=1, clean=0)[1] == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +53,6 @@ class QpInstance:
     b: np.ndarray
     constant: float = 0.0
     meta: dict = field(default_factory=dict)
-    # ascending eigenvalues of Q, computed once by the PSD check; not serialized
-    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=np.float64)
@@ -76,20 +85,35 @@ class QpInstance:
         if asym > SYM_RTOL * max(scale, 1.0):
             raise ValueError(f"Q is not symmetric: |Q - Q'| = {asym:.3e}")
         Q = _frozen(0.5 * (Q + Q.T))
-
-        eigs = np.linalg.eigvalsh(Q)
-        if eigs[0] < -PSD_RTOL * max(np.abs(eigs).max(), 1e-300):
-            raise ValueError(
-                f"Q is not positive semidefinite (min eigenvalue {eigs[0]:.3e})"
-            )
-        eigs.flags.writeable = False
-
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "eigenvalues", eigs)
+
+        # Q + tau I, tau = PSD_RTOL/2 * max|Q_ij| <= PSD_RTOL/2 * ||Q||_2, has a
+        # Cholesky factor only if Q meets the eigenvalue rule below: Cholesky
+        # is backward stable (Higham 2002, Thm 10.3), so a factor gives
+        # lambda_min(Q) >= -tau - n(n+1) u ||Q||_2 >= -PSD_RTOL ||Q||_2, with
+        # u = 2^-53, while n(n+1) u <= PSD_RTOL/2 (n up to about 6,700). The
+        # shift lets a singular PSD Q pass. Past that n, or without a factor,
+        # the eigenvalue rule decides.
+        tau = 0.5 * PSD_RTOL * max(Q.max(), -Q.min())
+        if n * (n + 1) * 2.0**-53 > 0.5 * PSD_RTOL or not cholesky_exists(np.array(Q), tau):
+            eigs = self.eigenvalues
+            if eigs[0] < -PSD_RTOL * max(np.abs(eigs).max(), 1e-300):
+                raise ValueError(
+                    f"Q is not positive semidefinite (min eigenvalue {eigs[0]:.3e})"
+                )
+
         object.__setattr__(self, "c", _frozen(c))
         object.__setattr__(self, "A", _frozen(A))
         object.__setattr__(self, "b", _frozen(b))
         object.__setattr__(self, "constant", constant)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The ascending eigenvalues of Q, read-only, computed on first read;
+        not serialized."""
+        eigs = np.linalg.eigvalsh(self.Q)
+        eigs.flags.writeable = False
+        return eigs
 
     @property
     def n_vars(self) -> int:

@@ -22,6 +22,7 @@ from .core import (
     TEXT,
     EqQpInstance,
     QpInstance,
+    cholesky_exists,
     eliminate_eq_nullspace,
     integer,
     load_instance,
@@ -41,14 +42,17 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _check_generated(inst: QpInstance, n_eq: int) -> QpInstance:
+def _check_generated(inst: QpInstance, D: np.ndarray) -> QpInstance:
     """inst, checked to admit x = 0 and to have a Hessian positive definite
-    on the subspace the problem lives on: null-space elimination leaves one
-    structural zero eigenvalue per eliminated equality row, so the n_eq
-    smallest eigenvalues are skipped."""
+    on the subspace the problem lives on, range(D), where D is the orthogonal
+    projector of the null-space elimination (the identity when there was
+    none). Q = DQD vanishes on range(I - D), so Q + (I - D) has Q's
+    eigenvalues on range(D) and 1 on the eliminated directions: it is
+    positive definite beyond 1e-10 exactly when Q is on range(D), which a
+    Cholesky factor of Q + (I - D) - 1e-10 I shows."""
     if inst.n_cons and inst.b.min() < -1e-10:
         raise ValueError("generated instance does not admit x = 0 as feasible")
-    if inst.eigenvalues[n_eq] <= 1e-10:
+    if not cholesky_exists(inst.Q - D, 1.0 - 1e-10):
         raise ValueError("generated Hessian is not positive definite on its subspace")
     return inst
 
@@ -78,7 +82,7 @@ def gen_regression(n: int = 500, m: int = 50, t: int | None = None,
         meta={"family": "regression", "seed": seed, "n": n, "m": m, "t": t,
               "recovery_constant": 0.0},
     )
-    return _check_generated(inst, 0)
+    return _check_generated(inst, np.eye(n))
 
 
 def portfolio_eq_instance(n: int, seed: int) -> tuple[EqQpInstance, np.ndarray]:
@@ -113,7 +117,7 @@ def gen_portfolio(n: int = 500, seed: int = 0) -> QpInstance:
     # the instance is fresh and unshared: tag it rather than build it again
     inst.meta.update({"family": "portfolio", "seed": seed, "n": n,
                       "recovery_constant": rec.constant})
-    return _check_generated(inst, eq.A_eq.shape[0])
+    return _check_generated(inst, rec.D)
 
 
 def control_eq_instance(s: int, v: int, t: int,
@@ -178,7 +182,7 @@ def gen_control(s: int = 50, v: int = 50, t: int = 5, seed: int = 0) -> QpInstan
     inst, rec = eliminate_eq_nullspace(eq, u0)
     inst.meta.update({"family": "control", "seed": seed, "s": s, "v": v, "t": t,
                       "recovery_constant": rec.constant})
-    return _check_generated(inst, eq.A_eq.shape[0])
+    return _check_generated(inst, rec.D)
 
 
 def generate_instance(family: str, sizes: dict, seed: int) -> QpInstance:

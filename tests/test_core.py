@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qproj.core import (
+    PSD_RTOL,
     AffineRecovery,
     EqQpInstance,
     ProjectionMatrix,
@@ -238,6 +240,55 @@ def test_construction_checks():
     q = np.array([[1.0, 0.5 + 1e-15], [0.5, 1.0]])
     inst = QpInstance(Q=q, c=[0, 0], A=np.zeros((0, 2)), b=[])
     np.testing.assert_array_equal(inst.Q, inst.Q.T)
+
+
+def _planted_spectra(n):
+    """Spectra with |lambda| <= 1 whose largest magnitude is 1 (n >= 2): a
+    zero smallest eigenvalue, negative ones on both sides of the eigenvalue
+    rule's -PSD_RTOL * ||Q||_2, a rank-deficient PSD one, and Q = 0."""
+    rest = np.linspace(1.0, 0.5, n - 1)
+    spectra = [np.concatenate([[0.0], rest])]
+    spectra += [np.concatenate([[-k * PSD_RTOL], rest]) for k in (0.3, 0.9, 1.1, 3, 1e3)]
+    spectra.append(np.concatenate([np.zeros(n // 2), np.linspace(1.0, 0.5, n - n // 2)]))
+    spectra.append(np.zeros(n))
+    return spectra
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+def test_psd_check_makes_the_eigenvalue_rule_decisions(n, scale, monkeypatch):
+    # QpInstance proves Q PSD with a shifted Cholesky factor and falls back to
+    # the eigenvalue rule: it must accept exactly the Q that rule accepts,
+    # with one eigvalsh at most, and none for a nonzero Q that is PSD
+    rng = np.random.default_rng(n)
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    decisions = []
+    for spectrum in _planted_spectra(n):
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        Q = (basis * (scale * spectrum)) @ basis.T
+        Q = 0.5 * (Q + Q.T)
+        eigs = real(Q)
+        accepts = eigs[0] >= -PSD_RTOL * max(np.abs(eigs).max(), 1e-300)
+        calls.clear()
+        if accepts:
+            QpInstance(Q=Q, c=np.zeros(n), A=np.zeros((0, n)), b=[])
+        else:
+            message = f"Q is not positive semidefinite (min eigenvalue {eigs[0]:.3e})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                QpInstance(Q=Q, c=np.zeros(n), A=np.zeros((0, n)), b=[])
+        assert len(calls) <= 1
+        if spectrum[0] >= 0 and spectrum.any():
+            assert calls == []
+        decisions.append(accepts)
+    # the planted spectra reach both decisions
+    assert any(decisions) and not all(decisions)
 
 
 def test_projection_matrix_invariants():

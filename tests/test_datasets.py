@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qproj.core import (
+    EqQpInstance,
     QpInstance,
     eliminate_eq_doubling,
     eliminate_eq_nullspace,
@@ -13,6 +14,7 @@ from qproj.core import (
 )
 from qproj.datasets import (
     DatasetManifest,
+    _check_generated,
     control_eq_instance,
     gen_control,
     gen_portfolio,
@@ -100,6 +102,58 @@ def test_control_structure():
     assert inst.eigenvalues[3 * 4] > 0
 
 
+def _desk_instance(family, seed):
+    """A desk-size instance of family before its generator's check, with the
+    elimination's projector D and the number of equality rows it removed."""
+    if family == "regression":
+        return gen_regression(n=100, m=50, seed=seed), np.eye(100), 0
+    if family == "portfolio":
+        eq, u0 = portfolio_eq_instance(100, seed)
+    else:
+        eq, u0 = control_eq_instance(s=10, v=10, t=5, seed=seed)
+    inst, rec = eliminate_eq_nullspace(eq, u0)
+    return inst, rec.D, eq.A_eq.shape[0]
+
+
+def _passes_check(inst, D):
+    try:
+        _check_generated(inst, D)
+    except ValueError as exc:
+        assert "not positive definite on its subspace" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("family", ["regression", "portfolio", "control"])
+def test_generated_check_makes_the_eigenvalue_decision(family):
+    # the Cholesky test on Q + (I - D) passes exactly when the smallest
+    # eigenvalue past the n_eq structural zeros is above 1e-10: on each
+    # seed's Q, and on that Q with that eigenvalue taken out
+    for seed in range(5):
+        inst, D, n_eq = _desk_instance(family, seed)
+        eigs, vecs = np.linalg.eigh(inst.Q)
+        v = vecs[:, n_eq]
+        deflated = QpInstance(Q=inst.Q - eigs[n_eq] * np.outer(v, v), c=inst.c,
+                              A=inst.A, b=inst.b)
+        for q_inst, expected in ((inst, True), (deflated, False)):
+            rule = np.linalg.eigvalsh(q_inst.Q)[n_eq] > 1e-10
+            assert rule == expected
+            assert _passes_check(q_inst, D) == rule
+
+
+def test_generated_check_rejects_a_hessian_singular_on_its_subspace():
+    # regression with fewer targets than variables: Q = 2 F'F has rank t < n
+    with pytest.raises(ValueError, match="not positive definite on its subspace"):
+        gen_regression(n=20, m=5, t=10, seed=0)
+    # Q vanishes on e3, which lies in null(A_eq)
+    eq = EqQpInstance(Q=np.diag([1.0, 1.0, 0.0]), c=np.zeros(3),
+                      A_ineq=np.zeros((0, 3)), b_ineq=[],
+                      A_eq=[[1.0, 1.0, 0.0]], b_eq=[0.0])
+    inst, rec = eliminate_eq_nullspace(eq, np.zeros(3))
+    with pytest.raises(ValueError, match="not positive definite on its subspace"):
+        _check_generated(inst, rec.D)
+
+
 def test_control_n_500_at_full_scale():
     # shape-only check of the full-scale default dimensions
     eq, _ = control_eq_instance(s=50, v=50, t=5, seed=0)
@@ -181,8 +235,8 @@ def test_generated_instance_is_built_once(make):
                                   lambda: gen_control(s=3, v=3, t=4, seed=0)],
                          ids=["regression", "portfolio", "control"])
 def test_generation_computes_the_eigenvalues_once(make, monkeypatch):
-    # the generator's positive-definiteness check ran eigvalsh a second time
-    # on the Q the instance had just checked for PSD
+    # generation proves Q PSD and positive definite on its subspace with
+    # Cholesky factors; the eigenvalues cost one eigvalsh, on first read
     calls = []
     real = np.linalg.eigvalsh
 
@@ -192,7 +246,11 @@ def test_generation_computes_the_eigenvalues_once(make, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     inst = make()
+    assert calls == []
+    eigs = inst.eigenvalues
     assert calls == [inst.Q.shape]
-    assert inst.eigenvalues.tobytes() == real(inst.Q).tobytes()
-    assert not inst.eigenvalues.flags.writeable
+    assert inst.eigenvalues is eigs
+    assert calls == [inst.Q.shape]
+    assert eigs.tobytes() == real(inst.Q).tobytes()
+    assert not eigs.flags.writeable
     assert "eigenvalues" not in instance_to_dict(inst)
