@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 
 import numpy as np
@@ -323,7 +324,8 @@ def main(argv=None) -> int:
         section = section if section in cfg_all else args.command
         cfg = cfg_all.get(section, {})
         if not isinstance(cfg, dict):
-            raise ValueError(f"config section {section!r} must be an object, got {cfg!r}")
+            raise ValueError(f"config section {section!r} must be an object, "
+                             f"got {reprlib.repr(cfg)}")
         # shared sections (e.g. solver) visible to every command
         for key in ("solver", "record_timings", "seed"):
             if key in cfg_all and key not in cfg:

@@ -8,6 +8,7 @@ All matrices are dense float64. Instances are immutable after construction
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
+import orjson
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf
 
@@ -402,9 +404,10 @@ def each(container: type, item: Kind, what: str) -> Kind:
 
 def array(*dims: str) -> Kind:
     """A list of numbers, row-major, as a float64 array whose shape is the
-    fields dims. It is one numpy conversion and a dtype test, with no loop
-    over the entries: strings or booleans are not numbers, but a boolean
-    among numbers converts with them."""
+    fields dims; rows may nest. It is one numpy conversion, a dtype test and
+    one scan of the entries' types, with no Python loop over the entries:
+    strings or booleans alone convert to no number dtype, and a boolean
+    among numbers, which converts with them, is found by the scan."""
     def test(value, fields):
         try:
             arr = np.asarray(value)
@@ -412,6 +415,11 @@ def array(*dims: str) -> Kind:
             return None
         shape = tuple(fields[d] for d in dims)
         if arr.dtype.kind not in "if" or arr.size != math.prod(shape):
+            return None
+        entries = [value]
+        for _ in range(arr.ndim):   # each level of nesting, flattened lazily
+            entries = itertools.chain.from_iterable(entries)
+        if bool in set(map(type, entries)):
             return None
         return arr.astype(np.float64, copy=False).reshape(shape)
     return Kind(f"a list of {' x '.join(dims)} numbers", test)
@@ -442,15 +450,36 @@ INSTANCE = {"n": integer(0), "m": integer(0), "Q": array("n", "n"), "c": array("
             "meta": OBJECT.otherwise({})}
 
 
-def read_json_object(path, what: str) -> dict:
-    """The JSON object in file path. A file that does not parse, or whose
-    document is not an object, raises ValueError naming the path; `what`
-    names the kind of document, e.g. "a manifest"."""
-    with open(path, "r", encoding="utf-8") as fh:
+def parse_json(raw: bytes):
+    """The JSON document in the UTF-8 bytes raw, as json.loads reads it,
+    save that orjson reads an integer outside [-2**63, 2**64) as a float.
+    orjson parses RFC 8259 JSON and rounds each number to the same double
+    as json. json parses the documents orjson refuses (NaN or Infinity
+    tokens, a lone surrogate, a number beyond the float range, malformed
+    text, whose error json words) and each document holding as many [ and {
+    as the recursion limit: orjson 3.8 nests on the C stack with no depth
+    limit, and a 60,000-deep object overflows an 8 MB stack, where json
+    raises RecursionError."""
+    codes = np.frombuffer(raw, np.uint8)
+    if np.count_nonzero(codes == ord("[")) + np.count_nonzero(codes == ord("{")) \
+            < sys.getrecursionlimit():
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(raw.decode("utf-8"))
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in file path, by parse_json. A file that does not
+    parse, or whose document is not an object, raises ValueError naming the
+    path; `what` names the kind of document, e.g. "a manifest"."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = parse_json(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
     return doc

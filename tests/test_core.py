@@ -1,5 +1,7 @@
+import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -15,10 +17,14 @@ from qproj.core import (
     load_instance,
     max_violation,
     objective,
+    array,
     project,
+    read_fields,
+    read_json_object,
     recover,
     save_instance,
 )
+from qproj.cli import main
 from qproj.solver import solve_qp
 
 from oracles import random_pd_instance
@@ -328,3 +334,93 @@ def test_instances_immutable():
     inst = QpInstance(Q=np.eye(2), c=[0, 0], A=np.zeros((0, 2)), b=[])
     with pytest.raises(ValueError):
         inst.Q[0, 0] = 5.0
+
+
+def _same_value(a, b) -> bool:
+    """a and b are the same JSON value: the same types, keys in the same
+    order and the same float bits."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(map(_same_value, a.values(), b.values()))
+    return a == b
+
+
+def _json_load(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("family, sizes", [
+    ("regression", ["--n", "6", "--m", "2", "--t", "12"]), ("portfolio", ["--n", "6"]),
+    ("control", ["--s", "3", "--v", "3", "--t", "4"])], ids=["regression", "portfolio", "control"])
+def test_reader_matches_json_on_generated_files(tmp_path, family, sizes):
+    assert main(["--out", str(tmp_path), "gen-data", "--family", family, *sizes,
+                 "--train", "2", "--val", "1", "--test", "1", "--base-seed", "4"]) == 0
+    paths = sorted(tmp_path.glob("*.json"))
+    assert len(paths) == 5                        # the manifest and four instances
+    for path in paths:
+        assert _same_value(read_json_object(path, "a document"), _json_load(path)), path
+
+
+# halfway cases, subnormals, the extremes of the range and 17-digit values:
+# the doubles a fast parser is most likely to round differently
+HARD_DOUBLES = ["0.0", "-0.0", "0", "-0", "4.9e-324", "-4.9e-324", "5e-324",
+                "2.4703282292062327e-324", "2.4703282292062328e-324",
+                "2.2250738585072011e-308", "2.2250738585072014e-308",
+                "2.2250738585072012e-308", "1.7976931348623157e308",
+                "-1.7976931348623157e308", "1.7976931348623158e308",
+                "9007199254740993", "9007199254740993.0", "9007199254740993e0",
+                "0.1", "0.30000000000000004", "1e23", "8.98846567431158e307",
+                "1.00000000000000011102230246251565404236316680908203125",
+                "1.00000000000000011102230246251565404236316680908203124",
+                "7.2057594037927933e16", "1e-400", "-1e-400", "1E+2", "123456789012345678e-20",
+                "9223372036854775807", "-9223372036854775808", "18446744073709551615"]
+
+
+def test_reader_matches_json_on_hard_doubles(tmp_path):
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2**63 - 2**52, size=2000, dtype=np.int64)   # finite doubles
+    bits[::2] |= np.int64(-2**63)                                         # half negative
+    random = [f"{x:.17g}" for x in bits.view(np.float64)]
+    path = tmp_path / "doubles.json"
+    path.write_text('{"hard": [' + ", ".join(HARD_DOUBLES) + '], "random": ['
+                    + ", ".join(random) + "]}")
+    doc = read_json_object(path, "a document")
+    assert _same_value(doc, _json_load(path))
+    assert [type(x) for x in doc["hard"][2:4]] == [int, int]
+
+
+# orjson refuses the first four, and is not given the last; json parses them
+@pytest.mark.parametrize("text", ['{"x": [NaN, Infinity, -Infinity]}', '{"x": 1e400}',
+                                  '{"x": "\\ud800"}', '{"x": ' + "9" * 400 + "}",
+                                  '{"x": [' + ", ".join(['{"y": [1.5]}'] * 600) + "]}"],
+                         ids=["nan-tokens", "beyond-range", "lone-surrogate", "long-integer",
+                              "many-brackets"])
+def test_reader_matches_json_on_refused_documents(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert _same_value(read_json_object(path, "a document"), _json_load(path))
+
+
+def test_reader_reads_integers_beyond_64_bits_as_floats(tmp_path):
+    # the one difference from json on a document both accept
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"big": 2**64, "small": -2**63 - 1, "top": 2**64 - 1}))
+    assert read_json_object(path, "a document") == {"big": 2.0**64, "small": -2.0**63,
+                                                    "top": 2**64 - 1}
+    assert type(read_json_object(path, "a document")["big"]) is float
+
+
+def test_array_rejects_a_boolean_in_a_nested_row():
+    table = {"a": array("r", "c")}
+    doc = {"a": [[1.0, 2.0], [3, 4.5]]}
+    np.testing.assert_array_equal(read_fields(doc, table, "doc", r=2, c=2)["a"],
+                                  [[1.0, 2.0], [3.0, 4.5]])
+    for bad in ([[1.0, 2.0], [True, 4.5]], [[1, 2], [3, False]]):
+        with pytest.raises(ValueError, match="doc field 'a'"):
+            read_fields({"a": bad}, table, "doc", r=2, c=2)

@@ -345,16 +345,41 @@ def _malformed_file(tmp_path, kind, edit, seed):
     ("instance", lambda d: {**d, "Q": [True] * len(d["Q"])}, "instance field 'Q'"),
     ("manifest", lambda d: {k: v for k, v in d.items() if k != "family"},
      "manifest field 'family'"),
+    # a boolean among numbers converted with them, as 1.0 or 0.0
+    ("instance", lambda d: {**d, "Q": [*d["Q"][:-1], True]}, "instance field 'Q'"),
+    ("checkpoint", lambda d: {**d, "params": {**d["params"],
+                                              "w0v": [False, *d["params"]["w0v"][1:]]}},
+     "checkpoint params field 'w0v'"),
+    # orjson reads an integer beyond 64 bits as a float
+    ("manifest", lambda d: {**d, "base_seed": 2**64}, "manifest field 'base_seed'"),
 ], ids=["instance-Q-object", "instance-constant-list", "manifest-list",
         "manifest-files-number", "checkpoint-hidden-string", "checkpoint-params-list",
         "instance-constant-bool", "instance-constant-string", "instance-Q-strings",
-        "instance-Q-bools", "manifest-no-family"])
+        "instance-Q-bools", "manifest-no-family", "instance-Q-one-bool",
+        "checkpoint-w0v-one-bool", "manifest-base-seed-2-pow-64"])
 def test_malformed_input_file_rejected(tmp_path, capsys, kind, edit, message):
     args = _malformed_file(tmp_path, kind, edit, seed=35)
     capsys.readouterr()
     assert main(args) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "eval" / "records.csv").exists()
+
+
+# json.load raised RecursionError out of cli.main (exit 1 with a traceback),
+# and so did the repr of a deep config section; orjson 3.8, which has no
+# depth limit, overflows the C stack on the last two
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "[" * 100_000,
+                                  '{"theory": ' + "[" * 990 + "]" * 990 + "}",
+                                  '{"a": ' * 100_000 + "1" + "}" * 100_000,
+                                  "[" * 200_000 + "]" * 200_000],
+                         ids=["closed", "unclosed", "section", "objects", "deeper"])
+def test_deeply_nested_config_rejected(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["--config", str(path), "theory"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err or "section 'theory'" in err
 
 
 def _truncated_file(tmp_path, kind):
@@ -480,11 +505,14 @@ def test_non_finite_projection_rejected(tmp_path, capsys):
     ({"train": {"epochs": True}}, ["train", "--k", "2"], "'epochs'"),
     ({"train": {"k": "2"}}, ["train"], "'k'"),
     ({"eval": {"split": "tset"}}, ["eval", "--method", "rand", "--k", "2"], "'split'"),
+    # orjson reads an integer beyond 64 bits as a float
+    ({"train": {"k": 2**64}}, ["train"], "'k'"),
 ], ids=["eval-section-list", "eval-timing-repeats-list", "train-epochs-list",
         "eval-cache-dir-list", "eval-manifest-list", "eval-checkpoint-list",
         "eval-artifact-list", "solve-instance-list", "experiment-spec-list",
         "record-timings-string", "train-record-timings-number", "theory-validate-string",
-        "train-k-float", "train-epochs-bool", "train-k-string", "eval-split-misnamed"])
+        "train-k-float", "train-epochs-bool", "train-k-string", "eval-split-misnamed",
+        "train-k-2-pow-64"])
 def test_malformed_config_rejected(tmp_path, capsys, config, argv, message):
     section = config.get(argv[0])
     if argv[0] in ("eval", "train") and not (isinstance(section, dict) and "manifest" in section):
