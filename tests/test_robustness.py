@@ -325,6 +325,10 @@ def _malformed_file(tmp_path, kind, edit, seed):
             path = tmp_path / "checkpoint.json"
             save_checkpoint(path, init_params(seed, h=4, l=1, k=2, h_g=4), seed=seed)
             args[-1:] = ["ours", "--checkpoint", str(path)]
+        if kind == "projection":
+            path = tmp_path / "pca.json"
+            save_projection(path, ProjectionMatrix(P=np.eye(6)[:, :2]), "pca")
+            args[-1:] = ["pca", "--artifact", str(path)]
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     return args
 
@@ -352,11 +356,18 @@ def _malformed_file(tmp_path, kind, edit, seed):
      "checkpoint params field 'w0v'"),
     # orjson reads an integer beyond 64 bits as a float
     ("manifest", lambda d: {**d, "base_seed": 2**64}, "manifest field 'base_seed'"),
+    # a bare number loaded as a one-entry array, and the instance solved
+    ("instance", lambda d: {**d, "n": 1, "m": 1, "Q": [2.0], "c": 5, "A": [1.0], "b": [3.0]},
+     "instance field 'c'"),
+    ("instance", lambda d: {**d, "n": 1, "m": 1, "Q": 2.0, "c": [5.0], "A": [1.0], "b": [3.0]},
+     "instance field 'Q'"),
+    ("projection", lambda d: {**d, "n_train": 1, "k": 1, "P": 1.0}, "projection field 'P'"),
 ], ids=["instance-Q-object", "instance-constant-list", "manifest-list",
         "manifest-files-number", "checkpoint-hidden-string", "checkpoint-params-list",
         "instance-constant-bool", "instance-constant-string", "instance-Q-strings",
         "instance-Q-bools", "manifest-no-family", "instance-Q-one-bool",
-        "checkpoint-w0v-one-bool", "manifest-base-seed-2-pow-64"])
+        "checkpoint-w0v-one-bool", "manifest-base-seed-2-pow-64", "instance-c-number",
+        "instance-Q-number", "projection-P-number"])
 def test_malformed_input_file_rejected(tmp_path, capsys, kind, edit, message):
     args = _malformed_file(tmp_path, kind, edit, seed=35)
     capsys.readouterr()
