@@ -16,20 +16,25 @@ import sys
 
 import numpy as np
 
-from .core import (FLAG, NUMBER, OBJECT, PATH, REQUIRED, TEXT, integer, one_of, read_fields,
-                   read_json_object)
+from .core import (FLAG, NUMBER, OBJECT, PATH, REQUIRED, TEXT, Kind, integer, one_of,
+                   read_fields, read_json_object)
 from .datasets import FAMILIES, SPLITS
 
 
 # every option a flag or a config section can set, by name; its flag reads
-# as an int for POSITIVE and NONNEGATIVE, a float for NUMBER and a string otherwise
+# as an int for POSITIVE, NONNEGATIVE and SEED, a float for NUMBER and a string otherwise
 POSITIVE, NONNEGATIVE = integer(1), integer(0)
+# a seed goes into manifests and checkpoints, whose reader (orjson) reads an
+# integer from 2**64 up as a float
+SEED = Kind("an integer in [0, 2**64)",
+            lambda v, f: v if type(v) is int and 0 <= v < 2**64 else None)
 OPTIONS = {
     **dict.fromkeys(("manifest", "checkpoint", "artifact", "instance", "spec", "cache-dir"),
                     PATH),
     **dict.fromkeys(("n", "t", "s", "v", "k", "train", "val", "test", "epochs", "batch-size",
                      "hidden", "layers", "head-hidden", "d"), POSITIVE),
-    **dict.fromkeys(("m", "seed", "base-seed", "timing-repeats"), NONNEGATIVE),
+    **dict.fromkeys(("m", "timing-repeats"), NONNEGATIVE),
+    **dict.fromkeys(("seed", "base-seed"), SEED),
     **dict.fromkeys(("lr", "sigma-q", "sigma-p", "q0", "c0", "b", "epsilon", "delta",
                      "log-n-cover"), NUMBER),
     **dict.fromkeys(("record_timings", "validate"), FLAG),
@@ -310,7 +315,8 @@ def build_parser():
                 p.add_argument(f"--{key}", action="store_true", default=None)
             else:
                 p.add_argument(f"--{key}", choices=choices.get(key), type=(
-                    int if kind in (POSITIVE, NONNEGATIVE) else float if kind is NUMBER else None))
+                    int if kind in (POSITIVE, NONNEGATIVE, SEED)
+                    else float if kind is NUMBER else None))
         p.set_defaults(fn=fn)
     return parser
 

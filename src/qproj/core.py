@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import os
-import re
 import reprlib
 import sys
 import warnings
@@ -338,24 +337,6 @@ def eliminate_eq_nullspace(e: EqQpInstance, u0) -> tuple[QpInstance, AffineRecov
 
 
 # ---------------------------------------------------------------------------
-# Instance file format: JSON with dense row-major matrices.
-
-def instance_to_dict(inst: QpInstance) -> dict:
-    """The instance as a JSON document: save_instance writes the bytes of
-    json.dumps(instance_to_dict(inst), allow_nan=False)."""
-    return {
-        "n": inst.n_vars,
-        "m": inst.n_cons,
-        "Q": inst.Q.ravel().tolist(),
-        "c": inst.c.tolist(),
-        "A": inst.A.ravel().tolist(),
-        "b": inst.b.tolist(),
-        "constant": inst.constant,
-        "meta": dict(inst.meta),
-    }
-
-
-# ---------------------------------------------------------------------------
 # Input documents. Each JSON document the CLI reads has one table, field name
 # -> Kind, next to the code that owns it; read_fields applies a table.
 
@@ -489,58 +470,21 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
-# orjson's layout of a float list -> json's. The exponent patterns start
-# with a literal, which re scans for quickly; a leading class or look-behind
-# would test every byte: on a regression N=500 A, 30 ms against 0.6 ms.
-_EXP_SIGN = re.compile(rb"e(\d)")                  # 1e16 -> 1e+16
-_EXP_TWO_DIGITS = re.compile(rb"e-(\d)(?!\d)")     # 1e-7 -> 1e-07
-_BAND = re.compile(rb"0\.0000(\d)(\d*)")           # 1e-5 <= |x| < 1e-4
-
-
-def _band_to_exponent(text: bytes) -> bytes:
-    """text with each number 0.0000123 written 1.23e-05. bytes.find scans
-    for .0000 many times faster than re, whose scan for 0.0000 stops at
-    every 0; a match is a number where its 0 starts one, and is left as it
-    is where it ends one, as in 10.00001."""
-    pieces, done = [], 0
-    point = text.find(b".0000")
-    while point >= 0:
-        match = _BAND.match(text, point - 1)
-        if match and text[point - 2] not in b"0123456789":
-            first, rest = match.groups()
-            pieces += [text[done:point - 1], first, b"." + rest if rest else b"", b"e-05"]
-            done = match.end()
-        point = text.find(b".0000", point + 5)
-    return b"".join([*pieces, text[done:]])
-
-
-def json_floats(a) -> bytes:
-    """The bytes of json.dumps(a.ravel().tolist(), allow_nan=False) for a
-    float array, row-major. orjson writes the same shortest round-trip
-    digits as float repr (Ryu), and only its layout is changed to json's:
-    a signed exponent of two digits or more, the band 1e-5 <= |x| < 1e-4 in
-    exponent form, and ", " between entries. A non-finite entry raises
-    ValueError, as allow_nan=False does; orjson would write null."""
-    flat = np.ascontiguousarray(a, dtype=np.float64).ravel()
-    if not np.isfinite(flat).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
-    if b"e" in text:
-        text = _EXP_TWO_DIGITS.sub(rb"e-0\1", _EXP_SIGN.sub(rb"e+\1", text))
-    return _band_to_exponent(text).replace(b",", b", ")
-
+# ---------------------------------------------------------------------------
+# Instance file format: JSON with dense row-major matrices.
 
 def save_instance(inst: QpInstance, path) -> None:
-    """Write the bytes of json.dumps(instance_to_dict(inst), allow_nan=False),
-    the arrays by json_floats: float repr on each of their entries is most of
-    json.dumps's time."""
-    parts = [f'{{"n": {inst.n_vars}, "m": {inst.n_cons}'.encode()]
-    for key, a in (("Q", inst.Q), ("c", inst.c), ("A", inst.A), ("b", inst.b)):
-        parts += [f', "{key}": '.encode(), json_floats(a)]
-    rest = json.dumps({"constant": inst.constant, "meta": dict(inst.meta)}, allow_nan=False)
-    parts.append(b", " + rest[1:].encode())
+    """Write inst as one JSON object: n, m, then Q, c, A and b as flat
+    row-major lists, by orjson, whose shortest round-trip digits load back
+    to the same doubles; then constant and meta by json.dumps, which
+    rejects a NaN in meta and writes an integer of any size."""
+    arrays = orjson.dumps({"n": inst.n_vars, "m": inst.n_cons, "Q": inst.Q.ravel(),
+                           "c": inst.c, "A": inst.A.ravel(), "b": inst.b},
+                          option=orjson.OPT_SERIALIZE_NUMPY)
+    rest = json.dumps({"constant": inst.constant, "meta": dict(inst.meta)}, allow_nan=False,
+                      separators=(",", ":"))
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(arrays[:-1] + b"," + rest[1:].encode())
 
 
 def load_instance(path) -> QpInstance:

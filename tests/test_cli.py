@@ -298,3 +298,24 @@ def test_config_seed_equals_the_seed_flag(tmp_path, capsys):
     assert eval_rand(tmp_path / "ec", by_flag, "--config", str(cfg_path)) == records
     assert eval_rand(tmp_path / "e0", by_flag) != records
     capsys.readouterr()
+
+
+def test_seeds_read_back_below_2_pow_64(tmp_path, capsys):
+    # orjson reads an integer from 2**64 up as a float: gen-data took such a
+    # seed and wrote a manifest whose base_seed train then refused
+    gen = ["gen-data", "--family", "portfolio", "--n", "4", "--train", "2", "--val", "1",
+           "--test", "1"]
+    for argv, option in [([*gen, "--base-seed", str(2**64)], "'base-seed'"),
+                         (["--seed", str(2**64), *gen], "'seed'")]:
+        capsys.readouterr()
+        assert run_cli(["--out", str(tmp_path / "d"), *argv]) == 2
+        assert option in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+    top = str(2**64 - 1)
+    assert run_cli(["--out", str(tmp_path / "d"), *gen, "--base-seed", top]) == 0
+    assert run_cli(["--seed", top, "--out", str(tmp_path / "m"), "train", "--manifest",
+                    str(tmp_path / "d" / "manifest.json"), "--k", "2", "--epochs", "1",
+                    "--batch-size", "2", "--hidden", "4", "--layers", "1",
+                    "--head-hidden", "4"]) == 0
+    assert json.loads((tmp_path / "m" / "checkpoint.json").read_text())["seed"] == 2**64 - 1
+    capsys.readouterr()

@@ -14,8 +14,6 @@ from qproj.core import (
     QpInstance,
     eliminate_eq_doubling,
     eliminate_eq_nullspace,
-    instance_to_dict,
-    json_floats,
     load_instance,
     max_violation,
     objective,
@@ -397,50 +395,47 @@ def test_reader_matches_json_on_hard_doubles(tmp_path):
     assert [type(x) for x in doc["hard"][2:4]] == [int, int]
 
 
-# the zeros and extremes; the band 1e-5 <= |x| < 1e-4, which orjson writes
-# as 0.0000123; exponents of one digit and from 16 up; and 0.0000 as the tail
-# of a number
+# the zeros and extremes, and the doubles that orjson and json write
+# differently: the band 1e-5 <= |x| < 1e-4, which orjson writes as 0.0000123;
+# exponents of one digit and from 16 up; and 0.0000 as the tail of a number
 WRITER_DOUBLES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                   1e-5, 9.99999e-5, 1e-4, -3e-5, 1.00001e-5,
                   1e15, 1e16, 9999999999999998.0, 1e22, 1e-7, 10.00001, -100.00001]
 
 
-def _json_bytes(a) -> bytes:
-    return json.dumps(np.asarray(a).ravel().tolist(), allow_nan=False).encode()
-
-
-def test_writer_matches_json_on_hard_doubles():
+def test_saved_instance_loads_back_bitwise(tmp_path):
     rng = np.random.default_rng(8)
-    decimals = rng.uniform(1, 10, 2000) * 10.0 ** rng.integers(-12, 23, 2000)   # 13-17 digits
-    exponents = np.repeat(np.arange(2047, dtype=np.int64), 3)          # every finite one
-    bits = exponents << 52 | rng.integers(0, 2**52, size=exponents.size, dtype=np.int64)
-    bits[::2] |= np.int64(-2**63)                                       # half negative
-    for values in (WRITER_DOUBLES, [-x for x in WRITER_DOUBLES], decimals, -decimals,
-                   bits.view(np.float64), []):
-        assert json_floats(np.asarray(values, dtype=np.float64)) == _json_bytes(values)
-
-
-def test_writer_writes_row_major_from_any_layout():
-    m = np.random.default_rng(9).normal(size=(3, 5)) * 1e-5
-    for a in (np.asfortranarray(m), m.T, m[:, ::2]):
-        assert json_floats(a) == _json_bytes(a)
-
-
-def test_saved_instance_is_json_dumps_of_its_dict(tmp_path):
-    n = len(WRITER_DOUBLES)
+    bits = rng.integers(0, 2**63 - 2**52, size=2000, dtype=np.int64)   # finite doubles
+    bits[::2] |= np.int64(-2**63)                                         # half negative
+    values = np.concatenate([WRITER_DOUBLES, np.negative(WRITER_DOUBLES), bits.view(np.float64)])
+    path, n = tmp_path / "inst.json", 60
     for m in (0, 2):
-        inst = QpInstance(Q=np.asfortranarray(np.diag(np.arange(1.0, n + 1) * 1e-5)),
-                          c=WRITER_DOUBLES, A=np.full((m, n), -3e-5), b=[1e16] * m,
-                          constant=1e-7, meta={"id": "t-0001", "note": "\u00e9"})
-        save_instance(inst, tmp_path / "inst.json")
-        assert (tmp_path / "inst.json").read_bytes() == json.dumps(
-            instance_to_dict(inst), allow_nan=False).encode()
+        # c, A and b of each instance take the next n + m n + m values
+        size = n + m * n + m
+        for chunk in np.concatenate([values, np.zeros(-values.size % size)]).reshape(-1, size):
+            inst = QpInstance(Q=np.eye(n), c=chunk[:n], A=chunk[n:n + m * n].reshape(m, n),
+                              b=chunk[n + m * n:], constant=chunk[0],
+                              meta={"id": "t-0001", "note": "\u00e9"})
+            save_instance(inst, path)
+            back = load_instance(path)
+            for name in ("Q", "c", "A", "b"):
+                assert getattr(back, name).tobytes() == getattr(inst, name).tobytes(), name
+            assert _same_value(back.constant, inst.constant)
+            assert back.meta == inst.meta
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_writer_rejects_non_finite_entries(bad):
+def test_saved_instance_has_the_golden_bytes(tmp_path):
+    # orjson's layout for Q, c, A and b: an orjson that writes them otherwise
+    # changes every instance file and fails here
+    inst = QpInstance(Q=[[2.0, -0.5], [-0.5, 1e16]], c=[3e-5, -0.0], A=[[5e-324, 1.0]],
+                      b=[0.1], constant=1e-7, meta={"id": "t-0001", "note": "\u00e9"})
+    save_instance(inst, tmp_path / "inst.json")
+    assert (tmp_path / "inst.json").read_bytes() == (
+        b'{"n":2,"m":1,"Q":[2.0,-0.5,-0.5,1e16],"c":[0.00003,-0.0],"A":[5e-324,1.0],'
+        b'"b":[0.1],"constant":1e-07,"meta":{"id":"t-0001","note":"\\u00e9"}}')
     with pytest.raises(ValueError, match="not JSON compliant"):
-        json_floats(np.array([1.0, bad]))
+        save_instance(QpInstance(Q=inst.Q, c=inst.c, A=inst.A, b=inst.b,
+                                 meta={"x": math.nan}), tmp_path / "nan.json")
 
 
 # orjson refuses the first four, and is not given the last; json parses them

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,9 +6,10 @@ from qproj.core import (
     QpInstance,
     eliminate_eq_doubling,
     eliminate_eq_nullspace,
-    instance_to_dict,
     max_violation,
     objective,
+    read_json_object,
+    save_instance,
 )
 from qproj.datasets import (
     DatasetManifest,
@@ -222,19 +221,21 @@ def test_trivial_objective_is_zero():
                          ids=["portfolio", "control"])
 def test_generated_instance_is_built_once(make):
     # the eliminated instance is tagged in place; building it a second time
-    # gives the same document
+    # gives the same arrays, constant and meta
     for seed in range(3):
         inst = make(seed)
         again = QpInstance(Q=inst.Q, c=inst.c, A=inst.A, b=inst.b,
                            constant=inst.constant, meta=inst.meta)
-        assert json.dumps(instance_to_dict(inst)) == json.dumps(instance_to_dict(again))
+        for name in ("Q", "c", "A", "b"):
+            assert getattr(again, name).tobytes() == getattr(inst, name).tobytes(), name
+        assert again.constant == inst.constant and again.meta == inst.meta
 
 
 @pytest.mark.parametrize("make", [lambda: gen_regression(n=8, m=3, t=16, seed=0),
                                   lambda: gen_portfolio(12, seed=0),
                                   lambda: gen_control(s=3, v=3, t=4, seed=0)],
                          ids=["regression", "portfolio", "control"])
-def test_generation_computes_the_eigenvalues_once(make, monkeypatch):
+def test_generation_computes_the_eigenvalues_once(make, monkeypatch, tmp_path):
     # generation proves Q PSD and positive definite on its subspace with
     # Cholesky factors; the eigenvalues cost one eigvalsh, on first read
     calls = []
@@ -253,4 +254,5 @@ def test_generation_computes_the_eigenvalues_once(make, monkeypatch):
     assert calls == [inst.Q.shape]
     assert eigs.tobytes() == real(inst.Q).tobytes()
     assert not eigs.flags.writeable
-    assert "eigenvalues" not in instance_to_dict(inst)
+    save_instance(inst, tmp_path / "inst.json")
+    assert "eigenvalues" not in read_json_object(tmp_path / "inst.json", "an instance")

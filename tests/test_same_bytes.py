@@ -1,10 +1,12 @@
 """The fast paths give the same bytes as the plain ones they replace.
 
-The JSON writers encode with json.dumps (the C encoder); each file must
-equal what json.dump (the pure-Python encoder) writes for the same document
-with the same options. The crossover's direct LAPACK calls must equal
-scipy.linalg.solve_triangular and scipy.linalg.qr bitwise. Everything is
-compared in process, so the tests hold on any machine."""
+Instance files are in orjson's layout: each must load, by load_instance and
+by json.load, to the instance it was written from, bit for bit. The other
+JSON writers encode with json.dumps (the C encoder); each of their files
+must equal what json.dump (the pure-Python encoder) writes for the same
+document with the same options. The crossover's direct LAPACK calls must
+equal scipy.linalg.solve_triangular and scipy.linalg.qr bitwise. Everything
+is compared in process, so the tests hold on any machine."""
 
 import io
 import json
@@ -15,7 +17,7 @@ import pytest
 import scipy.linalg
 
 from qproj.baselines import pca_projection, save_projection
-from qproj.core import instance_to_dict
+from qproj.core import load_instance
 from qproj.datasets import gen_split, generate_instance
 from qproj.evaluate import SolutionCache
 from qproj.gnn import init_params, load_checkpoint, save_checkpoint
@@ -50,10 +52,21 @@ def test_gen_split_files_match_the_python_encoder(tmp_path, family, sizes):
     man = gen_split(family, sizes, {"train": 2, "val": 1, "test": 1}, 7, tmp_path)
     for f in man.files:
         inst = generate_instance(family, sizes, f["seed"])
-        doc = instance_to_dict(inst)
-        doc["meta"].update({"id": f"{family}-{f['split']}-{f['index']:04d}",
-                            "split": f["split"], "index": f["index"]})
-        assert file_bytes(tmp_path / f["path"]) == python_encoded(doc, allow_nan=False), f["path"]
+        meta = {**inst.meta, "id": f"{family}-{f['split']}-{f['index']:04d}",
+                "split": f["split"], "index": f["index"]}
+        back = load_instance(tmp_path / f["path"])
+        with open(tmp_path / f["path"], "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert list(doc) == ["n", "m", "Q", "c", "A", "b", "constant", "meta"]
+        assert (doc["n"], doc["m"]) == (inst.n_vars, inst.n_cons)
+        for name in ("Q", "c", "A", "b"):
+            want = getattr(inst, name)
+            assert getattr(back, name).tobytes() == want.tobytes(), (f["path"], name)
+            assert np.array(doc[name], dtype=np.float64).reshape(want.shape).tobytes() \
+                == want.tobytes(), (f["path"], name)
+        for constant in (back.constant, doc["constant"]):
+            assert np.float64(constant).tobytes() == np.float64(inst.constant).tobytes()
+        assert back.meta == doc["meta"] == meta
     assert file_bytes(tmp_path / "manifest.json") == reencoded(
         tmp_path / "manifest.json", indent=1, allow_nan=False)
 
