@@ -6,12 +6,8 @@ lifted objective via envelope-theorem gradients.
 """
 
 from .core import (
-    AffineRecovery,
-    EqQpInstance,
     ProjectionMatrix,
     QpInstance,
-    eliminate_eq_doubling,
-    eliminate_eq_nullspace,
     is_feasible,
     load_instance,
     max_violation,
@@ -52,6 +48,7 @@ from .baselines import (
 )
 from .datasets import (
     DatasetManifest,
+    eliminate_eq_nullspace,
     gen_control,
     gen_portfolio,
     gen_regression,

@@ -9,6 +9,7 @@ flags win. Exit codes: 0 success, 2 configuration errors, 3 I/O errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import reprlib
@@ -123,8 +124,7 @@ def cmd_train(args, cfg):
     save_checkpoint(ckpt, params, seed=config.seed,
                     extra={"family": manifest.family,
                            "best_epoch": report.best_epoch,
-                           "solver": {"eps_abs": config.solver.eps_abs,
-                                      "eps_rel": config.solver.eps_rel}})
+                           "solver": dataclasses.asdict(config.solver)})
     report.to_csv(os.path.join(args.out, "train_report.csv"))
     print(ckpt)
     return 0
@@ -183,7 +183,7 @@ def cmd_solve(args, cfg):
         "y_star": res.y_star.tolist(),
         "lambda_star": res.lambda_star.tolist(),
         "message": res.message,
-        "solver": {"eps_abs": settings.eps_abs, "eps_rel": settings.eps_rel},
+        "solver": dataclasses.asdict(settings),
     }
     out = json.dumps(doc)
     if args.out != ".":

@@ -1,5 +1,7 @@
-"""QP data model: inequality-form instances, projection/recovery, and
-elimination of equality constraints.
+"""QP data model: inequality-form instances, projection and recovery, and
+the JSON readers and instance file format. Equality constraints never
+reach this module: the generators that have them eliminate them (see
+datasets.eliminate_eq_nullspace).
 
 All matrices are dense float64. Instances are immutable after construction
 (arrays are marked read-only) and safe to share across threads.
@@ -14,20 +16,17 @@ import math
 import os
 import reprlib
 import sys
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 import orjson
-import scipy.linalg
 from scipy.linalg.lapack import dpotrf
 
 SYM_RTOL = 1e-12          # relative symmetry tolerance for Q
 PSD_RTOL = 1e-8           # Q is PSD when lambda_min(Q) >= -PSD_RTOL * ||Q||_2,
                           # shown by a factor of a shifted Q when one exists
-PINV_RCOND = 1e-10        # singular value cutoff for pseudo-inverses
 ORTHO_TOL = 1e-8          # ||P'P - I||_F tolerance for projection matrices
 
 
@@ -127,92 +126,6 @@ class QpInstance:
 
 
 @dataclass(frozen=True, eq=False)
-class EqQpInstance:
-    """QP with inequality and equality constraints:
-    min 1/2 u'Qu + c'u  s.t.  A_ineq u <= b_ineq,  A_eq u = b_eq.
-
-    Numerically dependent rows of A_eq (singular values below
-    PINV_RCOND * sigma_max) are dropped at construction; the count is kept
-    in ``dropped_eq_rows``.
-    """
-
-    Q: np.ndarray
-    c: np.ndarray
-    A_ineq: np.ndarray
-    b_ineq: np.ndarray
-    A_eq: np.ndarray
-    b_eq: np.ndarray
-    dropped_eq_rows: int = 0
-
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=np.float64)
-        c = np.asarray(self.c, dtype=np.float64).ravel()
-        n = Q.shape[0]
-        A_ineq = np.asarray(self.A_ineq, dtype=np.float64).reshape(-1, n)
-        b_ineq = np.asarray(self.b_ineq, dtype=np.float64).ravel()
-        A_eq = np.asarray(self.A_eq, dtype=np.float64).reshape(-1, n)
-        b_eq = np.asarray(self.b_eq, dtype=np.float64).ravel()
-        if Q.ndim != 2 or Q.shape[1] != n or c.shape != (n,):
-            raise ValueError("inconsistent objective dimensions")
-        if b_ineq.shape[0] != A_ineq.shape[0] or b_eq.shape[0] != A_eq.shape[0]:
-            raise ValueError("constraint right-hand sides do not match row counts")
-
-        dropped = 0
-        if A_eq.shape[0]:
-            svals = np.linalg.svd(A_eq, compute_uv=False)
-            rank = int(np.sum(svals > PINV_RCOND * svals[0])) if svals[0] > 0 else 0
-            if rank < A_eq.shape[0]:
-                # pivoted QR of A_eq' picks a maximal independent row subset
-                _, _, piv = scipy.linalg.qr(A_eq.T, pivoting=True, mode="economic")
-                keep = np.sort(piv[:rank])
-                dropped = A_eq.shape[0] - rank
-                warnings.warn(
-                    f"dropped {dropped} numerically dependent equality rows",
-                    stacklevel=2,
-                )
-                A_eq = A_eq[keep]
-                b_eq = b_eq[keep]
-
-        object.__setattr__(self, "Q", _frozen(0.5 * (Q + Q.T)))
-        object.__setattr__(self, "c", _frozen(c))
-        object.__setattr__(self, "A_ineq", _frozen(A_ineq))
-        object.__setattr__(self, "b_ineq", _frozen(b_ineq))
-        object.__setattr__(self, "A_eq", _frozen(A_eq))
-        object.__setattr__(self, "b_eq", _frozen(b_eq))
-        object.__setattr__(self, "dropped_eq_rows", dropped)
-
-    @property
-    def n_vars(self) -> int:
-        return self.Q.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class AffineRecovery:
-    """Maps solutions of an eliminated QP back to the original variables,
-    x -> D x + u0, plus the objective constant dropped by the transform."""
-
-    D: np.ndarray
-    u0: np.ndarray
-    constant: float = 0.0
-
-    def __post_init__(self):
-        D = np.asarray(self.D, dtype=np.float64)
-        u0 = np.asarray(self.u0, dtype=np.float64).ravel()
-        n = u0.shape[0]
-        if D.shape != (n, n):
-            raise ValueError(f"D must be {n}x{n}, got {D.shape}")
-        idem = np.linalg.norm(D @ D - D, "fro")
-        if idem > 1e-8:
-            raise ValueError(f"D is not idempotent: ||DD - D||_F = {idem:.3e}")
-        object.__setattr__(self, "D", _frozen(D))
-        object.__setattr__(self, "u0", _frozen(u0))
-        object.__setattr__(self, "constant", float(self.constant))
-
-    def apply(self, x) -> np.ndarray:
-        return self.D @ np.asarray(x, dtype=np.float64) + self.u0
-
-
-@dataclass(frozen=True, eq=False)
 class ProjectionMatrix:
     """N x K matrix with orthonormal columns."""
 
@@ -291,49 +204,6 @@ def recover(proj: ProjectionMatrix, y) -> np.ndarray:
     if y.shape[0] != proj.k:
         raise ValueError(f"y has length {y.shape[0]}, expected {proj.k}")
     return proj.P @ y
-
-
-def eliminate_eq_doubling(e: EqQpInstance) -> QpInstance:
-    """Rewrite each equality row as a pair of opposing inequalities."""
-    A = np.vstack([e.A_ineq, e.A_eq, -e.A_eq])
-    b = np.concatenate([e.b_ineq, e.b_eq, -e.b_eq])
-    return QpInstance(Q=e.Q, c=e.c, A=A, b=b)
-
-
-def eliminate_eq_nullspace(e: EqQpInstance, u0) -> tuple[QpInstance, AffineRecovery]:
-    """Eliminate equality constraints around a feasible point u0.
-
-    With D the orthogonal projector onto null(A_eq), the variable change
-    u = D x + u0 yields an inequality-form QP in which x = 0 is feasible.
-    The dropped objective constant is stored on the returned recovery.
-    """
-    u0 = np.asarray(u0, dtype=np.float64).ravel()
-    n = e.n_vars
-    if u0.shape[0] != n:
-        raise ValueError(f"u0 has length {u0.shape[0]}, expected {n}")
-    if e.A_eq.shape[0]:
-        eq_res = np.abs(e.A_eq @ u0 - e.b_eq).max()
-        if eq_res > 1e-8:
-            raise ValueError(f"u0 violates equality constraints by {eq_res:.3e}")
-    slack = e.b_ineq - e.A_ineq @ u0 if e.A_ineq.shape[0] else np.zeros(0)
-    if slack.size and slack.min() < -1e-8:
-        raise ValueError(f"u0 violates inequality constraints by {-slack.min():.3e}")
-
-    if e.A_eq.shape[0]:
-        D = np.eye(n) - np.linalg.pinv(e.A_eq, rcond=PINV_RCOND) @ e.A_eq
-        null_res = np.abs(e.A_eq @ D).max()
-        if null_res > 1e-8:
-            raise ValueError(f"null-space projector residual {null_res:.3e}")
-    else:
-        D = np.eye(n)
-
-    Qr = D.T @ e.Q @ D
-    c = D.T @ (e.c + e.Q @ u0)
-    A = e.A_ineq @ D
-    b = e.b_ineq - e.A_ineq @ u0
-    const = float(0.5 * u0 @ (e.Q @ u0) + e.c @ u0)
-    inst = QpInstance(Q=0.5 * (Qr + Qr.T), c=c, A=A, b=b)
-    return inst, AffineRecovery(D=D, u0=u0, constant=const)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Seeded generators for the three synthetic QP families, plus split
+"""Seeded generators for the three synthetic QP families, the null-space
+elimination of the equality constraints two of them carry, plus split
 management and serialization.
 
 Every generated instance is inequality-form with x = 0 feasible (b >= 0), so
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,10 +22,8 @@ from .core import (
     OBJECT,
     PATH,
     TEXT,
-    EqQpInstance,
     QpInstance,
     cholesky_exists,
-    eliminate_eq_nullspace,
     integer,
     load_instance,
     one_of,
@@ -36,6 +36,7 @@ RNG_NAME = "numpy-philox4x64"
 GENERATOR_VERSION = 1
 FAMILIES = ("regression", "portfolio", "control")
 SPLITS = ("train", "val", "test")
+PINV_RCOND = 1e-10        # singular value cutoff for the pseudo-inverse of A_eq
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -85,7 +86,44 @@ def gen_regression(n: int = 500, m: int = 50, t: int | None = None,
     return _check_generated(inst, np.eye(n))
 
 
-def portfolio_eq_instance(n: int, seed: int) -> tuple[EqQpInstance, np.ndarray]:
+class EqArrays(NamedTuple):
+    """The arrays of  min 1/2 u'Qu + c'u  s.t.  A_ineq u <= b_ineq,
+    A_eq u = b_eq, as a generator builds them before elimination."""
+
+    Q: np.ndarray
+    c: np.ndarray
+    A_ineq: np.ndarray
+    b_ineq: np.ndarray
+    A_eq: np.ndarray
+    b_eq: np.ndarray
+
+
+def eliminate_eq_nullspace(Q, c, A_ineq, b_ineq, A_eq, b_eq,
+                           u0) -> tuple[QpInstance, np.ndarray, float]:
+    """Eliminate the equality constraints around a feasible point u0 by the
+    null-space method (Nocedal & Wright, Numerical Optimization, 16.2).
+
+    With D the orthogonal projector onto null(A_eq), the variable change
+    u = D x + u0 yields an inequality-form QP in which x = 0 is feasible.
+    Returns that QP, D, and the objective constant the change drops. The
+    pseudo-inverse's cutoff PINV_RCOND lets dependent rows of A_eq through.
+    """
+    eq_res = np.abs(A_eq @ u0 - b_eq).max()
+    if eq_res > 1e-8:
+        raise ValueError(f"u0 violates equality constraints by {eq_res:.3e}")
+    slack = b_ineq - A_ineq @ u0
+    if slack.min(initial=0.0) < -1e-8:
+        raise ValueError(f"u0 violates inequality constraints by {-slack.min():.3e}")
+    D = np.eye(len(u0)) - np.linalg.pinv(A_eq, rcond=PINV_RCOND) @ A_eq
+    null_res = np.abs(A_eq @ D).max()
+    if null_res > 1e-8:
+        raise ValueError(f"null-space projector residual {null_res:.3e}")
+    Qr = D.T @ Q @ D
+    inst = QpInstance(Q=0.5 * (Qr + Qr.T), c=D.T @ (c + Q @ u0), A=A_ineq @ D, b=slack)
+    return inst, D, float(0.5 * u0 @ (Q @ u0) + c @ u0)
+
+
+def portfolio_eq_instance(n: int, seed: int) -> tuple[EqArrays, np.ndarray]:
     """Minimum-variance portfolio with budget, no-short-selling, and
     target-return constraints, before equality elimination.
 
@@ -100,11 +138,8 @@ def portfolio_eq_instance(n: int, seed: int) -> tuple[EqQpInstance, np.ndarray]:
     target = float(mu @ np.ones(n)) / n
     A_ineq = np.vstack([-np.eye(n), -mu[None, :]])
     b_ineq = np.concatenate([np.zeros(n), [-target]])
-    eq = EqQpInstance(
-        Q=Q, c=np.zeros(n),
-        A_ineq=A_ineq, b_ineq=b_ineq,
-        A_eq=np.ones((1, n)), b_eq=np.ones(1),
-    )
+    eq = EqArrays(Q=Q, c=np.zeros(n), A_ineq=A_ineq, b_ineq=b_ineq,
+                  A_eq=np.ones((1, n)), b_eq=np.ones(1))
     return eq, np.full(n, 1.0 / n)
 
 
@@ -113,15 +148,15 @@ def gen_portfolio(n: int = 500, seed: int = 0) -> QpInstance:
         # the budget row leaves n - 1 free variables after elimination
         raise ValueError(f"portfolio needs n >= 2, got n={n}")
     eq, u0 = portfolio_eq_instance(n, seed)
-    inst, rec = eliminate_eq_nullspace(eq, u0)
+    inst, D, constant = eliminate_eq_nullspace(*eq, u0)
     # the instance is fresh and unshared: tag it rather than build it again
     inst.meta.update({"family": "portfolio", "seed": seed, "n": n,
-                      "recovery_constant": rec.constant})
-    return _check_generated(inst, rec.D)
+                      "recovery_constant": constant})
+    return _check_generated(inst, D)
 
 
 def control_eq_instance(s: int, v: int, t: int,
-                        seed: int) -> tuple[EqQpInstance, np.ndarray]:
+                        seed: int) -> tuple[EqArrays, np.ndarray]:
     """Finite-horizon tracking problem with linear dynamics and box
     constraints, before equality elimination. Variables are the stacked
     (state_1, input_1, ..., state_T, input_T).
@@ -169,8 +204,7 @@ def control_eq_instance(s: int, v: int, t: int,
     A_ineq = np.vstack([np.eye(n), -np.eye(n)])
     b_ineq = np.concatenate([hi, -lo])
 
-    eq = EqQpInstance(Q=Q, c=c, A_ineq=A_ineq, b_ineq=b_ineq,
-                      A_eq=A_eq, b_eq=b_eq)
+    eq = EqArrays(Q=Q, c=c, A_ineq=A_ineq, b_ineq=b_ineq, A_eq=A_eq, b_eq=b_eq)
     u0 = np.zeros(n)
     for step in range(t):
         u0[s_idx(step) : s_idx(step) + s] = s_init
@@ -179,10 +213,10 @@ def control_eq_instance(s: int, v: int, t: int,
 
 def gen_control(s: int = 50, v: int = 50, t: int = 5, seed: int = 0) -> QpInstance:
     eq, u0 = control_eq_instance(s, v, t, seed)
-    inst, rec = eliminate_eq_nullspace(eq, u0)
+    inst, D, constant = eliminate_eq_nullspace(*eq, u0)
     inst.meta.update({"family": "control", "seed": seed, "s": s, "v": v, "t": t,
-                      "recovery_constant": rec.constant})
-    return _check_generated(inst, rec.D)
+                      "recovery_constant": constant})
+    return _check_generated(inst, D)
 
 
 def generate_instance(family: str, sizes: dict, seed: int) -> QpInstance:
@@ -247,13 +281,18 @@ def gen_split(family: str, sizes: dict, counts: dict, base_seed: int,
 
     Instance d (numbered globally across the splits, in train/val/test
     order) uses seed base_seed + d, so split seed ranges are disjoint and
-    the manifest plus base seed reproduce every file bitwise.
+    the manifest plus base seed reproduce every file bitwise. Every seed
+    must be below 2**64, which the manifest's reader reads as an integer.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     for split in SPLITS:
         if counts.get(split, 0) < 1:
             raise ValueError("all split counts must be positive")
+    last_seed = base_seed + sum(counts[split] for split in SPLITS) - 1
+    if last_seed >= 2**64:
+        raise ValueError(f"base seed {base_seed} gives instance seeds up to {last_seed}, "
+                         f"past the largest, 2**64 - 1")
     os.makedirs(out_dir, exist_ok=True)
     manifest = DatasetManifest(family=family, sizes=dict(sizes),
                                counts=dict(counts), base_seed=base_seed,

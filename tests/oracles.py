@@ -2,7 +2,8 @@
 
 The brute-force QP oracle enumerates all active-constraint subsets and keeps
 the feasible minimum; it shares no code with qproj.solver. The
-finite-difference helpers re-solve perturbed problems from scratch.
+finite-difference helpers re-solve perturbed problems from scratch. The
+doubling elimination is the reference for the null-space elimination.
 """
 
 import itertools
@@ -63,6 +64,14 @@ def random_pd_instance(rng, n, m, feasible_margin=0.1):
     x0 = rng.normal(size=n)
     b = A @ x0 + rng.uniform(feasible_margin, 1.0 + feasible_margin, size=m)
     return QpInstance(Q=Q, c=c, A=A, b=b)
+
+
+def eliminate_eq_doubling(eq) -> QpInstance:
+    """The QP of datasets.EqArrays eq with each equality row rewritten as a
+    pair of opposing inequalities."""
+    A = np.vstack([eq.A_ineq, eq.A_eq, -eq.A_eq])
+    b = np.concatenate([eq.b_ineq, eq.b_eq, -eq.b_eq])
+    return QpInstance(Q=eq.Q, c=eq.c, A=A, b=b)
 
 
 def reduced_instance_raw(inst, P):

@@ -18,13 +18,12 @@ import pytest
 from qproj.baselines import pca_projection, sharedp_train
 from qproj.core import (
     QpInstance,
-    eliminate_eq_doubling,
-    eliminate_eq_nullspace,
     max_violation,
     project,
     recover,
 )
 from qproj.datasets import (
+    eliminate_eq_nullspace,
     gen_regression,
     generate_instance,
     portfolio_eq_instance,
@@ -50,6 +49,7 @@ from qproj.training import TrainConfig, envelope_grad, train
 from oracles import (
     active_set,
     brute_force_min,
+    eliminate_eq_doubling,
     random_pd_instance,
     reduced_instance_raw,
     u_of_raw_projection,
@@ -380,13 +380,13 @@ def test_criterion_10_equality_elimination_round_trip():
         doubled = eliminate_eq_doubling(eq)
         res_d = solve_qp(doubled)
         assert res_d.status is SolveStatus.SOLVED
-        inst, rec = eliminate_eq_nullspace(eq, u0)
+        inst, D, constant = eliminate_eq_nullspace(*eq, u0)
         res_n = solve_qp(inst)
         assert res_n.status is SolveStatus.SOLVED
-        gap = abs(res_d.objective - (res_n.objective + rec.constant))
+        gap = abs(res_d.objective - (res_n.objective + constant))
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-5
-        u = rec.apply(res_n.y_star)
+        u = D @ res_n.y_star + u0
         eq_res = np.abs(eq.A_eq @ u - eq.b_eq).max()
         worst_eq = max(worst_eq, eq_res)
         assert eq_res <= 1e-6

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qproj.cli import main
+from qproj.core import read_json_object
 
 
 def run_cli(args):
@@ -302,17 +303,22 @@ def test_config_seed_equals_the_seed_flag(tmp_path, capsys):
 
 def test_seeds_read_back_below_2_pow_64(tmp_path, capsys):
     # orjson reads an integer from 2**64 up as a float: gen-data took such a
-    # seed and wrote a manifest whose base_seed train then refused
+    # seed, or a base seed whose instance seeds reach it, and wrote a manifest
+    # whose seeds train then refused
     gen = ["gen-data", "--family", "portfolio", "--n", "4", "--train", "2", "--val", "1",
            "--test", "1"]
+    top = str(2**64 - 1)
     for argv, option in [([*gen, "--base-seed", str(2**64)], "'base-seed'"),
-                         (["--seed", str(2**64), *gen], "'seed'")]:
+                         (["--seed", str(2**64), *gen], "'seed'"),
+                         ([*gen, "--base-seed", top], f"up to {2**64 + 2}")]:
         capsys.readouterr()
         assert run_cli(["--out", str(tmp_path / "d"), *argv]) == 2
         assert option in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
-    top = str(2**64 - 1)
-    assert run_cli(["--out", str(tmp_path / "d"), *gen, "--base-seed", top]) == 0
+    # the largest base seed whose four instance seeds stay below 2**64
+    assert run_cli(["--out", str(tmp_path / "d"), *gen, "--base-seed", str(2**64 - 4)]) == 0
+    files = read_json_object(tmp_path / "d" / "manifest.json", "a manifest")["files"]
+    assert [f["seed"] for f in files] == [2**64 - 4, 2**64 - 3, 2**64 - 2, 2**64 - 1]
     assert run_cli(["--seed", top, "--out", str(tmp_path / "m"), "train", "--manifest",
                     str(tmp_path / "d" / "manifest.json"), "--k", "2", "--epochs", "1",
                     "--batch-size", "2", "--hidden", "4", "--layers", "1",

@@ -8,12 +8,8 @@ import pytest
 
 from qproj.core import (
     PSD_RTOL,
-    AffineRecovery,
-    EqQpInstance,
     ProjectionMatrix,
     QpInstance,
-    eliminate_eq_doubling,
-    eliminate_eq_nullspace,
     load_instance,
     max_violation,
     objective,
@@ -25,9 +21,10 @@ from qproj.core import (
     save_instance,
 )
 from qproj.cli import main
+from qproj.datasets import EqArrays, eliminate_eq_nullspace
 from qproj.solver import solve_qp
 
-from oracles import random_pd_instance
+from oracles import eliminate_eq_doubling, random_pd_instance
 
 RT2 = math.sqrt(2.0)
 
@@ -143,96 +140,71 @@ def test_subspace_monotonicity():
 
 
 def test_eliminate_doubling_examples():
-    e = EqQpInstance(Q=np.eye(2), c=[0, 0], A_ineq=[[1.0, 0.0]], b_ineq=[1.0],
-                     A_eq=[[1.0, 1.0]], b_eq=[1.0])
+    e = EqArrays(Q=np.eye(2), c=np.zeros(2), A_ineq=np.array([[1.0, 0.0]]),
+                 b_ineq=np.array([1.0]), A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
     out = eliminate_eq_doubling(e)
     assert out.n_cons == 3
     np.testing.assert_array_equal(out.A[1], [1.0, 1.0])
     np.testing.assert_array_equal(out.A[2], [-1.0, -1.0])
     assert out.b[1] == 1.0 and out.b[2] == -1.0
 
-    e0 = EqQpInstance(Q=np.eye(2), c=[0, 0], A_ineq=[[1.0, 0.0]], b_ineq=[1.0],
-                      A_eq=np.zeros((0, 2)), b_eq=[])
+    e0 = e._replace(A_eq=np.zeros((0, 2)), b_eq=np.zeros(0))
     out0 = eliminate_eq_doubling(e0)
     assert out0.n_cons == 1
     np.testing.assert_array_equal(out0.A, e0.A_ineq)
 
 
 def test_nullspace_projector_hand_example():
-    e = EqQpInstance(Q=np.eye(2), c=[0, 0], A_ineq=np.zeros((0, 2)), b_ineq=[],
-                     A_eq=[[1.0, 1.0]], b_eq=[1.0])
-    _, rec = eliminate_eq_nullspace(e, [0.5, 0.5])
-    np.testing.assert_allclose(rec.D, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
+    _, D, _ = eliminate_eq_nullspace(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0),
+                                     np.array([[1.0, 1.0]]), np.array([1.0]),
+                                     np.array([0.5, 0.5]))
+    np.testing.assert_allclose(D, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
 
-def test_nullspace_no_equalities():
-    e = EqQpInstance(Q=np.eye(2), c=[1.0, 0.0], A_ineq=[[1.0, 0.0]], b_ineq=[2.0],
-                     A_eq=np.zeros((0, 2)), b_eq=[])
-    inst, rec = eliminate_eq_nullspace(e, [1.0, 0.0])
-    np.testing.assert_allclose(rec.D, np.eye(2))
-    np.testing.assert_allclose(inst.b, [1.0])     # b_ineq - A_ineq u0
+def _random_eq_problem(rng, n, mi, me, u0_scale, margin):
+    """Random arrays of a strictly convex QP with me equality and mi
+    inequality rows, and a point u0 that meets them with slack in margin."""
+    B = rng.normal(size=(n, n))
+    Q = B @ B.T + np.eye(n)
+    c = rng.normal(size=n)
+    A_eq = rng.normal(size=(me, n))
+    u0 = rng.normal(size=n) * u0_scale
+    b_eq = A_eq @ u0
+    A_in = rng.normal(size=(mi, n))
+    b_in = A_in @ u0 + rng.uniform(*margin, mi)
+    return EqArrays(Q=Q, c=c, A_ineq=A_in, b_ineq=b_in, A_eq=A_eq, b_eq=b_eq), u0
 
 
 def test_nullspace_round_trip_objective():
     rng = np.random.default_rng(3)
     for trial in range(10):
-        n, mi, me = 6, 4, 2
-        B = rng.normal(size=(n, n))
-        Q = B @ B.T + np.eye(n)
-        c = rng.normal(size=n)
-        A_eq = rng.normal(size=(me, n))
-        u0 = rng.normal(size=n)
-        b_eq = A_eq @ u0
-        A_in = rng.normal(size=(mi, n))
-        b_in = A_in @ u0 + rng.uniform(0.1, 1.0, mi)
-        e = EqQpInstance(Q=Q, c=c, A_ineq=A_in, b_ineq=b_in, A_eq=A_eq, b_eq=b_eq)
-        inst, rec = eliminate_eq_nullspace(e, u0)
+        e, u0 = _random_eq_problem(rng, 6, 4, 2, 1.0, (0.1, 1.0))
+        inst, D, constant = eliminate_eq_nullspace(*e, u0)
         assert inst.b.min() >= -1e-10          # x = 0 feasible
         for _ in range(5):
-            x = rng.normal(size=n)
-            u = rec.apply(x)
-            orig = 0.5 * u @ (Q @ u) + c @ u
-            assert objective(inst, x) + rec.constant == pytest.approx(orig, abs=1e-8)
+            x = rng.normal(size=6)
+            u = D @ x + u0
+            orig = 0.5 * u @ (e.Q @ u) + e.c @ u
+            assert objective(inst, x) + constant == pytest.approx(orig, abs=1e-8)
 
 
 def test_nullspace_vs_doubling_optimum():
     rng = np.random.default_rng(4)
     for trial in range(5):
-        n, mi, me = 5, 4, 2
-        B = rng.normal(size=(n, n))
-        Q = B @ B.T + np.eye(n)
-        c = rng.normal(size=n)
-        A_eq = rng.normal(size=(me, n))
-        u0 = rng.normal(size=n) * 0.3
-        b_eq = A_eq @ u0
-        A_in = rng.normal(size=(mi, n))
-        b_in = A_in @ u0 + rng.uniform(0.2, 1.0, mi)
-        e = EqQpInstance(Q=Q, c=c, A_ineq=A_in, b_ineq=b_in, A_eq=A_eq, b_eq=b_eq)
+        e, u0 = _random_eq_problem(rng, 5, 4, 2, 0.3, (0.2, 1.0))
         u_doubling = solve_qp(eliminate_eq_doubling(e)).objective
-        inst, rec = eliminate_eq_nullspace(e, u0)
-        u_null = solve_qp(inst).objective + rec.constant
+        inst, _, constant = eliminate_eq_nullspace(*e, u0)
+        u_null = solve_qp(inst).objective + constant
         assert u_doubling == pytest.approx(u_null, abs=1e-6)
 
 
 def test_nullspace_infeasible_u0_rejected():
-    e = EqQpInstance(Q=np.eye(2), c=[0, 0], A_ineq=[[1.0, 0.0]], b_ineq=[0.0],
-                     A_eq=[[1.0, 1.0]], b_eq=[1.0])
-    with pytest.raises(ValueError):
-        eliminate_eq_nullspace(e, [1.0, 0.0])    # violates the inequality
-    with pytest.raises(ValueError):
-        eliminate_eq_nullspace(e, [-1.0, 0.5])   # violates the equality
-
-
-def test_dependent_eq_rows_dropped():
-    with pytest.warns(UserWarning, match="dependent"):
-        e = EqQpInstance(Q=np.eye(3), c=np.zeros(3),
-                         A_ineq=np.zeros((0, 3)), b_ineq=[],
-                         A_eq=[[1.0, 0, 0], [2.0, 0, 0], [0, 1.0, 0]],
-                         b_eq=[1.0, 2.0, 0.5])
-    assert e.dropped_eq_rows == 1
-    assert e.A_eq.shape[0] == 2
-    svals = np.linalg.svd(e.A_eq, compute_uv=False)
-    assert svals.min() > 1e-10 * svals.max()
+    e = EqArrays(Q=np.eye(2), c=np.zeros(2), A_ineq=np.array([[1.0, 0.0]]),
+                 b_ineq=np.array([0.0]), A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
+    with pytest.raises(ValueError, match="violates inequality"):
+        eliminate_eq_nullspace(*e, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="violates equality"):
+        eliminate_eq_nullspace(*e, np.array([-1.0, 0.5]))
 
 
 def test_construction_checks():
@@ -304,11 +276,6 @@ def test_projection_matrix_invariants():
         ProjectionMatrix(P=np.eye(2)[:1].T @ np.ones((1, 3)))  # K > N
     pm = ProjectionMatrix(P=np.eye(3)[:, :2])
     assert pm.n == 3 and pm.k == 2
-
-
-def test_affine_recovery_idempotence_check():
-    with pytest.raises(ValueError, match="idempotent"):
-        AffineRecovery(D=np.array([[2.0, 0], [0, 1.0]]), u0=[0.0, 0.0])
 
 
 def test_instance_file_round_trip(tmp_path):

@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from qproj.core import (
-    EqQpInstance,
     QpInstance,
-    eliminate_eq_doubling,
-    eliminate_eq_nullspace,
     max_violation,
     objective,
     read_json_object,
@@ -13,8 +10,10 @@ from qproj.core import (
 )
 from qproj.datasets import (
     DatasetManifest,
+    EqArrays,
     _check_generated,
     control_eq_instance,
+    eliminate_eq_nullspace,
     gen_control,
     gen_portfolio,
     gen_regression,
@@ -22,6 +21,8 @@ from qproj.datasets import (
     portfolio_eq_instance,
 )
 from qproj.solver import solve_qp
+
+from oracles import brute_force_min, eliminate_eq_doubling
 
 
 def test_regression_shapes_and_feasibility():
@@ -69,21 +70,21 @@ def test_portfolio_structure():
 
 def test_portfolio_round_trip_objective():
     eq, u0 = portfolio_eq_instance(10, seed=4)
-    inst, rec = eliminate_eq_nullspace(eq, u0)
+    inst, _, constant = eliminate_eq_nullspace(*eq, u0)
     # transformed objective at x = 0 plus the stored constant equals the
     # uniform-portfolio variance
     uniform_risk = 0.5 * u0 @ (eq.Q @ u0)
-    assert objective(inst, np.zeros(10)) + rec.constant == pytest.approx(
+    assert objective(inst, np.zeros(10)) + constant == pytest.approx(
         uniform_risk, rel=1e-12)
-    assert inst.meta == {} or True
-    assert gen_portfolio(10, seed=4).meta["recovery_constant"] == pytest.approx(
-        rec.constant)
+    # the elimination leaves the instance untagged; gen_portfolio tags it
+    assert inst.meta == {}
+    assert gen_portfolio(10, seed=4).meta["recovery_constant"] == constant
 
 
 def test_control_structure():
     eq, u0 = control_eq_instance(s=3, v=2, t=4, seed=5)
     n = (3 + 2) * 4
-    assert eq.n_vars == n
+    assert eq.Q.shape == (n, n)
     assert eq.A_eq.shape == (3 * 4, n)
     assert eq.A_ineq.shape == (2 * n, n)
     # feasible point satisfies dynamics and the initial condition exactly
@@ -110,8 +111,8 @@ def _desk_instance(family, seed):
         eq, u0 = portfolio_eq_instance(100, seed)
     else:
         eq, u0 = control_eq_instance(s=10, v=10, t=5, seed=seed)
-    inst, rec = eliminate_eq_nullspace(eq, u0)
-    return inst, rec.D, eq.A_eq.shape[0]
+    inst, D, _ = eliminate_eq_nullspace(*eq, u0)
+    return inst, D, eq.A_eq.shape[0]
 
 
 def _passes_check(inst, D):
@@ -145,18 +146,17 @@ def test_generated_check_rejects_a_hessian_singular_on_its_subspace():
     with pytest.raises(ValueError, match="not positive definite on its subspace"):
         gen_regression(n=20, m=5, t=10, seed=0)
     # Q vanishes on e3, which lies in null(A_eq)
-    eq = EqQpInstance(Q=np.diag([1.0, 1.0, 0.0]), c=np.zeros(3),
-                      A_ineq=np.zeros((0, 3)), b_ineq=[],
-                      A_eq=[[1.0, 1.0, 0.0]], b_eq=[0.0])
-    inst, rec = eliminate_eq_nullspace(eq, np.zeros(3))
+    inst, D, _ = eliminate_eq_nullspace(np.diag([1.0, 1.0, 0.0]), np.zeros(3),
+                                        np.zeros((0, 3)), np.zeros(0),
+                                        np.array([[1.0, 1.0, 0.0]]), np.zeros(1), np.zeros(3))
     with pytest.raises(ValueError, match="not positive definite on its subspace"):
-        _check_generated(inst, rec.D)
+        _check_generated(inst, D)
 
 
 def test_control_n_500_at_full_scale():
     # shape-only check of the full-scale default dimensions
     eq, _ = control_eq_instance(s=50, v=50, t=5, seed=0)
-    assert eq.n_vars == 500
+    assert eq.Q.shape == (500, 500)
     assert eq.A_ineq.shape[0] == 1000
     assert eq.A_eq.shape[0] == 250
 
@@ -164,9 +164,27 @@ def test_control_n_500_at_full_scale():
 def test_control_doubling_and_nullspace_agree():
     eq, u0 = control_eq_instance(s=2, v=2, t=3, seed=6)
     u_doubling = solve_qp(eliminate_eq_doubling(eq)).objective
-    inst, rec = eliminate_eq_nullspace(eq, u0)
-    u_null = solve_qp(inst).objective + rec.constant
+    inst, _, constant = eliminate_eq_nullspace(*eq, u0)
+    u_null = solve_qp(inst).objective + constant
     assert u_doubling == pytest.approx(u_null, abs=1e-6)
+
+
+def test_dependent_eq_rows_eliminated():
+    # the second equality row is twice the first: the pseudo-inverse's
+    # cutoff treats A_eq as rank 2, and the projector is the one onto null(A_eq)
+    eq = EqArrays(Q=np.eye(3), c=np.array([0.0, 0.0, -3.0]), A_ineq=np.array([[0.0, 0.0, 1.0]]),
+                  b_ineq=np.array([2.0]), A_eq=np.array([[1.0, 0, 0], [2.0, 0, 0], [0, 1.0, 0]]),
+                  b_eq=np.array([1.0, 2.0, 0.5]))
+    inst, D, constant = eliminate_eq_nullspace(*eq, np.array([1.0, 0.5, 0.0]))
+    assert np.abs(eq.A_eq @ D).max() <= 1e-8
+    np.testing.assert_allclose(D @ D, D, atol=1e-12)
+    np.testing.assert_allclose(D, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
+    res = solve_qp(inst)
+    assert res.status.value == "Solved"
+    doubled = eliminate_eq_doubling(eq)
+    u_doubling, _ = brute_force_min(doubled.Q, doubled.c, doubled.A, doubled.b)
+    assert res.objective + constant == pytest.approx(u_doubling, abs=1e-9)
+    assert res.objective + constant == pytest.approx(0.5 * (1 + 0.25 + 4) - 6, abs=1e-9)
 
 
 def test_gen_split_writes_manifest_and_files(tmp_path):
