@@ -48,8 +48,11 @@ from qproj.core import QpInstance
 pinned = QpInstance(Q=[[1.0]], c=[0.0], A=[[-1.0]], b=[-1.0])
 tiny_net = init_params(0, h=4, l=1, k=1, h_g=4)
 honest = validate_norm_bound([pinned], tiny_net)
-forced = validate_norm_bound([pinned], tiny_net, b_override=0.1)
-print(f"honest b:      margin {honest.rows[0].margin:+.4f} "
+# K = N = 1, so the reduced problem is pinned itself: sigma_q = 1, c0 = 0
+row = honest.rows[0]
+forced = y_max(AssumptionConstants(sigma_q=1.0, sigma_p=1.0, q0=1.0, c0=0.0, b=0.1,
+                                   n=1, k=1)) - row.l1_norm
+print(f"honest b:      margin {row.margin:+.4f} "
       f"({honest.violations} violations)")
-print(f"b forced low:  margin {forced.rows[0].margin:+.4f} "
-      f"({forced.violations} violation)")
+print(f"b forced low:  margin {forced:+.4f} "
+      f"({int(forced < 0)} violation)")

@@ -2,8 +2,10 @@
 
 Subcommands: gen-data, train, eval, solve, baseline, theory, experiment.
 Global flags: --seed, --config <json>, --out <dir>. A config file holds
-per-subcommand defaults, e.g. {"train": {"k": 10, "epochs": 50}}; explicit
-flags win. Exit codes: 0 success, 2 configuration errors, 3 I/O errors.
+per-subcommand defaults, e.g. {"train": {"k": 10, "epochs": 50}}, and the
+SHARED keys; a section holds only its command's flags and SHARED keys, and
+explicit flags win. Exit codes: 0 success, 2 configuration errors (and
+running out of memory), 3 I/O errors.
 """
 
 from __future__ import annotations
@@ -17,9 +19,16 @@ import sys
 
 import numpy as np
 
-from .core import (FLAG, NUMBER, OBJECT, PATH, REQUIRED, TEXT, Kind, integer, one_of,
-                   read_fields, read_json_object)
-from .datasets import FAMILIES, SPLITS
+from . import baselines
+from .core import (FLAG, NUMBER, OBJECT, PATH, REQUIRED, TEXT, Kind, integer, load_instance,
+                   one_of, read_fields, read_json_object)
+from .datasets import FAMILIES, SPLITS, DatasetManifest, gen_split
+from .evaluate import (METHODS, SolutionCache, evaluate_method, load_method, run_experiment,
+                       write_records_csv)
+from .gnn import load_checkpoint, save_checkpoint
+from .solver import settings_from_json, solve_qp
+from .theory import AssumptionConstants, gen_bound, lipschitz_consts, validate_norm_bound, y_max
+from .training import TrainConfig, train
 
 
 # every option a flag or a config section can set, by name; its flag reads
@@ -72,14 +81,10 @@ def _method(args, cfg, choices, what):
 
 
 def _solver_settings(args, cfg):
-    from .solver import settings_from_json
-
     return settings_from_json(_pick(args, cfg, "solver", {}))
 
 
 def cmd_gen_data(args, cfg):
-    from .datasets import gen_split
-
     family = _pick(args, cfg, "family")
     sizes = {key: val for key in ("n", "m", "t", "s", "v")
              if (val := _pick(args, cfg, key, None)) is not None}
@@ -97,8 +102,6 @@ def _seed(args, cfg) -> int:
 
 def _train_config(args, cfg, k, epochs, **fields):
     """The TrainConfig of the flags train and baseline share; fields sets the rest."""
-    from .training import TrainConfig
-
     return TrainConfig(k=k, batch_size=_pick(args, cfg, "batch-size", 8),
                        learning_rate=_pick(args, cfg, "lr", 1e-3),
                        max_epochs=_pick(args, cfg, "epochs", epochs),
@@ -106,10 +109,6 @@ def _train_config(args, cfg, k, epochs, **fields):
 
 
 def cmd_train(args, cfg):
-    from .datasets import DatasetManifest
-    from .gnn import save_checkpoint
-    from .training import train
-
     manifest = DatasetManifest.load(_pick(args, cfg, "manifest"))
     config = _train_config(args, cfg, _pick(args, cfg, "k"), 500,
                            hidden=_pick(args, cfg, "hidden", 32),
@@ -131,8 +130,6 @@ def cmd_train(args, cfg):
 
 
 def _build_method(args, cfg, name, k):
-    from .evaluate import load_method
-
     path = None
     if name == "rand":
         _pick(args, cfg, "k")
@@ -144,9 +141,6 @@ def _build_method(args, cfg, name, k):
 
 
 def cmd_eval(args, cfg):
-    from .datasets import DatasetManifest
-    from .evaluate import METHODS, SolutionCache, evaluate_method, write_records_csv
-
     name = _method(args, cfg, METHODS, "method")
     manifest = DatasetManifest.load(_pick(args, cfg, "manifest"))
     k = _pick(args, cfg, "k", None)
@@ -168,9 +162,6 @@ def cmd_eval(args, cfg):
 
 
 def cmd_solve(args, cfg):
-    from .core import load_instance
-    from .solver import solve_qp
-
     inst = load_instance(_pick(args, cfg, "instance"))
     settings = _solver_settings(args, cfg)
     res = solve_qp(inst, settings)
@@ -198,11 +189,6 @@ def cmd_solve(args, cfg):
 
 
 def cmd_baseline(args, cfg):
-    from . import baselines
-    from .datasets import DatasetManifest
-    from .evaluate import SolutionCache
-    from .gnn import save_checkpoint
-
     name = _method(args, cfg, BASELINES, "baseline")
     manifest = DatasetManifest.load(_pick(args, cfg, "manifest"))
     train_set = manifest.load_split("train")
@@ -233,13 +219,7 @@ def cmd_baseline(args, cfg):
 
 
 def cmd_theory(args, cfg):
-    from .theory import AssumptionConstants, gen_bound, lipschitz_consts, y_max
-
     if _pick(args, cfg, "validate", None):
-        from .datasets import DatasetManifest
-        from .gnn import load_checkpoint
-        from .theory import validate_norm_bound
-
         manifest = DatasetManifest.load(_pick(args, cfg, "manifest"))
         params = load_checkpoint(_pick(args, cfg, "checkpoint"))
         report = validate_norm_bound(manifest.load_split("test"), params,
@@ -259,53 +239,47 @@ def cmd_theory(args, cfg):
     c_prime, c = lipschitz_consts(consts)
     doc = {"y_max": y_max(consts), "c_prime": c_prime, "c": c}
     epsilon = _pick(args, cfg, "epsilon", None)
-    if epsilon is not None:
-        doc["bound"] = gen_bound(
-            epsilon,
-            _pick(args, cfg, "delta", 0.05),
-            _pick(args, cfg, "d", 100),
-            consts.b,
-            _pick(args, cfg, "log-n-cover", 0.0),
-            c,
-        )
-    else:
-        doc["bound"] = None
+    doc["bound"] = None if epsilon is None else gen_bound(
+        epsilon, _pick(args, cfg, "delta", 0.05), _pick(args, cfg, "d", 100), consts.b,
+        _pick(args, cfg, "log-n-cover", 0.0), c)
     # an overflow to infinity is an error, not an Infinity token
     print(json.dumps(doc, allow_nan=False))
     return 0
 
 
 def cmd_experiment(args, cfg):
-    from .evaluate import run_experiment
-
     spec = _pick(args, cfg, "spec")
     out = run_experiment(spec, args.out)
     print(out["records"])
     return 0
 
 
-def build_parser():
-    from .evaluate import METHODS
+# each command's help and option keys: its flags, and all its config section
+# may hold besides the SHARED keys, which the top level may hold too
+COMMANDS = {
+    "gen-data": ("generate a dataset split", "family n m t s v train val test base-seed"),
+    "train": ("train the projection generator",
+              "manifest k epochs batch-size lr hidden layers head-hidden"),
+    "eval": ("evaluate a method on a test split",
+             "manifest method checkpoint artifact k split timing-repeats cache-dir"),
+    "solve": ("solve one QP instance file", "instance"),
+    "baseline": ("build a baseline projection or direct model",
+                 "method manifest k epochs batch-size lr cache-dir"),
+    "theory": ("evaluate theory formulas / validate bound",
+               "sigma-q sigma-p q0 c0 b n k epsilon delta d log-n-cover validate manifest "
+               "checkpoint"),
+    "experiment": ("run an experiment spec", "spec"),
+}
+SHARED = ("solver", "record_timings", "seed")
 
+
+def build_parser():
     parser = argparse.ArgumentParser(prog="qproj")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, fn, text, keys in [
-            ("gen-data", cmd_gen_data, "generate a dataset split",
-             "family n m t s v train val test base-seed"),
-            ("train", cmd_train, "train the projection generator",
-             "manifest k epochs batch-size lr hidden layers head-hidden"),
-            ("eval", cmd_eval, "evaluate a method on a test split",
-             "manifest method checkpoint artifact k split timing-repeats cache-dir"),
-            ("solve", cmd_solve, "solve one QP instance file", "instance"),
-            ("baseline", cmd_baseline, "build a baseline projection or direct model",
-             "method manifest k epochs batch-size lr cache-dir"),
-            ("theory", cmd_theory, "evaluate theory formulas / validate bound",
-             "sigma-q sigma-p q0 c0 b n k epsilon delta d log-n-cover validate manifest "
-             "checkpoint"),
-            ("experiment", cmd_experiment, "run an experiment spec", "spec")]:
+    for command, (text, keys) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         choices = {"family": FAMILIES, "split": SPLITS,
                    "method": METHODS if command == "eval" else BASELINES}
@@ -317,28 +291,49 @@ def build_parser():
                 p.add_argument(f"--{key}", choices=choices.get(key), type=(
                     int if kind in (POSITIVE, NONNEGATIVE, SEED)
                     else float if kind is NUMBER else None))
-        p.set_defaults(fn=fn)
+        # read per call, not at import: a tracer may rebind the cmd_* functions
+        p.set_defaults(fn=globals()["cmd_" + command.replace("-", "_")])
     return parser
 
 
+def _config(path, command) -> dict:
+    """command's section of the config file at path (gen_data or gen-data for
+    gen-data), with the top level's SHARED keys. Any other top-level key, or a
+    section key that is neither SHARED nor one of its command's keys in
+    COMMANDS, raises ValueError naming path and key."""
+    doc = read_json_object(path, "a config file") if path else {}
+    for key, section in doc.items():
+        if key in SHARED:
+            continue
+        name = key.replace("_", "-")
+        if name not in COMMANDS:
+            raise ValueError(f"{path}: unknown config key {key!r} (expected a command "
+                             f"section or {'/'.join(SHARED)})")
+        if not isinstance(section, dict):
+            raise ValueError(f"{path}: config section {key!r} must be an object, "
+                             f"got {reprlib.repr(section)}")
+        allowed = (*COMMANDS[name][1].split(), *SHARED)
+        for field in section:
+            if field not in allowed:
+                raise ValueError(f"{path}: unknown key {field!r} in config section {key!r} "
+                                 f"(expected one of {', '.join(allowed)})")
+    section = command.replace("-", "_")
+    cfg = doc.get(section if section in doc else command, {})
+    for key in SHARED:
+        if key in doc and key not in cfg:
+            cfg[key] = doc[key]
+    return cfg
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg_all = read_json_object(args.config, "a config file") if args.config else {}
-        section = args.command.replace("-", "_")
-        section = section if section in cfg_all else args.command
-        cfg = cfg_all.get(section, {})
-        if not isinstance(cfg, dict):
-            raise ValueError(f"config section {section!r} must be an object, "
-                             f"got {reprlib.repr(cfg)}")
-        # shared sections (e.g. solver) visible to every command
-        for key in ("solver", "record_timings", "seed"):
-            if key in cfg_all and key not in cfg:
-                cfg[key] = cfg_all[key]
-        return args.fn(args, cfg)
+        return args.fn(args, _config(args.config, args.command))
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

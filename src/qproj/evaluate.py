@@ -45,8 +45,12 @@ from .core import (
     read_json_object,
     recover,
 )
-from .gnn import ModelParams, forward, forward_raw
+from .datasets import DatasetManifest
+from .gnn import ModelParams, forward, forward_raw, load_checkpoint
 from .solver import SolveStatus, SolverSettings, settings_from_json, solve_qp
+
+# baselines imports this module at its top, so rand_method, fixed_method and
+# load_method import from baselines when called
 
 
 def relative_error(u_hat: float, u_star: float) -> float:
@@ -349,7 +353,6 @@ def load_method(name, spec_entry, k, rand_seed=0):
     (ours, and direct with K=1) or projection file (pca, sharedp), or None.
     A file of the wrong kind raises ValueError."""
     from .baselines import load_projection
-    from .gnn import load_checkpoint
 
     if name == "rand":
         return rand_method(k, base_seed=rand_seed)
@@ -409,8 +412,6 @@ def _sweep_cells(sweeps):
     skipped with one line that starts with the label. The list is built
     whole, so a misconfigured sweep raises ValueError before any cell runs;
     sweeps that name the same manifest share its test set."""
-    from .datasets import DatasetManifest
-
     @cache
     def test_split(path):
         manifest = DatasetManifest.load(path)

@@ -10,13 +10,13 @@ solve and passes a gate when LAPACK potrf succeeds and the pocon estimate
 of its reciprocal condition number is at least CROSSOVER_RCOND; then one
 active-set solve is the answer. Singular Q (the full portfolio and control
 problems after equality elimination, LPs) fails it. There Q + delta I is
-factored instead, delta = CROSSOVER_PROX * max(||Q||_1, 1), and up to
-CROSSOVER_PROX_ROUNDS rounds of the proximal point method (Rockafellar
-1976) each solve the problem with linear term c - delta y_{k-1}, from
-y_0 = 0. The first active-set solve starts from the rows that the
-unconstrained minimizer -(Q + delta I)^-1 c violates, and each later round
-from the last round's duals: a result depends only on the instance and
-the settings.
+factored instead, delta = CROSSOVER_PROX * ||Q||_1 (with ||Q||_1 taken as 1
+when Q = 0), and up to CROSSOVER_PROX_ROUNDS rounds of the proximal point
+method (Rockafellar 1976) each solve the problem with linear term
+c - delta y_{k-1}, from y_0 = 0. The first active-set solve starts from the
+rows that the unconstrained minimizer -(Q + delta I)^-1 c violates, and each
+later round from the last round's duals: a result depends only on the
+instance and the settings.
 
 An active-set solve holds its active rows as a thin QR factor in the metric
 of Q, and grows it in block rounds, as in primal-dual active-set methods
@@ -446,9 +446,10 @@ def solve_qp(inst: QpInstance, settings: SolverSettings | None = None) -> SolveR
     chol = _crossover_factor(Q)
     if chol is None:
         # Q + delta I passes the gate for any Q that QpInstance accepts,
-        # since PSD_RTOL is far below CROSSOVER_PROX; the floor of 1 covers
-        # Q = 0
-        delta = CROSSOVER_PROX * max(np.abs(Q).sum(axis=0).max(initial=0.0), 1.0)
+        # since PSD_RTOL is far below CROSSOVER_PROX; delta scales with Q,
+        # so a Q scaled down keeps its relative weight and its rounds, and
+        # ||Q||_1 = 1 stands in for Q = 0
+        delta = CROSSOVER_PROX * (np.abs(Q).sum(axis=0).max(initial=0.0) or 1.0)
         q_prox = Q + delta * np.eye(n)
         chol = _crossover_factor(q_prox)
         if chol is None:

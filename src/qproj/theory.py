@@ -105,14 +105,12 @@ class NormBoundReport:
 
 
 def validate_norm_bound(instances, params: ModelParams,
-                        settings: SolverSettings | None = None,
-                        b_override: float | None = None) -> NormBoundReport:
+                        settings: SolverSettings | None = None) -> NormBoundReport:
     """Check ||y*||_1 <= Y_max on solved reduced problems, instantiating the
     premise constants empirically per instance: sigma_q as the smallest
     eigenvalue of the reduced Hessian, c0 as ||P'c||_1, and b as |u*| of the
     Solved full solve (SolutionCache.u_star raises for any other status; the
-    reduced optimum lies in [u*, 0] because 0 is feasible). b_override forces
-    a smaller b to demonstrate the bound's sensitivity."""
+    reduced optimum lies in [u*, 0] because 0 is feasible)."""
     settings = settings or SolverSettings()
     cache = SolutionCache(settings=settings)
     rows = []
@@ -130,12 +128,9 @@ def validate_norm_bound(instances, params: ModelParams,
             skipped += 1
             continue
         c0 = float(np.abs(reduced.c).sum())
-        if b_override is not None:
-            b = float(b_override)
-        else:
-            b = abs(cache.u_star(inst))
-        ym = y_max(AssumptionConstants(sigma_q=sigma_q, sigma_p=1.0, q0=1.0,
-                                       c0=c0, b=b, n=inst.n_vars, k=params.k))
+        ym = y_max(AssumptionConstants(sigma_q=sigma_q, sigma_p=1.0, q0=1.0, c0=c0,
+                                       b=abs(cache.u_star(inst)), n=inst.n_vars,
+                                       k=params.k))
         l1 = float(np.abs(res.y_star).sum())
         rows.append(NormBoundRow(instance_id=inst_id, l1_norm=l1, y_max=ym,
                                  margin=ym - l1, violated=l1 > ym))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qproj import datasets
 from qproj.core import (
     QpInstance,
     max_violation,
@@ -221,10 +222,14 @@ def test_gen_split_rejects_bad_inputs(tmp_path):
                   {"train": 1, "val": 0, "test": 1}, 0, tmp_path)
 
 
-def test_manifest_records_rng():
-    inst = gen_regression(n=4, m=1, t=8, seed=0)
-    assert inst.meta["family"] == "regression"
-    # manifest carries the generator identity
+def test_manifest_records_rng(tmp_path):
+    # the manifest carries the generator identity, in its file and after load
+    gen_split("regression", {"n": 4, "m": 1, "t": 8}, {"train": 1, "val": 1, "test": 1},
+              0, tmp_path)
+    path = tmp_path / "manifest.json"
+    for found in (read_json_object(path, "a manifest"), vars(DatasetManifest.load(path))):
+        assert found["rng_name"] == datasets.RNG_NAME
+        assert found["generator_version"] == datasets.GENERATOR_VERSION
 
 
 def test_trivial_objective_is_zero():

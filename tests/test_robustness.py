@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qproj import datasets
 from qproj.baselines import direct_train, save_projection, sharedp_train
 from qproj.cli import main
 from qproj.core import (
@@ -534,6 +535,61 @@ def test_malformed_config_rejected(tmp_path, capsys, config, argv, message):
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), *argv]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+GEN_DATA = ["gen-data", "--family", "regression", "--n", "6", "--m", "2", "--t", "12",
+            "--train", "1", "--val", "1", "--test", "1"]
+
+
+# a config key that no flag of its section's command names was ignored:
+# {"train": {"epoch": 5}} trained the default 500 epochs, and gen-data ran
+# and exited 0 under a misspelled section or a bogus key. Every section is
+# checked, whichever command runs, before any output is written
+@pytest.mark.parametrize("config, argv, key", [
+    ({"train": {"epoch": 5}}, ["train", "--manifest", "m.json", "--k", "2"], "'epoch'"),
+    ({"trian": {"k": 2}}, GEN_DATA, "'trian'"),
+    ({"gen_data": {"family": "regression", "bogus": 7}}, GEN_DATA, "'bogus'"),
+    ({"gen-data": {"base_seed": 3}}, GEN_DATA, "'base_seed'"),
+    ({"train": {"epoch": 5}}, GEN_DATA, "'epoch'"),
+    ({"solve": {"family": "regression"}}, GEN_DATA, "'family'"),
+    ({"eval": {"solver": {}, "seed": 1, "record_timings": True, "validate": True}},
+     GEN_DATA, "'validate'"),
+], ids=["train-section-typo", "misspelled-section", "gen-data-bogus-key",
+        "gen-data-underscored-flag", "other-section-typo", "another-commands-flag",
+        "after-shared-keys"])
+def test_unknown_config_key_rejected(tmp_path, capsys, config, argv, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_shared_config_keys_accepted_everywhere(tmp_path, capsys):
+    shared = {"solver": {}, "seed": 4, "record_timings": False}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gen-data": {"family": "regression", **shared},
+                                "train": {"k": 2, **shared}, **shared}))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), *GEN_DATA]) == 0
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["base_seed"] == 4
+    capsys.readouterr()
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # numpy's MemoryError (gen-data --family regression --n 100000 asks for
+    # 74.5 GiB) escaped cli.main with a traceback and exit code 1
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(100000, 100000) and data type float64")
+
+    monkeypatch.setattr(datasets, "generate_instance", no_memory)
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "out"), *GEN_DATA]) == 2
+    assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 74.5 GiB "
+                                       "for an array with shape (100000, 100000) and data "
+                                       "type float64\n")
 
 
 # a sweep without its type or its manifest stopped with the key alone

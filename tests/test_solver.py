@@ -373,6 +373,21 @@ def test_singular_full_solves_cross_over(monkeypatch, family, sizes, seed, u_sta
     assert res.objective == pytest.approx(u_star, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_scaled_singular_full_solve_is_solved(seed):
+    # the proximal weight was 1e-6 * max(||Q||_1, 1): with Q and c of a
+    # control N=100 instance scaled by 1e-6 it stood as large as Q itself,
+    # and each of these solves ended MaxIterReached after its four rounds
+    from qproj.datasets import generate_instance
+
+    inst = generate_instance("control", {"s": 10, "v": 10, "t": 5}, seed)
+    scaled = QpInstance(Q=inst.Q * 1e-6, c=inst.c * 1e-6, A=inst.A, b=inst.b)
+    assert solver._crossover_factor(scaled.Q) is None
+    res = solve_qp(scaled)
+    assert res.status is SolveStatus.SOLVED
+    assert res.objective == pytest.approx(objective(scaled, solve_qp(inst).y_star), rel=1e-8)
+
+
 def _singular_box_instance(rng, n, rank, m_extra):
     """A QP with Q of the given rank (0: an LP), a box |y_i| <= u_i and
     m_extra random rows that keep a random point of the box feasible."""

@@ -5,6 +5,7 @@ import pytest
 
 from qproj.core import QpInstance
 from qproj.datasets import gen_regression
+from qproj.evaluate import SolutionCache
 from qproj.gnn import init_params
 from qproj.solver import SolveStatus, solve_qp
 from qproj.theory import (
@@ -99,14 +100,15 @@ def test_validate_norm_bound_zero_violations():
     assert all(r.margin >= 0 for r in report.rows)
 
 
-def test_validate_norm_bound_controlled_falsification():
+def test_validate_norm_bound_controlled_falsification(monkeypatch):
     # active constraint pushes y* away from 0 while c = 0; with the honest
-    # b the bound is tight, and an understated b breaks it
+    # b the bound is tight, and an understated b (|u*| = 0.1) breaks it
     inst = QpInstance(Q=[[1.0]], c=[0.0], A=[[-1.0]], b=[-1.0])
     params = init_params(0, h=4, l=1, k=1, h_g=4)
     honest = validate_norm_bound([inst], params)
     assert honest.violations == 0
-    forced = validate_norm_bound([inst], params, b_override=0.1)
+    monkeypatch.setattr(SolutionCache, "u_star", lambda cache, inst: -0.1)
+    forced = validate_norm_bound([inst], params)
     assert forced.violations == 1
     assert forced.rows[0].margin < 0
 
